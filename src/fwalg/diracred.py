@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .gaussrat import GaussRat, ONE
-from .opalg import BETA, E, F, O, OperatorExpr
+from .opalg import BETA, E, F, O, OperatorExpr, SparseSum
 
 _EPS = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -243,6 +243,11 @@ class FieldTerm:
     def is_odd(self) -> bool:
         return _inner_is_odd(self.unit[1])
 
+    def with_coeff(self, coeff: GaussRat) -> "FieldTerm":
+        return FieldTerm(coeff, self.e_power, self.hbar_power, self.c_power,
+                         self.mass_power, self.unit, self.fields, self.pis,
+                         self.t_power)
+
     def __repr__(self):
         parts = [str(self.coeff)]
         for name, p in (("e", self.e_power), ("hbar", self.hbar_power),
@@ -258,22 +263,6 @@ class FieldTerm:
         if self.t_power:
             parts.append(f"T^{self.t_power}")
         return "(" + " ".join(parts) + ")"
-
-
-class _RawField:
-    """Pre-normalization carrier: unit already multiplied, word not yet ordered."""
-
-    __slots__ = ("coeff", "e_power", "hbar_power", "c_power", "mass_power",
-                 "unit", "word")
-
-    def __init__(self, coeff, e_power, hbar_power, c_power, mass_power, unit, word):
-        self.coeff = coeff
-        self.e_power = e_power
-        self.hbar_power = hbar_power
-        self.c_power = c_power
-        self.mass_power = mass_power
-        self.unit = unit
-        self.word = word
 
 
 def _reduce_word(atoms: Sequence):
@@ -333,31 +322,35 @@ def _reduce_word(atoms: Sequence):
 
 
 def _normalize_field(raw: Iterable) -> tuple[FieldTerm, ...]:
+    """Normal form of raw field tuples.
+
+    A raw tuple is ``(coeff, e_power, hbar_power, c_power, mass_power, unit,
+    word)``: the Clifford unit already multiplied out, the word a list of
+    field/pi/T atoms in any order.
+    """
     acc: dict = {}
-    for item in raw:
-        if isinstance(item, FieldTerm):
-            item = _RawField(item.coeff, item.e_power, item.hbar_power,
-                             item.c_power, item.mass_power, item.unit,
-                             _word_of(item))
-        if item.coeff.is_zero:
+    for coeff0, e_power, hbar_power, c_power, mass_power, unit, word in raw:
+        if coeff0.is_zero:
             continue
-        for (coeff, de, dh, dc, fields, pis, t_power) in _reduce_word(item.word):
-            total = item.coeff * coeff
+        for (coeff, de, dh, dc, fields, pis, t_power) in _reduce_word(word):
+            total = coeff0 * coeff
             if total.is_zero:
                 continue
-            key = (fields, pis, t_power, item.unit,
-                   item.e_power + de, item.hbar_power + dh,
-                   item.c_power + dc, item.mass_power)
+            key = (fields, pis, t_power, unit, e_power + de, hbar_power + dh,
+                   c_power + dc, mass_power)
             prev = acc.get(key)
             acc[key] = total if prev is None else prev + total
     terms = [
         FieldTerm(c, key[4], key[5], key[6], key[7], key[3], key[0], key[1], key[2])
         for key, c in acc.items() if not c.is_zero
     ]
-    terms.sort(key=lambda t: (t.mass_power, t.e_power, t.hbar_power, t.c_power,
-                              t.unit, tuple(f.sort_key() for f in t.fields),
-                              t.pis, t.t_power))
+    terms.sort(key=_field_sort_key)
     return tuple(terms)
+
+
+def _field_sort_key(t: FieldTerm):
+    return (t.mass_power, t.e_power, t.hbar_power, t.c_power, t.unit,
+            tuple(f.sort_key() for f in t.fields), t.pis, t.t_power)
 
 
 def _word_of(t: FieldTerm) -> list:
@@ -366,81 +359,37 @@ def _word_of(t: FieldTerm) -> list:
             + [TAtom() for _ in range(t.t_power)])
 
 
-class FieldExpr:
+class FieldExpr(SparseSum):
     """Normalized sum of field terms (Clifford unit times commutative word)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _sort_key = staticmethod(_field_sort_key)
 
     def __init__(self, terms=(), _normalized=False):
-        if _normalized:
-            self._terms = terms
-        else:
-            self._terms = _normalize_field(terms)
-
-    @classmethod
-    def zero(cls) -> "FieldExpr":
-        return _F_ZERO
+        self._terms = terms if _normalized else _normalize_field(terms)
 
     @classmethod
     def one(cls) -> "FieldExpr":
         return _F_ONE
 
-    @property
-    def terms(self) -> tuple[FieldTerm, ...]:
-        return self._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "FieldExpr") -> "FieldExpr":
-        if not isinstance(other, FieldExpr):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return FieldExpr(self._terms + other._terms)
-
-    def __sub__(self, other: "FieldExpr") -> "FieldExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "FieldExpr":
-        return FieldExpr(tuple(
-            FieldTerm(-t.coeff, t.e_power, t.hbar_power, t.c_power, t.mass_power,
-                      t.unit, t.fields, t.pis, t.t_power)
-            for t in self._terms), _normalized=True)
-
     def __mul__(self, other):
-        if isinstance(other, FieldExpr):
-            raw = []
-            for a in self._terms:
-                for b in other._terms:
-                    u_coeff, unit = _unit_mul(a.unit, b.unit)
-                    raw.append(_RawField(
-                        a.coeff * b.coeff * u_coeff,
-                        a.e_power + b.e_power,
-                        a.hbar_power + b.hbar_power,
-                        a.c_power + b.c_power,
-                        a.mass_power + b.mass_power,
-                        unit,
-                        _word_of(a) + _word_of(b),
-                    ))
-            return FieldExpr(raw)
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c = GaussRat.coerce(other)
-            if c.is_zero:
-                return _F_ZERO
-            return FieldExpr(tuple(
-                FieldTerm(c * t.coeff, t.e_power, t.hbar_power, t.c_power,
-                          t.mass_power, t.unit, t.fields, t.pis, t.t_power)
-                for t in self._terms), _normalized=True)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self * other
-        return NotImplemented
+        if not isinstance(other, FieldExpr):
+            return self._times_scalar(other)
+        raw = []
+        for a in self._terms:
+            for b in other._terms:
+                u_coeff, unit = _unit_mul(a.unit, b.unit)
+                raw.append((
+                    a.coeff * b.coeff * u_coeff,
+                    a.e_power + b.e_power,
+                    a.hbar_power + b.hbar_power,
+                    a.c_power + b.c_power,
+                    a.mass_power + b.mass_power,
+                    unit,
+                    _word_of(a) + _word_of(b),
+                ))
+        return FieldExpr(raw)
 
     def adjoint(self) -> "FieldExpr":
         raw = []
@@ -450,43 +399,14 @@ class FieldExpr:
             coeff = t.coeff.conjugate()
             if sign < 0:
                 coeff = -coeff
-            raw.append(_RawField(coeff, t.e_power, t.hbar_power, t.c_power,
-                                 t.mass_power, t.unit, _word_of(t)[::-1]))
+            raw.append((coeff, t.e_power, t.hbar_power, t.c_power,
+                        t.mass_power, t.unit, _word_of(t)[::-1]))
         return FieldExpr(raw)
 
-    def parity_split(self) -> tuple["FieldExpr", "FieldExpr"]:
-        even = tuple(t for t in self._terms if not t.is_odd)
-        odd = tuple(t for t in self._terms if t.is_odd)
-        return (FieldExpr(even, _normalized=True), FieldExpr(odd, _normalized=True))
-
     def truncate_field_order(self, max_order: int) -> "FieldExpr":
-        kept = tuple(t for t in self._terms if t.field_order <= max_order)
-        return FieldExpr(kept, _normalized=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldExpr):
-            return NotImplemented
-        if len(self._terms) != len(other._terms):
-            return False
-        return all(a.key == b.key and a.coeff == b.coeff
-                   for a, b in zip(self._terms, other._terms))
-
-    def __hash__(self):
-        return hash(tuple((t.key, t.coeff) for t in self._terms))
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __iter__(self):
-        return iter(self._terms)
-
-    def __repr__(self):
-        if not self._terms:
-            return "<field 0>"
-        return "<field " + " + ".join(repr(t) for t in self._terms) + ">"
+        return self.filter(lambda t: t.field_order <= max_order)
 
 
-_F_ZERO = FieldExpr((), _normalized=True)
 _F_ONE = FieldExpr((FieldTerm(ONE, 0, 0, 0, 0, (0, _ID), (), (), 0),), _normalized=True)
 
 
@@ -502,8 +422,7 @@ def field_term(coeff, atoms: Sequence = (), e_power: int = 0, hbar_power: int = 
             coeff = coeff * u_coeff
         else:
             word.append(a)
-    return FieldExpr([_RawField(coeff, e_power, hbar_power,
-                                c_power, mass_power, unit, word)])
+    return FieldExpr([(coeff, e_power, hbar_power, c_power, mass_power, unit, word)])
 
 
 # -- field combination builders ---------------------------------------------------
@@ -571,13 +490,10 @@ def instantiate(abstract: OperatorExpr, ctx: FieldContext = FieldContext(),
                         f"no concrete substitution for generator {s.name!r}"
                     )
             branches = new_branches
-        for (coeff, ep, hp, cp, mp, unit, w) in branches:
-            total_raw.append(_RawField(coeff, ep, hp, cp, mp, unit, w))
+        total_raw.extend(branches)
     out = FieldExpr(total_raw)
     if not ctx.has_vector:
-        out = FieldExpr(tuple(t for t in out.terms
-                              if all(f.base != "A" for f in t.fields)),
-                        _normalized=True)
+        out = out.filter(lambda t: all(f.base != "A" for f in t.fields))
     if max_field_order is not None:
         out = out.truncate_field_order(max_field_order)
     return out
@@ -615,16 +531,16 @@ def _sigma_pi_e_pair() -> FieldExpr:
 
 
 def _conventional_catalog() -> list[tuple[str, FieldExpr]]:
+    pi2 = _pi_squared()
     beta_sigma_b = FieldExpr.zero()
     for i in (1, 2, 3):
         beta_sigma_b = beta_sigma_b + polarization(i) * b_field(i)
     return [
         ("beta mc^2", field_term(1, [BETA_ATOM], mass_power=-1)),
-        ("beta pi^2 /m", field_term(1, [BETA_ATOM], c_power=2, mass_power=1)
-         * _pi_squared()),
+        ("beta pi^2 /m", field_term(1, [BETA_ATOM], c_power=2, mass_power=1) * pi2),
         ("beta pi^4 /(m^3 c^2)",
          (field_term(1, [BETA_ATOM], c_power=4, mass_power=3)
-          * _pi_squared() * _pi_squared()).truncate_field_order(3)),
+          * pi2 * pi2).truncate_field_order(3)),
         ("e Phi", field_term(1, [phi_atom()], e_power=1)),
         ("(e hbar/(m c)) (beta Sigma).B",
          field_term(1, [], e_power=1, hbar_power=1, c_power=1, mass_power=1)
@@ -636,6 +552,13 @@ def _conventional_catalog() -> list[tuple[str, FieldExpr]]:
          field_term(1, [], e_power=1, hbar_power=2, c_power=2, mass_power=2)
          * div_e()),
     ]
+
+
+#: Eq. (13) in catalog order: beta (mc^2 + pi^2/2m - pi^4/8m^3c^2) + e Phi
+#: - (e hbar/2mc) (beta Sigma).B
+#: + (e hbar/8m^2c^2) (Sigma.[pi x E] - Sigma.[E x pi] - hbar div E).
+_EQ13_MULTIPLES = (1, Fraction(1, 2), Fraction(-1, 8), 1, Fraction(-1, 2),
+                   Fraction(1, 8), Fraction(-1, 8))
 
 
 def render_conventional(expr: FieldExpr) -> str:
@@ -668,39 +591,12 @@ def render_conventional(expr: FieldExpr) -> str:
 def reference_field_hamiltonian() -> FieldExpr:
     """Kinetic expansion, potential, magnetic, spin-orbit and contact terms.
 
-    Built in the printed momentum-left ordering and lowered to potential
-    form; the weak-field truncation (mass power plus field count <= 3)
-    matches the bookkeeping of the printed equation.
+    Eq. (13) as multiples of the conventional blocks, which are built in the
+    printed momentum-left ordering and lowered to potential form; the
+    weak-field truncation of the pi^4 block (mass power plus field count
+    <= 3) matches the bookkeeping of the printed equation.
     """
     h = FieldExpr.zero()
-    # beta (mc^2 + pi^2/2m - pi^4/8m^3c^2)
-    h = h + field_term(1, [BETA_ATOM], mass_power=-1)
-    pi2 = FieldExpr.zero()
-    for i in (1, 2, 3):
-        pi2 = pi2 + field_term(1, [PiAtom(i), PiAtom(i)])
-    beta_e = field_term(1, [BETA_ATOM])
-    h = h + field_term(Fraction(1, 2), [BETA_ATOM], c_power=2, mass_power=1) * pi2
-    h = h + (field_term(Fraction(-1, 8), [BETA_ATOM], c_power=4, mass_power=3)
-             * pi2 * pi2).truncate_field_order(3)
-    # e Phi
-    h = h + field_term(1, [phi_atom()], e_power=1)
-    # -(e hbar / 2mc) (beta Sigma).B
-    for i in (1, 2, 3):
-        h = h + (field_term(Fraction(-1, 2), [], e_power=1, hbar_power=1,
-                            c_power=1, mass_power=1)
-                 * polarization(i) * b_field(i))
-    # (e hbar / 8m^2c^2) (Sigma.[pi x E] - Sigma.[E x pi] - hbar div E)
-    so_scale = field_term(Fraction(1, 8), [], e_power=1, hbar_power=1,
-                          c_power=2, mass_power=2)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                s = eps(i, j, k)
-                if not s:
-                    continue
-                sig = field_term(s, [sigma_atom(i)])
-                h = h + so_scale * sig * field_term(1, [PiAtom(j)]) * e_field(k)
-                h = h - so_scale * sig * e_field(j) * field_term(1, [PiAtom(k)])
-    h = h - (field_term(Fraction(1, 8), [], e_power=1, hbar_power=2,
-                        c_power=2, mass_power=2) * div_e())
+    for coeff, (_, block) in zip(_EQ13_MULTIPLES, _conventional_catalog()):
+        h = h + block * coeff
     return h

@@ -61,6 +61,10 @@ class NotStationary(TransformError):
     """The square-root route needs a stationary Hamiltonian (no F symbol)."""
 
 
+class UnsupportedScheme(TransformError):
+    """The square-root route counts orders in the velocity scheme only."""
+
+
 _MASS_TERM = word(1, [BETA], mass_power=-1)
 
 
@@ -348,7 +352,7 @@ def eriksen_series(h: OperatorExpr, max_order: int,
     O and E is assumed anywhere.
     """
     if scheme != VELOCITY:
-        raise ValueError("the square-root series is defined for the velocity scheme")
+        raise UnsupportedScheme("the square-root series is defined for the velocity scheme")
     u_e = eriksen_unitary_series(h, max_order)
     h = h.truncate(VELOCITY, max_order)
     return (u_e * h * u_e.adjoint()).truncate(VELOCITY, max_order)

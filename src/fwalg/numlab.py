@@ -277,8 +277,8 @@ def convergence_probe(model: MatrixModel, orders=(2, 4, 6, 8)) -> ProbeReport:
     if model.kind == "free_momentum":
         norms = []
         for k in orders:
-            if k % 2:
-                raise ValueError("free-particle series has even orders only")
+            if k < 0 or k % 2:
+                raise ValueError("free-particle series has nonnegative even orders only")
             mat = evaluate_symbolic(free_series_term(k // 2), model)
             norms.append(float(np.linalg.norm(mat, 2)))
         regime = model.params.get("p_over_mc", 0.0)

@@ -47,9 +47,9 @@ class DuplicateSymbol(AlgebraError):
 class OperatorSymbol:
     """Atomic generator with a fixed parity and velocity weight."""
 
-    __slots__ = ("name", "parity", "weight_vc", "hermitian", "_hash")
+    __slots__ = ("name", "parity", "weight_vc", "_hash")
 
-    def __init__(self, name: str, parity: str, weight_vc: int, hermitian: bool = True):
+    def __init__(self, name: str, parity: str, weight_vc: int):
         if parity not in (EVEN, ODD):
             raise ValueError(f"parity must be {EVEN!r} or {ODD!r}")
         if weight_vc < 0:
@@ -57,7 +57,6 @@ class OperatorSymbol:
         self.name = name
         self.parity = parity
         self.weight_vc = weight_vc
-        self.hermitian = hermitian
         self._hash = hash((name, parity, weight_vc))
 
     @property
@@ -167,12 +166,15 @@ class Term:
         return (self.word, self.mass_power, self.hbar_power)
 
     @property
-    def parity(self) -> int:
-        """0 for even terms, 1 for odd (number of odd word factors mod 2)."""
-        return sum(1 for s in self.word if s.is_odd) & 1
+    def is_odd(self) -> bool:
+        """True when the word has an odd number of odd factors."""
+        return bool(sum(1 for s in self.word if s.is_odd) & 1)
 
     def order(self, scheme: WeightScheme) -> int:
         return scheme.order_of(self)
+
+    def with_coeff(self, coeff: GaussRat) -> "Term":
+        return Term(coeff, self.mass_power, self.hbar_power, self.word)
 
     def __repr__(self):
         names = " ".join(s.name for s in self.word) or "1"
@@ -226,44 +228,141 @@ def _term_sort_key(t: Term):
     )
 
 
-class OperatorExpr:
+_SCALARS = (int, Fraction, GaussRat)
+
+
+class SparseSum:
+    """Immutable canonical sum of terms: one term per ``term.key``, sorted.
+
+    The core shared by both term algebras, this module's words and the
+    Dirac field terms of ``diracred``. It holds every operation that needs
+    nothing but term keys and coefficients; a sum of two normal forms is a
+    merge of their terms, never a second normalization. A subclass
+    normalizes raw input in its constructor (``_normalized=True`` accepts
+    terms that are already normal), forms products and sets ``_sort_key``,
+    the canonical term order. Its terms provide ``key``, ``coeff``,
+    ``is_odd`` and ``with_coeff``.
+    """
+
+    __slots__ = ("_terms",)
+
+    @classmethod
+    def _new(cls, terms: tuple):
+        return cls(terms, _normalized=True)
+
+    @classmethod
+    def zero(cls):
+        return cls._new(())
+
+    # -- inspection ----------------------------------------------------------
+
+    @property
+    def terms(self) -> tuple:
+        return self._terms
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __iter__(self) -> Iterator:
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        acc = {t.key: t for t in self._terms}
+        for t in other._terms:
+            key = t.key
+            prev = acc.get(key)
+            acc[key] = t if prev is None else prev.with_coeff(prev.coeff + t.coeff)
+        terms = [t for t in acc.values() if not t.coeff.is_zero]
+        terms.sort(key=self._sort_key)
+        return self._new(tuple(terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new(tuple(t.with_coeff(-t.coeff) for t in self._terms))
+
+    def _scaled(self, c):
+        c = GaussRat.coerce(c)
+        if c.is_zero:
+            return self._new(())
+        return self._new(tuple(t.with_coeff(c * t.coeff) for t in self._terms))
+
+    def _times_scalar(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scaled(other)
+        return NotImplemented
+
+    __rmul__ = _times_scalar
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(Fraction(1, 1) / other)
+        return NotImplemented
+
+    # -- selection -----------------------------------------------------------
+
+    def filter(self, keep):
+        """The sum of the terms for which ``keep(term)`` holds."""
+        kept = tuple(t for t in self._terms if keep(t))
+        return self if len(kept) == len(self._terms) else self._new(kept)
+
+    def parity_split(self):
+        """(even part, odd part) with respect to beta."""
+        return self.filter(lambda t: not t.is_odd), self.filter(lambda t: t.is_odd)
+
+    # -- comparison ----------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return len(self._terms) == len(other._terms) and all(
+            a.key == b.key and a.coeff == b.coeff
+            for a, b in zip(self._terms, other._terms))
+
+    def __hash__(self):
+        return hash(tuple((t.key, t.coeff) for t in self._terms))
+
+    def __repr__(self):
+        body = " + ".join(repr(t) for t in self._terms) or "0"
+        return f"<{type(self).__name__} {body}>"
+
+
+class OperatorExpr(SparseSum):
     """Normalized sum of terms; the universal currency of the engine.
 
     Immutable after construction. All arithmetic returns new normalized
     expressions, so results are independent of evaluation order.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: tuple[Term, ...] = (), _normalized: bool = False):
-        if _normalized:
-            self._terms = terms
-        else:
-            self._terms = _normalize_raw(terms)
+    _sort_key = staticmethod(_term_sort_key)
 
-    # -- constructors -------------------------------------------------------
+    def __init__(self, terms: Sequence = (), _normalized: bool = False):
+        self._terms = terms if _normalized else _normalize_raw(terms)
 
-    @classmethod
-    def zero(cls) -> "OperatorExpr":
-        return _ZERO_EXPR
+    # Bound on the class itself, because bench/tracing.py wraps
+    # OperatorExpr's own __add__ to count additions.
+    __add__ = SparseSum.__add__
 
     @classmethod
     def one(cls) -> "OperatorExpr":
         return _ONE_EXPR
 
-    @classmethod
-    def from_symbol(cls, s: OperatorSymbol) -> "OperatorExpr":
-        return word(1, [s])
-
-    # -- inspection ----------------------------------------------------------
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        return self._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    # -- word queries --------------------------------------------------------
 
     def coefficient(self, word_syms: Sequence[OperatorSymbol],
                     mass_power: int = 0, hbar_power: int = 0) -> GaussRat:
@@ -278,57 +377,30 @@ class OperatorExpr:
             return None
         return min(t.order(scheme) for t in self._terms)
 
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self._terms)
+    def truncate(self, scheme: WeightScheme, max_order: int) -> "OperatorExpr":
+        return self.filter(lambda t: t.order(scheme) <= max_order)
 
-    def __len__(self) -> int:
-        return len(self._terms)
+    def order_slice(self, scheme: WeightScheme, order: int) -> "OperatorExpr":
+        return self.filter(lambda t: t.order(scheme) == order)
 
-    # -- arithmetic ----------------------------------------------------------
+    def contains_symbol(self, s: OperatorSymbol) -> bool:
+        return any(s in t.word for t in self._terms)
 
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return OperatorExpr(self._terms + other._terms)
-
-    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr(
-            tuple(Term(-t.coeff, t.mass_power, t.hbar_power, t.word) for t in self._terms),
-            _normalized=True,
-        )
+    # -- word products -------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, OperatorExpr):
-            raw = []
-            for a in self._terms:
-                for b in other._terms:
-                    raw.append((
-                        a.coeff * b.coeff,
-                        a.mass_power + b.mass_power,
-                        a.hbar_power + b.hbar_power,
-                        a.word + b.word,
-                    ))
-            return OperatorExpr(raw)
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return scale(other, self)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return scale(other, self)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return scale(Fraction(1, 1) / other, self)
-        return NotImplemented
+        if not isinstance(other, OperatorExpr):
+            return self._times_scalar(other)
+        raw = []
+        for a in self._terms:
+            for b in other._terms:
+                raw.append((
+                    a.coeff * b.coeff,
+                    a.mass_power + b.mass_power,
+                    a.hbar_power + b.hbar_power,
+                    a.word + b.word,
+                ))
+        return OperatorExpr(raw)
 
     def __pow__(self, n: int) -> "OperatorExpr":
         if not isinstance(n, int) or n < 0:
@@ -338,31 +410,11 @@ class OperatorExpr:
             out = out * self
         return out
 
-    # -- structure -----------------------------------------------------------
-
     def adjoint(self) -> "OperatorExpr":
-        raw = []
-        for t in self._terms:
-            for s in t.word:
-                if not s.hermitian:
-                    raise AlgebraError(f"symbol {s.name!r} has no adjoint rule")
-            raw.append((t.coeff.conjugate(), t.mass_power, t.hbar_power, t.word[::-1]))
-        return OperatorExpr(raw)
-
-    def parity_split(self) -> tuple["OperatorExpr", "OperatorExpr"]:
-        even = tuple(t for t in self._terms if t.parity == 0)
-        odd = tuple(t for t in self._terms if t.parity == 1)
-        return (OperatorExpr(even, _normalized=True), OperatorExpr(odd, _normalized=True))
-
-    def truncate(self, scheme: WeightScheme, max_order: int) -> "OperatorExpr":
-        kept = tuple(t for t in self._terms if t.order(scheme) <= max_order)
-        if len(kept) == len(self._terms):
-            return self
-        return OperatorExpr(kept, _normalized=True)
-
-    def order_slice(self, scheme: WeightScheme, order: int) -> "OperatorExpr":
-        kept = tuple(t for t in self._terms if t.order(scheme) == order)
-        return OperatorExpr(kept, _normalized=True)
+        return OperatorExpr([
+            (t.coeff.conjugate(), t.mass_power, t.hbar_power, t.word[::-1])
+            for t in self._terms
+        ])
 
     def subs_symbol(self, old: OperatorSymbol, new: OperatorSymbol) -> "OperatorExpr":
         if old.parity != new.parity:
@@ -373,31 +425,7 @@ class OperatorExpr:
             raw.append((t.coeff, t.mass_power, t.hbar_power, w))
         return OperatorExpr(raw)
 
-    def contains_symbol(self, s: OperatorSymbol) -> bool:
-        return any(s in t.word for t in self._terms)
 
-    # -- comparison ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        if len(self._terms) != len(other._terms):
-            return False
-        for a, b in zip(self._terms, other._terms):
-            if a.key != b.key or a.coeff != b.coeff:
-                return False
-        return True
-
-    def __hash__(self):
-        return hash(tuple((t.key, t.coeff) for t in self._terms))
-
-    def __repr__(self):
-        if not self._terms:
-            return "<expr 0>"
-        return "<expr " + " + ".join(repr(t) for t in self._terms) + ">"
-
-
-_ZERO_EXPR = OperatorExpr((), _normalized=True)
 _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, ()),), _normalized=True)
 
 
@@ -418,7 +446,7 @@ def one() -> OperatorExpr:
 
 
 def zero() -> OperatorExpr:
-    return _ZERO_EXPR
+    return OperatorExpr.zero()
 
 
 # -- operations (module-level contract surface) ------------------------------
@@ -434,34 +462,8 @@ def normalize(raw) -> OperatorExpr:
     return OperatorExpr(list(raw))
 
 
-def add(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a + b
-
-
-def mul(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b
-
-
-def scale(c, x: OperatorExpr) -> OperatorExpr:
-    c = GaussRat.coerce(c)
-    if c.is_zero:
-        return _ZERO_EXPR
-    return OperatorExpr(
-        tuple(Term(c * t.coeff, t.mass_power, t.hbar_power, t.word) for t in x.terms),
-        _normalized=True,
-    )
-
-
-def adjoint(x: OperatorExpr) -> OperatorExpr:
-    return x.adjoint()
-
-
-def parity_split(x: OperatorExpr) -> tuple[OperatorExpr, OperatorExpr]:
-    return x.parity_split()
-
-
-def truncate(x: OperatorExpr, scheme: WeightScheme, max_order: int) -> OperatorExpr:
-    return x.truncate(scheme, max_order)
+def scale(c, x: SparseSum) -> SparseSum:
+    return x._scaled(c)
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:

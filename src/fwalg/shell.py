@@ -197,6 +197,9 @@ class _Parser:
                 self.next()
                 val = self.expect("int", "integer step limit")
                 max_steps = int(val.text)
+                if max_steps < 1:
+                    raise SpecSyntaxError("step limit must be at least 1",
+                                          val.line, val.col, ("positive integer",))
             elif keyword == "method":
                 self.next()
                 method = self._method_name()
@@ -280,7 +283,11 @@ class _Parser:
             if self.peek().kind == "/":
                 self.next()
                 den_tok = self.expect("int", "denominator")
-                return word(Fraction(num, int(den_tok.text)), [])
+                den = int(den_tok.text)
+                if den == 0:
+                    raise SpecSyntaxError("zero denominator", den_tok.line, den_tok.col,
+                                          ("nonzero denominator",))
+                return word(Fraction(num, den), [])
             return word(num, [])
         if tok.kind == "ident":
             self.next()
@@ -325,15 +332,20 @@ def _collapse_powers(names: list[str]) -> list[tuple[str, int]]:
     return out
 
 
+def _sign_and_magnitude(coeff: GaussRat) -> tuple[bool, GaussRat]:
+    """(negative, magnitude): a real or imaginary coefficient prints its sign
+    in front; a mixed one is printed whole, behind a plus."""
+    negative = (coeff.im == 0 and coeff.re < 0) or (coeff.re == 0 and coeff.im < 0)
+    return negative, (-coeff if negative else coeff)
+
+
 def render_text(expr: OperatorExpr) -> str:
     if expr.is_zero:
         return "0"
     chunks = []
     for t in _display_sorted(expr):
-        coeff = t.coeff
-        negative = (coeff.im == 0 and coeff.re < 0) or (coeff.re == 0 and coeff.im < 0)
+        negative, mag = _sign_and_magnitude(t.coeff)
         sign = "-" if negative else "+"
-        mag = -coeff if negative else coeff
         body = []
         if mag != 1 or (not t.word and t.mass_power == 0 and t.hbar_power == 0):
             body.append(f"({mag})" if mag.im != 0 else str(mag))
@@ -357,11 +369,7 @@ def render_latex(expr: OperatorExpr) -> str:
         return "0"
     pieces = []
     for t in _display_sorted(expr):
-        coeff = t.coeff
-        negative = coeff.im == 0 and coeff.re < 0
-        if not negative and coeff.re == 0 and coeff.im < 0:
-            negative = True
-        mag = -coeff if negative else coeff
+        negative, mag = _sign_and_magnitude(t.coeff)
         num_factors = []
         den_factors = []
         # coefficient numerator/denominator
@@ -666,6 +674,14 @@ def _write_outputs(outputs: dict, fmt: str, stream) -> None:
             stream.write(f"{name} = {renderer(expr)}\n")
 
 
+def _orders(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fw",
@@ -682,7 +698,7 @@ def main(argv=None) -> int:
 
     p_probe = sub.add_parser("probe", help="series convergence probe")
     p_probe.add_argument("--p-over-mc", type=float, required=True)
-    p_probe.add_argument("--orders", default="2,4,6,8")
+    p_probe.add_argument("--orders", type=_orders, default="2,4,6,8")
     p_probe.add_argument("--out", choices=("text", "record"), default="text")
 
     args = parser.parse_args(argv)
@@ -721,9 +737,12 @@ def main(argv=None) -> int:
         return 1 if failed else 0
 
     if args.command == "probe":
-        orders = tuple(int(tok) for tok in args.orders.split(","))
         model = numlab.free_model(args.p_over_mc)
-        report = numlab.convergence_probe(model, orders)
+        try:
+            report = numlab.convergence_probe(model, args.orders)
+        except ValueError as exc:
+            print(f"error: probe: {exc}", file=sys.stderr)
+            return 2
         if args.out == "record":
             print(json.dumps(report.record(), indent=2))
         else:

@@ -11,9 +11,9 @@ from fwalg.opalg import (
 )
 from fwalg.diracred import (
     BETA_ATOM, CliffordAtom, FieldAtom, FieldContext, FieldExpr, GAMMA5,
-    PiAtom, UnreducedWord, alpha_atom, a_atom, b_field, div_e, e_field,
-    field_term, instantiate, phi_atom, polarization, reference_field_hamiltonian,
-    sigma_atom,
+    PiAtom, UnreducedWord, _word_of, alpha_atom, a_atom, b_field, div_e,
+    e_field, field_term, instantiate, phi_atom, polarization,
+    reference_field_hamiltonian, sigma_atom,
 )
 from fwalg import reference as ref
 
@@ -180,12 +180,28 @@ def test_reduction_against_operator_oracle(abstract):
     assert_reduction_matches_operator(abstract)
 
 
+def _raw(x: FieldExpr) -> list:
+    return [(t.coeff, t.e_power, t.hbar_power, t.c_power, t.mass_power, t.unit,
+             _word_of(t)) for t in x.terms]
+
+
 def test_reduction_oracle_random_words(rng):
     pool = (BETA, O, E, F)
+    total = FieldExpr.zero()
     for _ in range(6):
         length = rng.randint(1, 3)
         w = [rng.choice(pool) for _ in range(length)]
         assert_reduction_matches_operator(word(1, w))
+        # + merges two normal forms; it must agree with normalizing raw tuples
+        x = instantiate(word(1, w))
+        assert total + x == FieldExpr(_raw(total) + _raw(x))
+        assert total - x == FieldExpr(_raw(total) + _raw(-x))
+        total = total + x
+    # the shared + never mixes the two algebras
+    with pytest.raises(TypeError):
+        word(1, w) + total
+    with pytest.raises(TypeError):
+        total + word(1, w)
 
 
 # -- named identities -----------------------------------------------------------------

@@ -8,11 +8,11 @@ from fwalg.opalg import (
     word, zero,
 )
 from fwalg.fwtransform import (
-    BareFAnomaly, MissingMassTerm, NoConvergence, NotStationary, bch_combine,
-    combine_steps, corrected_pipeline, correction_exponent,
-    eriksen_condition_check, eriksen_series, eriksen_unitary_series,
-    finalize_bare_f, fw_pipeline, fw_step, sign_operator_series,
-    split_hamiltonian,
+    BareFAnomaly, MissingMassTerm, NoConvergence, NotStationary,
+    UnsupportedScheme, bch_combine, combine_steps, corrected_pipeline,
+    correction_exponent, eriksen_condition_check, eriksen_series,
+    eriksen_unitary_series, finalize_bare_f, fw_pipeline, fw_step,
+    sign_operator_series, split_hamiltonian,
 )
 from fwalg import reference as ref
 from fwalg.opalg import SymbolRegistry
@@ -301,7 +301,7 @@ def test_eriksen_series_rejects_nonstationary():
 
 
 def test_eriksen_series_velocity_only():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedScheme):
         eriksen_series(dirac_h(), 4, MASS)
 
 

@@ -300,3 +300,7 @@ def test_determinism_under_term_order(rng):
         shuffled = raw[:]
         rng.shuffle(shuffled)
         assert OperatorExpr(shuffled) == x
+        # + merges two normal forms; it must agree with normalizing their terms
+        a, b = OperatorExpr(shuffled[:2]), OperatorExpr(shuffled[2:])
+        assert a + b == b + a == normalize(list(a.terms) + list(b.terms)) == x
+        assert a + a == normalize(list(a.terms) * 2)

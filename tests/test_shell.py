@@ -218,23 +218,55 @@ def test_cli_transform_record_and_output_dir(tmp_path, capsys, monkeypatch):
     assert (out_dir / "toy.record.txt").exists()
 
 
-def test_cli_transform_parse_error_exit_2(tmp_path, capsys):
+def _cli(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+def assert_one_line_error(capsys, argv, fragment):
+    assert _cli(argv) == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("H = beta*m + Q;", "unknown symbol"),
+    ("H = beta*m + F + O; steps 0;", "step limit must be at least 1 at line 1, column 27"),
+    ("H = beta*m + 1/0 * O;", "zero denominator at line 1, column 16"),
+], ids=["unknown-symbol", "steps-0", "zero-denominator"])
+def test_cli_transform_parse_error_exit_2(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.fw"
-    bad.write_text("H = beta*m + Q;\n")
-    assert main(["transform", str(bad)]) == 2
-    assert "unknown symbol" in capsys.readouterr().err
+    bad.write_text(text + "\n")
+    assert_one_line_error(capsys, ["transform", str(bad)], fragment)
 
 
 def test_cli_transform_missing_file_exit_2(tmp_path, capsys):
     assert main(["transform", str(tmp_path / "nope.fw")]) == 2
 
 
-def test_cli_transform_engine_error_exit_2(tmp_path, capsys):
-    # valid syntax, but the engine rejects a Hamiltonian without a mass term
-    bad = tmp_path / "massless.fw"
-    bad.write_text("H = E + O;\n")
-    assert main(["transform", str(bad)]) == 2
-    assert "MissingMassTerm" in capsys.readouterr().err
+@pytest.mark.parametrize("text, fragment", [
+    # valid syntax, but the engine rejects the Hamiltonian or the scheme
+    ("H = E + O;", "MissingMassTerm"),
+    ("H = beta*m + E + O; scheme mass; method eriksen;", "UnsupportedScheme"),
+], ids=["massless", "eriksen-mass-scheme"])
+def test_cli_transform_engine_error_exit_2(tmp_path, capsys, text, fragment):
+    bad = tmp_path / "bad.fw"
+    bad.write_text(text + "\n")
+    assert_one_line_error(capsys, ["transform", str(bad)], fragment)
+
+
+@pytest.mark.parametrize("orders, fragment", [
+    ("x", "expected comma-separated integers"),
+    ("2,4", "need at least three orders"),
+    ("3,5,7", "even orders only"),
+    ("-2,0,2", "nonnegative even orders only"),
+])
+def test_cli_probe_error_exit_2(capsys, orders, fragment):
+    assert_one_line_error(capsys, ["probe", "--p-over-mc", "0.5", f"--orders={orders}"],
+                          fragment)
 
 
 def test_cli_verify_exit_codes(capsys):
