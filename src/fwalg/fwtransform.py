@@ -29,7 +29,7 @@ from fractions import Fraction
 from .gaussrat import GaussRat, I, ONE, binom_coeff
 from .opalg import (
     BETA, E, F, VELOCITY, NonIncreasingOrder, OperatorExpr, WeightScheme,
-    ad_exp_conjugate, commutator, exp_series, one, scale, sym, word, zero,
+    ad_exp_conjugate, commutator, exp_series, mul_trunc, one, scale, sym, word, zero,
 )
 
 
@@ -114,7 +114,7 @@ def fw_step(k: OperatorExpr, scheme: WeightScheme,
     if odd.is_zero:
         return zero(), k
     prefactor = word(GaussRat(0, Fraction(-1, 2)), [BETA], mass_power=1)
-    s = (prefactor * odd).truncate(scheme, max_order)
+    s = mul_trunc(prefactor, odd, scheme, max_order)
     if s.is_zero:
         return zero(), k
     _check_step(s)
@@ -146,9 +146,9 @@ def fw_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
         max_steps = max_order + 1
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    work = h.subs_symbol(E, F)
-    bare = work.coefficient((F,))
-    k = work.truncate(scheme, max_order)
+    k = h.subs_symbol(E, F).truncate(scheme, max_order)
+    # Read after truncation: an order below F's own leaves no bare F to carry.
+    bare = k.coefficient((F,))
     split_hamiltonian(k)
     record = TransformRecord(scheme=scheme, max_order=max_order, bare_f_coeff=bare)
     for _ in range(max_steps):
@@ -195,16 +195,26 @@ def finalize_bare_f(x: OperatorExpr, expected: GaussRat = ONE) -> OperatorExpr:
 
 # -- Baker-Campbell-Hausdorff ------------------------------------------------
 
-def _dynkin_blocks(total: int):
-    """All block sequences ((p1,q1),...) with p_i+q_i >= 1 summing to total letters."""
+def _dynkin_blocks(total: int, budget: int, a_min: int, b_min: int):
+    """Block sequences ((p1,q1),...), p_i+q_i >= 1, of ``total`` letters within budget.
+
+    A sequence with n_a letters a and n_b letters b has minimum order
+    n_a*a_min + n_b*b_min; only those at most ``budget`` are yielded. A branch
+    is cut as soon as its remaining letters, at the cheaper minimum each,
+    cannot fit in what is left of the budget.
+    """
     if total == 0:
         yield ()
         return
+    cheapest = min(a_min, b_min)
     for first_total in range(1, total + 1):
+        rest_cost = (total - first_total) * cheapest
         for p in range(first_total + 1):
-            q = first_total - p
-            for rest in _dynkin_blocks(total - first_total):
-                yield ((p, q),) + rest
+            left = budget - p * a_min - (first_total - p) * b_min
+            if left < rest_cost:
+                continue
+            for rest in _dynkin_blocks(total - first_total, left, a_min, b_min):
+                yield ((p, first_total - p),) + rest
 
 
 def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
@@ -241,17 +251,13 @@ def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
             if tail.is_zero:
                 out = zero()
             else:
-                out = commutator(head, tail).truncate(scheme, max_order)
+                out = commutator(head, tail, scheme, max_order)
         bracket_memo[letters] = out
         return out
 
     total = zero()
     for letters_count in range(1, max_letters + 1):
-        for blocks in _dynkin_blocks(letters_count):
-            n_a = sum(p for p, _ in blocks)
-            n_b = sum(q for _, q in blocks)
-            if n_a * a_min + n_b * b_min > max_order:
-                continue
+        for blocks in _dynkin_blocks(letters_count, max_order, a_min, b_min):
             letters = tuple(itertools.chain.from_iterable(
                 ("a",) * p + ("b",) * q for p, q in blocks
             ))
@@ -274,10 +280,8 @@ def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
 
 def combine_steps(record: TransformRecord) -> OperatorExpr:
     """Fold the step unitaries into one exponent: U = ... exp(iS') exp(iS) = exp(iR)."""
-    if not record.steps:
-        raise TransformError("no steps to combine")
-    z = scale(I, record.steps[0])
-    for s in record.steps[1:]:
+    z = zero()  # no steps: the Hamiltonian was block-diagonal already
+    for s in record.steps:
         z = bch_combine(scale(I, s), z, record.scheme, record.max_order)
     record.combined_exponent = scale(-I, z)
     return record.combined_exponent
@@ -355,7 +359,9 @@ def eriksen_series(h: OperatorExpr, max_order: int,
         raise UnsupportedScheme("the square-root series is defined for the velocity scheme")
     u_e = eriksen_unitary_series(h, max_order)
     h = h.truncate(VELOCITY, max_order)
-    return (u_e * h * u_e.adjoint()).truncate(VELOCITY, max_order)
+    # Velocity orders are nonnegative, so capping the inner product is exact.
+    return mul_trunc(mul_trunc(u_e, h, VELOCITY, max_order), u_e.adjoint(),
+                     VELOCITY, max_order)
 
 
 def sign_operator_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
@@ -367,9 +373,11 @@ def sign_operator_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
     h = h.truncate(scheme, max_order)
     u2 = word(1, [], mass_power=2)
     # X = (H^2 - m^2 c^4)/(m^2 c^4) has minimum order 2.
-    x = (u2 * (h * h - word(1, [], mass_power=-2))).truncate(scheme, max_order)
+    x = mul_trunc(u2, mul_trunc(h, h, scheme, max_order) - word(1, [], mass_power=-2),
+                  scheme, max_order)
     inv_sqrt = _binomial_series(x, Fraction(-1, 2), scheme, max_order)
-    return (word(1, [], mass_power=1) * h * inv_sqrt).truncate(scheme, max_order)
+    return mul_trunc(mul_trunc(word(1, [], mass_power=1), h, scheme, max_order), inv_sqrt,
+                     scheme, max_order)
 
 
 def eriksen_unitary_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
@@ -380,12 +388,12 @@ def eriksen_unitary_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
     """
     scheme = VELOCITY
     lam = sign_operator_series(h, max_order)
-    beta_lam = (sym(BETA) * lam).truncate(scheme, max_order)
-    lam_beta = (lam * sym(BETA)).truncate(scheme, max_order)
+    beta_lam = mul_trunc(sym(BETA), lam, scheme, max_order)
+    lam_beta = mul_trunc(lam, sym(BETA), scheme, max_order)
     w = beta_lam + lam_beta - 2 * one()
     g = scale(Fraction(1, 2),
               _binomial_series(scale(Fraction(1, 4), w), Fraction(-1, 2), scheme, max_order))
-    return ((one() + beta_lam) * g).truncate(scheme, max_order)
+    return mul_trunc(one() + beta_lam, g, scheme, max_order)
 
 
 def _binomial_series(x: OperatorExpr, alpha: Fraction, scheme: WeightScheme,
@@ -399,7 +407,7 @@ def _binomial_series(x: OperatorExpr, alpha: Fraction, scheme: WeightScheme,
     n = 0
     while True:
         n += 1
-        power = (power * x).truncate(scheme, max_order)
+        power = mul_trunc(power, x, scheme, max_order)
         if power.is_zero:
             break
         result = result + scale(binom_coeff(alpha, n), power)
@@ -429,14 +437,15 @@ def eriksen_condition_check(record: TransformRecord) -> ConditionReport:
     scheme, max_order = record.scheme, record.max_order
     u = one()
     for s in record.steps:
-        u = (exp_series(scale(I, s), scheme, max_order) * u).truncate(scheme, max_order)
+        u = mul_trunc(exp_series(scale(I, s), scheme, max_order), u, scheme, max_order)
     if record.correction_exponent is None:
         apply_correction(record)
     c = record.correction_exponent
-    u_corr = (exp_series(c, scheme, max_order) * u).truncate(scheme, max_order)
+    u_corr = mul_trunc(exp_series(c, scheme, max_order), u, scheme, max_order)
     beta_e = sym(BETA)
 
     def residual(mat: OperatorExpr) -> OperatorExpr:
-        return (beta_e * mat - mat.adjoint() * beta_e).truncate(scheme, max_order)
+        return (mul_trunc(beta_e, mat, scheme, max_order)
+                - mul_trunc(mat.adjoint(), beta_e, scheme, max_order))
 
     return ConditionReport(uncorrected=residual(u), corrected=residual(u_corr))

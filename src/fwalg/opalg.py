@@ -24,6 +24,7 @@ Printers reinstate the paired ``m^k c^(2k)`` factors textually.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .gaussrat import GaussRat, I, ONE, ZERO
@@ -391,16 +392,7 @@ class OperatorExpr(SparseSum):
     def __mul__(self, other):
         if not isinstance(other, OperatorExpr):
             return self._times_scalar(other)
-        raw = []
-        for a in self._terms:
-            for b in other._terms:
-                raw.append((
-                    a.coeff * b.coeff,
-                    a.mass_power + b.mass_power,
-                    a.hbar_power + b.hbar_power,
-                    a.word + b.word,
-                ))
-        return OperatorExpr(raw)
+        return _product(_graded(self, _no_order), _graded(other, _no_order), 0)
 
     def __pow__(self, n: int) -> "OperatorExpr":
         if not isinstance(n, int) or n < 0:
@@ -427,6 +419,68 @@ class OperatorExpr(SparseSum):
 
 
 _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, ()),), _normalized=True)
+
+
+# -- the product kernel --------------------------------------------------------
+
+def _no_order(term: Term) -> int:
+    return 0
+
+
+def _graded(x: OperatorExpr, order) -> list:
+    """x's terms as (order, beta, rest, is odd, coeff, mass, hbar), sorted by order.
+
+    ``rest`` is the normal word without its leading beta; beta is even, so
+    the rest's parity is the term's.
+    """
+    out = []
+    for t in x._terms:
+        w = t.word
+        beta = bool(w) and w[0] is BETA
+        out.append((order(t), beta, w[1:] if beta else w, t.is_odd,
+                    t.coeff, t.mass_power, t.hbar_power))
+    out.sort(key=itemgetter(0))
+    return out
+
+
+def _product(left: list, right: list, cap: int) -> OperatorExpr:
+    """The normal form of the pair products of two graded operands of order <= cap.
+
+    Both words are normal, so a pair multiplies in O(1): the left beta stays
+    leftmost, the right beta crosses the left rest (one sign per odd factor
+    there), the two betas cancel or leave one and the rests concatenate.
+    Both lists are sorted by order, so each loop stops at the first pair over
+    the cap.
+    """
+    acc: dict = {}
+    if left and right:
+        room = cap - right[0][0]
+        for oa, beta_a, rest_a, odd_a, ca, ma, ha in left:
+            if oa > room:
+                break
+            ca_crossed = -ca if odd_a else ca  # when the right term carries beta
+            for ob, beta_b, rest_b, _, cb, mb, hb in right:
+                if oa + ob > cap:
+                    break
+                rest = rest_a + rest_b
+                key = ((BETA,) + rest if beta_a != beta_b else rest, ma + mb, ha + hb)
+                c = (ca_crossed if beta_b else ca) * cb
+                prev = acc.get(key)
+                acc[key] = c if prev is None else prev + c
+    terms = [Term(c, m, h, w) for (w, m, h), c in acc.items() if not c.is_zero]
+    terms.sort(key=_term_sort_key)
+    return OperatorExpr._new(tuple(terms))
+
+
+def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
+              max_order: int) -> OperatorExpr:
+    """``(a * b).truncate(scheme, max_order)``, without forming the dropped terms.
+
+    Both weight schemes are additive, so a pair's order is the sum of its
+    factors' orders, each computed once per operand.
+    """
+    order = scheme.order_of
+    return _product(_graded(a, order), _graded(b, order), max_order)
 
 
 # -- construction helpers ----------------------------------------------------
@@ -466,8 +520,13 @@ def scale(c, x: SparseSum) -> SparseSum:
     return x._scaled(c)
 
 
-def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b - b * a
+def commutator(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme | None = None,
+               max_order: int | None = None) -> OperatorExpr:
+    """[a, b]; given a scheme, only its terms of order <= max_order are formed."""
+    if scheme is None:
+        return a * b - b * a
+    left, right = _graded(a, scheme.order_of), _graded(b, scheme.order_of)
+    return _product(left, right, max_order) - _product(right, left, max_order)
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -496,7 +555,7 @@ def ad_exp_conjugate(s: OperatorExpr, k: OperatorExpr,
     while True:
         n += 1
         factor = factor * I / n
-        nested = commutator(s, nested).truncate(scheme, max_order)
+        nested = commutator(s, nested, scheme, max_order)
         if nested.is_zero:
             break
         result = result + scale(factor, nested)
@@ -520,7 +579,7 @@ def exp_series(x: OperatorExpr, scheme: WeightScheme, max_order: int) -> Operato
     while True:
         n += 1
         factor = factor / n
-        power = (power * x).truncate(scheme, max_order)
+        power = mul_trunc(power, x, scheme, max_order)
         if power.is_zero:
             break
         result = result + scale(factor, power)

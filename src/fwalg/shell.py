@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -682,6 +683,16 @@ def _orders(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fw",
@@ -697,7 +708,7 @@ def main(argv=None) -> int:
     p_ver.add_argument("suite", choices=tuple(VERIFY_SUITES) + ("all",))
 
     p_probe = sub.add_parser("probe", help="series convergence probe")
-    p_probe.add_argument("--p-over-mc", type=float, required=True)
+    p_probe.add_argument("--p-over-mc", type=_finite_float, required=True)
     p_probe.add_argument("--orders", type=_orders, default="2,4,6,8")
     p_probe.add_argument("--out", choices=("text", "record"), default="text")
 

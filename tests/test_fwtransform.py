@@ -9,7 +9,7 @@ from fwalg.opalg import (
 )
 from fwalg.fwtransform import (
     BareFAnomaly, MissingMassTerm, NoConvergence, NotStationary,
-    UnsupportedScheme, bch_combine, combine_steps, corrected_pipeline,
+    UnsupportedScheme, _dynkin_blocks, bch_combine, combine_steps, corrected_pipeline,
     correction_exponent, eriksen_condition_check, eriksen_series,
     eriksen_unitary_series, finalize_bare_f, fw_pipeline, fw_step,
     sign_operator_series, split_hamiltonian,
@@ -212,12 +212,48 @@ def test_bch_against_series_multiplication_oracle(rng):
         assert lhs == rhs
 
 
+def _all_blocks(total):
+    """Every block sequence of ``total`` letters, unpruned, in enumeration order."""
+    if total == 0:
+        yield ()
+        return
+    for first_total in range(1, total + 1):
+        for p in range(first_total + 1):
+            for rest in _all_blocks(total - first_total):
+                yield ((p, first_total - p),) + rest
+
+
+def test_dynkin_blocks_pruned_equals_enumerate_then_filter():
+    every = {total: list(_all_blocks(total)) for total in range(9)}
+    for a_min, b_min in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 2)):
+        for budget in range(9):
+            for total, blocks in every.items():
+                expected = [
+                    seq for seq in blocks
+                    if sum(p for p, _ in seq) * a_min + sum(q for _, q in seq) * b_min <= budget
+                ]
+                assert list(_dynkin_blocks(total, budget, a_min, b_min)) == expected, (
+                    a_min, b_min, budget, total)
+
+
 # -- combination and correction ---------------------------------------------------------
 
 def test_combine_single_step():
     rec = fw_pipeline(ref.mass_term() + o, VELOCITY, 2)
     r = combine_steps(rec)
     assert r == rec.steps[0]
+
+
+@pytest.mark.parametrize("scheme, order", [(VELOCITY, 4), (MASS, 2)])
+def test_block_diagonal_input_transforms_unchanged(scheme, order):
+    # no odd part, so no steps: the combined exponent and the correction are zero
+    h = ref.mass_term() + e
+    rec = corrected_pipeline(h, scheme, order)
+    assert rec.steps == []
+    assert rec.combined_exponent.is_zero and rec.correction_exponent.is_zero
+    assert rec.h_corrected == rec.h_orig == h
+    rep = eriksen_condition_check(rec)
+    assert rep.uncorrected.is_zero and rep.corrected.is_zero
 
 
 def test_combined_exponent_not_odd_for_two_steps():
@@ -340,6 +376,32 @@ def test_method_equivalence_full_order_eight():
     rec8 = corrected_pipeline(dirac_h(), VELOCITY, 8)
     assert len(rec8.steps) == 4
     assert rec8.h_corrected.subs_symbol(F, E) == eriksen_series(dirac_h(), 8)
+
+
+# -- order 10: the two routes agree beyond the printed equations -------------------------
+
+@pytest.fixture(scope="module")
+def order_ten():
+    return corrected_pipeline(dirac_h(), VELOCITY, 10), eriksen_series(dirac_h(), 10)
+
+
+def test_method_equivalence_order_ten(order_ten):
+    # commutator terms keep the working symbol F, hence the rename
+    rec10, h_e = order_ten
+    assert len(h_e) == 130
+    assert rec10.h_corrected.subs_symbol(F, E) == h_e
+
+
+def test_method_equivalence_mass_order_five(order_ten):
+    _, h_e = order_ten
+    rec5 = corrected_pipeline(dirac_h(), MASS, 5)
+    assert rec5.h_corrected.subs_symbol(F, E) == h_e.truncate(MASS, 5)
+
+
+def test_condition_check_order_ten(order_ten):
+    rep = eriksen_condition_check(order_ten[0])
+    assert rep.corrected_ok
+    assert not rep.uncorrected.is_zero
 
 
 def test_pipeline_with_custom_odd_generator():

@@ -7,10 +7,10 @@ from fwalg.gaussrat import GaussRat, I, binom_coeff
 from fwalg.opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, NonIncreasingOrder, OperatorExpr,
     SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
-    commutator, exp_series, normalize, one, scale, sym, word, zero,
+    commutator, exp_series, mul_trunc, normalize, one, scale, sym, word, zero,
 )
 
-from conftest import rand_expr, rand_raw_term
+from conftest import RAW_SYMBOLS, rand_expr, rand_raw_term
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
 
@@ -69,6 +69,29 @@ def test_mul_associative_distributive(rng):
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         assert (x + y) * z == x * z + y * z
+
+
+def test_product_kernel_matches_definition(rng):
+    # raw operands with m and negative mass powers; half of them beta-leading
+    dropped = kept = 0
+    for scheme in (VELOCITY, MASS):
+        for _ in range(200):
+            x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+            y = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+            if rng.random() < 0.5:
+                x = b * x
+            concatenated = normalize(
+                (s.coeff * t.coeff, s.mass_power + t.mass_power,
+                 s.hbar_power + t.hbar_power, s.word + t.word)
+                for s in x for t in y)
+            assert x * y == concatenated
+            k = rng.randint(-2, 6)
+            full = (x * y).truncate(scheme, k)
+            assert mul_trunc(x, y, scheme, k) == full
+            assert commutator(x, y, scheme, k) == commutator(x, y).truncate(scheme, k)
+            dropped += len(full) < len(x * y)
+            kept += not full.is_zero
+    assert dropped > 50 and kept > 50
 
 
 def test_scalar_ops():

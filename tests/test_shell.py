@@ -258,15 +258,32 @@ def test_cli_transform_engine_error_exit_2(tmp_path, capsys, text, fragment):
     assert_one_line_error(capsys, ["transform", str(bad)], fragment)
 
 
-@pytest.mark.parametrize("orders, fragment", [
-    ("x", "expected comma-separated integers"),
-    ("2,4", "need at least three orders"),
-    ("3,5,7", "even orders only"),
-    ("-2,0,2", "nonnegative even orders only"),
-])
-def test_cli_probe_error_exit_2(capsys, orders, fragment):
-    assert_one_line_error(capsys, ["probe", "--p-over-mc", "0.5", f"--orders={orders}"],
-                          fragment)
+_PROBE_ERRORS = [  # (--p-over-mc, --orders, message fragment)
+    ("0.5", "x", "expected comma-separated integers"),
+    ("0.5", "2,4", "need at least three orders"),
+    ("0.5", "3,5,7", "even orders only"),
+    ("0.5", "-2,0,2", "nonnegative even orders only"),
+    ("nan", "2,4,6,8", "expected a finite number, got 'nan'"),
+    ("inf", "2,4,6,8", "expected a finite number, got 'inf'"),
+]
+
+
+@pytest.mark.parametrize("p_over_mc, orders, fragment", _PROBE_ERRORS, ids=[
+    f"{orders}-{fragment}" if p == "0.5" else f"p-over-mc-{p}"
+    for p, orders, fragment in _PROBE_ERRORS])
+def test_cli_probe_error_exit_2(capsys, p_over_mc, orders, fragment):
+    assert_one_line_error(
+        capsys, ["probe", f"--p-over-mc={p_over_mc}", f"--orders={orders}"], fragment)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_cli_transform_order_below_hamiltonian_terms(tmp_path, capsys, order):
+    spec_file = tmp_path / "low.fw"
+    spec_file.write_text(f"H = beta*m + F + O; order {order};\n")
+    assert main(["transform", str(spec_file), "--out", "record"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    rest = word(1, [BETA], mass_power=-1)
+    assert parse_record(payload["H_orig"]) == parse_record(payload["H_corrected"]) == rest
 
 
 def test_cli_verify_exit_codes(capsys):
