@@ -1,6 +1,8 @@
 """Symbolic operator engine and numerical validator for Foldy-Wouthuysen
 transformations of Dirac-type Hamiltonians."""
 
+import importlib
+
 from .gaussrat import GaussRat
 from .opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, OperatorExpr, OperatorSymbol,
@@ -13,7 +15,16 @@ from .fwtransform import (
     eriksen_series, fw_pipeline, fw_step, split_hamiltonian,
 )
 from .diracred import FieldContext, FieldExpr, instantiate
-from . import numlab, reference, shell
+from . import numlab, reference
+
+
+def __getattr__(name):
+    # The CLI module loads on first use, so ``python -m fwalg.shell`` does not
+    # find it already imported by the package.
+    if name == "shell":
+        return importlib.import_module(".shell", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BETA", "E", "F", "MASS", "MC2", "O", "VELOCITY",

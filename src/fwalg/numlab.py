@@ -5,9 +5,13 @@ Dirac operator (central differences, periodic boundary) with a static
 potential well. The one-step block-diagonalizing unitary is computed exactly
 through the eigendecomposition: lambda = H (H^2)^(-1/2) and
 U = (1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2), all via the
-same spectral calculus. Symbolic expressions are evaluated into matrices by
-direct substitution, which makes the symbolic layer checkable against exact
-linear algebra.
+same spectral calculus. Each matrix function is evaluated blockwise over the
+connected components of the matrix's exact nonzero pattern: a Hermitian
+matrix that is block-diagonal up to a permutation has the direct sum of its
+blocks' eigendecompositions as its own, so the blockwise result is f(H)
+itself. Symbolic expressions are evaluated into matrices by direct
+substitution, which makes the symbolic layer checkable against exact linear
+algebra.
 
 Tolerances here are engineering choices for double precision at dimensions
 up to a few thousand, not claims from any analytic source.
@@ -34,6 +38,10 @@ class SingularSign(NumericError):
 
 class UnboundSymbol(NumericError):
     """A symbolic generator has no matrix realization in the model."""
+
+
+class InvalidBeta(NumericError):
+    """The model's beta is not a diagonal matrix of +1 and -1 entries."""
 
 
 _ALPHA1 = np.array([[0, 0, 0, 1],
@@ -66,20 +74,40 @@ class MatrixModel:
     hbar: float = 1.0
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        beta = np.asarray(self.beta)
+        if (beta.ndim != 2 or beta.shape[0] != beta.shape[1]
+                or not np.array_equal(beta, np.diag(np.diag(beta)))
+                or not np.isin(np.diag(beta), (1, -1)).all()):
+            raise InvalidBeta("beta must be a square diagonal matrix with "
+                              "entries +1 and -1")
+
     @property
     def rest_energy(self) -> float:
         return self.mass * self.c ** 2
 
     @property
+    def beta_signs(self) -> np.ndarray:
+        """The diagonal of beta as a real +-1 vector."""
+        return np.diag(self.beta).real
+
+    @property
     def even_potential(self) -> np.ndarray:
         """H_even minus the rest term; what the symbol E maps to."""
-        h_even = 0.5 * (self.hamiltonian + self.beta @ self.hamiltonian @ self.beta)
+        h = self.hamiltonian
+        h_even = 0.5 * (h + _sandwich(self.beta_signs, h))
         return h_even - self.rest_energy * self.beta
 
     @property
     def odd_part(self) -> np.ndarray:
         """Block-off-diagonal part of H; what the symbol O maps to."""
-        return 0.5 * (self.hamiltonian - self.beta @ self.hamiltonian @ self.beta)
+        h = self.hamiltonian
+        return 0.5 * (h - _sandwich(self.beta_signs, h))
+
+
+def _sandwich(signs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """beta @ mat @ beta for beta = diag(signs), elementwise."""
+    return signs[:, None] * mat * signs
 
 
 def free_model(p_over_mc, mass: float = 1.0, c: float = 1.0) -> MatrixModel:
@@ -105,22 +133,18 @@ def lattice_model(n_sites: int = 256, spacing: float = 0.1,
     """
     n = n_sites
     x = (np.arange(n) - n / 2) * spacing
-    p_mat = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        p_mat[j, (j + 1) % n] = -1j * hbar / (2 * spacing)
-        p_mat[j, (j - 1) % n] = 1j * hbar / (2 * spacing)
+    hop = np.roll(np.eye(n), 1, axis=1)  # hop[j, (j + 1) % n] = 1
+    p_mat = (-1j * hbar / (2 * spacing)) * hop + (1j * hbar / (2 * spacing)) * hop.T
     if potential is None:
         v = np.zeros(n)
     elif callable(potential):
         v = np.array([float(potential(xi)) for xi in x])
     else:
         v = np.asarray(potential, dtype=float)
-    eye_n = np.eye(n)
-    h = (c * np.kron(p_mat, _ALPHA1)
-         + mass * c ** 2 * np.kron(eye_n, _BETA4)
-         + np.kron(np.diag(v), np.eye(4)))
-    beta = np.kron(eye_n, _BETA4)
-    return MatrixModel(kind="lattice1d", hamiltonian=h, beta=beta,
+    signs = np.tile(np.diag(_BETA4), n)
+    h = c * np.kron(p_mat, _ALPHA1)
+    h[np.diag_indices(4 * n)] += mass * c ** 2 * signs + np.repeat(v, 4)
+    return MatrixModel(kind="lattice1d", hamiltonian=h, beta=np.diag(signs),
                        mass=mass, c=c, hbar=hbar,
                        params={"n_sites": n, "spacing": spacing,
                                "x": x, "potential": v})
@@ -135,41 +159,83 @@ def regularized_well(depth: float, width: float):
 
 # -- exact one-step transformation ------------------------------------------------
 
+def _components(mat: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of mat's exact nonzero pattern.
+
+    Min-label propagation over the upper-triangle nonzeros with pointer
+    jumping: every label is an index of the same component and never grows,
+    and at the fixed point both ends of every nonzero share one label.
+    """
+    rows, cols = np.nonzero(np.triu(mat, 1))
+    label = np.arange(mat.shape[0])
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _hermitian_function(mat: np.ndarray, fn, check) -> np.ndarray:
+    """fn(mat) for Hermitian mat, with one eigh per component of its pattern.
+
+    ``check`` sees every eigenvalue before fn is applied, and raises if the
+    spectrum is outside fn's domain.
+    """
+    blocks = [(idx, *np.linalg.eigh(mat[np.ix_(idx, idx)]))
+              for idx in _components(mat)]
+    check(np.concatenate([evals for _, evals, _ in blocks]))
+    out = np.zeros_like(mat)
+    for idx, evals, vecs in blocks:
+        out[np.ix_(idx, idx)] = (vecs * fn(evals)) @ vecs.conj().T
+    return out
+
+
 def sign_operator(model: MatrixModel, threshold: float = 1e-8) -> np.ndarray:
     """lambda = H (H^2)^(-1/2) via eigendecomposition."""
-    evals, vecs = np.linalg.eigh(model.hamiltonian)
-    scale = np.max(np.abs(evals))
-    if scale == 0.0 or np.min(np.abs(evals)) < threshold * scale:
-        raise SingularSign(
-            f"smallest |eigenvalue| below {threshold} of spectral range"
-        )
-    return (vecs * np.sign(evals)) @ vecs.conj().T
+    def check(evals):
+        scale = np.max(np.abs(evals))
+        if scale == 0.0 or np.min(np.abs(evals)) < threshold * scale:
+            raise SingularSign(
+                f"smallest |eigenvalue| below {threshold} of spectral range"
+            )
+    return _hermitian_function(model.hamiltonian, np.sign, check)
 
 
 def eriksen_unitary(model: MatrixModel, threshold: float = 1e-8) -> np.ndarray:
-    """U = (1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2)."""
+    """U = (1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2).
+
+    beta is applied elementwise, so the entries of the core that couple the
+    two beta sectors cancel exactly and the core splits along them too.
+    """
+    def check(evals):
+        if np.min(evals) < threshold:
+            raise SingularSign("2 + beta lambda + lambda beta is numerically singular")
     lam = sign_operator(model, threshold)
-    beta = model.beta
-    n = beta.shape[0]
-    beta_lam = beta @ lam
-    core = 2.0 * np.eye(n) + beta_lam + lam @ beta
-    evals, vecs = np.linalg.eigh(core)
-    if np.min(evals) < threshold:
-        raise SingularSign("2 + beta lambda + lambda beta is numerically singular")
-    inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.conj().T
+    signs = model.beta_signs
+    n = signs.size
+    beta_lam = signs[:, None] * lam
+    core = 2.0 * np.eye(n) + beta_lam + lam * signs
+    inv_sqrt = _hermitian_function(core, lambda evals: 1.0 / np.sqrt(evals), check)
     return (np.eye(n) + beta_lam) @ inv_sqrt
 
 
 def block_diag_residual(model: MatrixModel, u: np.ndarray) -> float:
     """Frobenius norm of the beta-odd (block-off-diagonal) part of U H U^dag."""
     transformed = u @ model.hamiltonian @ u.conj().T
-    odd = 0.5 * (transformed - model.beta @ transformed @ model.beta)
+    odd = 0.5 * (transformed - _sandwich(model.beta_signs, transformed))
     return float(np.linalg.norm(odd))
 
 
 def eriksen_condition_residual(model: MatrixModel, u: np.ndarray) -> float:
     """Frobenius norm of beta U - U^dag beta."""
-    return float(np.linalg.norm(model.beta @ u - u.conj().T @ model.beta))
+    signs = model.beta_signs
+    return float(np.linalg.norm(signs[:, None] * u - u.conj().T * signs))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -180,7 +246,7 @@ def unitarity_defect(u: np.ndarray) -> float:
 def positive_block_spectrum(model: MatrixModel, u: np.ndarray) -> np.ndarray:
     """Eigenvalues of the transformed Hamiltonian on the upper-spinor block."""
     transformed = u @ model.hamiltonian @ u.conj().T
-    proj = np.where(np.isclose(np.diag(model.beta).real, 1.0))[0]
+    proj = np.flatnonzero(model.beta_signs > 0)
     block = transformed[np.ix_(proj, proj)]
     return np.sort(np.linalg.eigvalsh(block))
 

@@ -6,7 +6,8 @@ from fwalg.opalg import (
 )
 from fwalg import reference as ref
 from fwalg.numlab import (
-    SingularSign, UnboundSymbol, block_diag_residual, convergence_probe,
+    ALPHAS, BETA4, InvalidBeta, MatrixModel, NumericError, SingularSign,
+    UnboundSymbol, _components, block_diag_residual, convergence_probe,
     eriksen_condition_residual, eriksen_unitary, evaluate_symbolic,
     free_model, free_series_term, lattice_model, positive_block_spectrum,
     regularized_well, sign_operator, unitarity_defect,
@@ -40,6 +41,47 @@ def test_lattice_model_structure():
     assert np.allclose(m.hamiltonian, m.hamiltonian.conj().T)
     assert np.allclose(m.beta @ m.beta, np.eye(n))
     assert np.min(np.abs(np.linalg.eigvalsh(m.hamiltonian))) > 0.1
+
+
+@pytest.mark.parametrize("n_sites", [64, 63])
+def test_lattice_model_matches_loop_reference(n_sites):
+    spacing, hbar, mass, c = 0.1, 1.0, 1.0, 1.0
+    well = regularized_well(0.35, 0.7)
+    x = (np.arange(n_sites) - n_sites / 2) * spacing
+    p_mat = np.zeros((n_sites, n_sites), dtype=complex)
+    for j in range(n_sites):
+        p_mat[j, (j + 1) % n_sites] = -1j * hbar / (2 * spacing)
+        p_mat[j, (j - 1) % n_sites] = 1j * hbar / (2 * spacing)
+    v = np.array([float(well(xi)) for xi in x])
+    eye_n = np.eye(n_sites)
+    h_ref = (c * np.kron(p_mat, ALPHAS[0])
+             + mass * c ** 2 * np.kron(eye_n, BETA4)
+             + np.kron(np.diag(v), np.eye(4)))
+    m = lattice_model(n_sites=n_sites, potential=well)
+    assert np.array_equal(m.hamiltonian, h_ref)
+    assert np.array_equal(m.beta, np.kron(eye_n, BETA4))
+
+
+@pytest.mark.parametrize("beta", [
+    np.array([[1.0, 0.1], [0.1, -1.0]]),
+    np.diag([1.0, 2.0]),
+    np.diag([1.0, 1j]),
+    np.ones(2),
+], ids=["off-diagonal", "entry-2", "entry-i", "vector"])
+def test_matrix_model_rejects_bad_beta(beta):
+    with pytest.raises(InvalidBeta) as info:
+        MatrixModel(kind="bad", hamiltonian=np.eye(2, dtype=complex), beta=beta)
+    assert isinstance(info.value, NumericError)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("model", [free_model([0.3, 0.4, 0.2]), small_well()],
+                         ids=["free3d", "lattice64"])
+def test_parity_parts_match_dense_beta_products(model):
+    h, beta = model.hamiltonian, model.beta
+    assert np.array_equal(model.odd_part, 0.5 * (h - beta @ h @ beta))
+    assert np.array_equal(model.even_potential,
+                          0.5 * (h + beta @ h @ beta) - model.rest_energy * beta)
 
 
 # -- exact one-step transformation ----------------------------------------------------
@@ -80,6 +122,60 @@ def test_sign_operator_squares_to_identity():
     m = small_well()
     lam = sign_operator(m)
     assert np.allclose(lam @ lam, np.eye(4 * 64), atol=1e-11)
+
+
+def _dense_reference(model):
+    """sign(H) and the Eriksen U from one full eigh each and a dense beta."""
+    beta = model.beta
+    n = beta.shape[0]
+    evals, vecs = np.linalg.eigh(model.hamiltonian)
+    lam = (vecs * np.sign(evals)) @ vecs.conj().T
+    core_evals, core_vecs = np.linalg.eigh(2.0 * np.eye(n) + beta @ lam + lam @ beta)
+    inv_sqrt = (core_vecs / np.sqrt(core_evals)) @ core_vecs.conj().T
+    return lam, (np.eye(n) + beta @ lam) @ inv_sqrt
+
+
+# The pattern of H decouples into blocks of these sizes: central differences
+# make alpha_1 pair spinor components 1-4 and 2-3 on neighbouring sites, so an
+# even chain splits into four staggered sublattices and an odd one into two.
+BLOCK_MODELS = {
+    "lattice64": (small_well, [64] * 4),
+    "lattice63": (lambda: lattice_model(n_sites=63,
+                                        potential=regularized_well(0.35, 0.7)),
+                  [126] * 2),
+    "free1d": (lambda: free_model(0.5), [2, 2]),
+    "free3d": (lambda: free_model([0.3, 0.4, 0.2]), [4]),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_MODELS)
+def test_blockwise_functions_match_dense_reference(name):
+    build, sizes = BLOCK_MODELS[name]
+    m = build()
+    lam_ref, u_ref = _dense_reference(m)
+    assert np.max(np.abs(sign_operator(m) - lam_ref)) <= 1e-12
+    assert np.max(np.abs(eriksen_unitary(m) - u_ref)) <= 1e-12
+    assert sorted(len(idx) for idx in _components(m.hamiltonian)) == sizes
+
+
+@pytest.mark.parametrize("name", BLOCK_MODELS)
+def test_components_partition_and_decouple(name):
+    m = BLOCK_MODELS[name][0]()
+    lam = sign_operator(m)
+    beta = m.beta
+    core = 2.0 * np.eye(beta.shape[0]) + beta @ lam + lam @ beta
+    for mat in (m.hamiltonian, core):
+        comps = _components(mat)
+        n = mat.shape[0]
+        assert np.array_equal(np.sort(np.concatenate(comps)), np.arange(n))
+        label = np.empty(n, dtype=int)
+        for k, idx in enumerate(comps):
+            label[idx] = k
+        assert not np.any(mat[label[:, None] != label[None, :]])
+    # the core never couples the two beta sectors, so each block of H splits
+    signs = m.beta_signs
+    for idx in _components(core):
+        assert np.all(signs[idx] == signs[idx[0]])
 
 
 def test_singular_sign_raised():

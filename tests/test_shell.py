@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +220,18 @@ def test_cli_transform_record_and_output_dir(tmp_path, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert parse_record(payload["H_orig"]) == ref.free_particle_22(4)
     assert (out_dir / "toy.record.txt").exists()
+
+
+@pytest.mark.parametrize("module", ["fwalg.shell", "fwalg"])
+def test_cli_runs_as_module_with_quiet_stderr(module):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "verify", "vc6"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.strip().endswith("8/8 checks passed")
 
 
 def _cli(argv) -> int:
