@@ -130,8 +130,12 @@ def lattice_model(n_sites: int = 256, spacing: float = 0.1,
 
     Central differences leave the usual doubler branch in the spectrum; it
     is irrelevant for the unitary-transformation checks performed here.
+    They need at least 3 sites: on fewer, a site's two neighbours coincide.
     """
     n = n_sites
+    if n < 3:
+        raise NumericError(f"lattice needs at least 3 sites for central "
+                           f"differences, got {n}")
     x = (np.arange(n) - n / 2) * spacing
     hop = np.roll(np.eye(n), 1, axis=1)  # hop[j, (j + 1) % n] = 1
     p_mat = (-1j * hbar / (2 * spacing)) * hop + (1j * hbar / (2 * spacing)) * hop.T

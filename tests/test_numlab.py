@@ -62,6 +62,13 @@ def test_lattice_model_matches_loop_reference(n_sites):
     assert np.array_equal(m.beta, np.kron(eye_n, BETA4))
 
 
+@pytest.mark.parametrize("n_sites", [0, 1, 2])
+def test_lattice_model_rejects_fewer_than_three_sites(n_sites):
+    with pytest.raises(NumericError) as info:
+        lattice_model(n_sites=n_sites)
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("beta", [
     np.array([[1.0, 0.1], [0.1, -1.0]]),
     np.diag([1.0, 2.0]),
