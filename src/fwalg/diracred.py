@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .gaussrat import GaussRat, ONE
+from .gaussrat import GaussRat, I, MINUS_I, ONE
 from .opalg import BETA, E, F, O, OperatorExpr, SparseSum
 
 _EPS = {
@@ -284,18 +284,18 @@ def _reduce_word(atoms: Sequence):
                     if isinstance(y, FieldAtom):
                         # T f = f T - i hbar (d_t f)
                         rest = seq[:idx] + [y.d_time()] + seq[idx + 2:]
-                        stack.append((coeff * GaussRat(0, -1), de, dh + 1, dc, rest))
+                        stack.append((coeff * MINUS_I, de, dh + 1, dc, rest))
                     else:  # PiAtom
                         # T pi_i = pi_i T + i hbar (e/c) (d_t A_i)
                         rest = seq[:idx] + [a_atom(y.axis, (), 1)] + seq[idx + 2:]
-                        stack.append((coeff * GaussRat(0, 1), de + 1, dh + 1, dc - 1, rest))
+                        stack.append((coeff * I, de + 1, dh + 1, dc - 1, rest))
                     seq[idx], seq[idx + 1] = y, x
                     changed = True
                     break
                 if isinstance(x, PiAtom) and isinstance(y, FieldAtom):
                     # pi_i f = f pi_i - i hbar (d_i f)
                     rest = seq[:idx] + [y.d_spatial(x.axis)] + seq[idx + 2:]
-                    stack.append((coeff * GaussRat(0, -1), de, dh + 1, dc, rest))
+                    stack.append((coeff * MINUS_I, de, dh + 1, dc, rest))
                     seq[idx], seq[idx + 1] = y, x
                     changed = True
                     break
@@ -304,8 +304,8 @@ def _reduce_word(atoms: Sequence):
                     i, j = x.axis, y.axis
                     rest1 = seq[:idx] + [a_atom(j, (i,))] + seq[idx + 2:]
                     rest2 = seq[:idx] + [a_atom(i, (j,))] + seq[idx + 2:]
-                    stack.append((coeff * GaussRat(0, 1), de + 1, dh + 1, dc - 1, rest1))
-                    stack.append((coeff * GaussRat(0, -1), de + 1, dh + 1, dc - 1, rest2))
+                    stack.append((coeff * I, de + 1, dh + 1, dc - 1, rest1))
+                    stack.append((coeff * MINUS_I, de + 1, dh + 1, dc - 1, rest2))
                     seq[idx], seq[idx + 1] = y, x
                     changed = True
                     break

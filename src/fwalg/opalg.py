@@ -133,7 +133,7 @@ class WeightScheme:
 
     def order_of(self, term: "Term") -> int:
         if self.kind == "velocity":
-            return sum(s.weight_vc for s in term.word)
+            return term.vc_order
         return term.mass_power
 
     def __eq__(self, other):
@@ -151,9 +151,14 @@ MASS = WeightScheme("mass")
 
 
 class Term:
-    """coeff * (1/(mc^2))^mass_power * hbar^hbar_power * word."""
+    """coeff * (1/(mc^2))^mass_power * hbar^hbar_power * word.
 
-    __slots__ = ("coeff", "mass_power", "hbar_power", "word")
+    Never mutated. The velocity order, the parity and the sort key depend on
+    the word and exponents only; each is computed the first time it is asked
+    for, and ``with_coeff`` hands the cached values on.
+    """
+
+    __slots__ = ("coeff", "mass_power", "hbar_power", "word", "_vc", "_odd", "_sort_key")
 
     def __init__(self, coeff: GaussRat, mass_power: int, hbar_power: int,
                  word: tuple[OperatorSymbol, ...]):
@@ -161,21 +166,33 @@ class Term:
         self.mass_power = mass_power
         self.hbar_power = hbar_power
         self.word = word
+        self._vc = self._odd = self._sort_key = None
 
     @property
     def key(self):
         return (self.word, self.mass_power, self.hbar_power)
 
     @property
+    def vc_order(self) -> int:
+        """The summed v/c weight of the word."""
+        if self._vc is None:
+            self._vc = sum(s.weight_vc for s in self.word)
+        return self._vc
+
+    @property
     def is_odd(self) -> bool:
         """True when the word has an odd number of odd factors."""
-        return bool(sum(1 for s in self.word if s.is_odd) & 1)
+        if self._odd is None:
+            self._odd = bool(sum(1 for s in self.word if s.is_odd) & 1)
+        return self._odd
 
     def order(self, scheme: WeightScheme) -> int:
         return scheme.order_of(self)
 
     def with_coeff(self, coeff: GaussRat) -> "Term":
-        return Term(coeff, self.mass_power, self.hbar_power, self.word)
+        t = Term(coeff, self.mass_power, self.hbar_power, self.word)
+        t._vc, t._odd, t._sort_key = self._vc, self._odd, self._sort_key
+        return t
 
     def __repr__(self):
         names = " ".join(s.name for s in self.word) or "1"
@@ -221,12 +238,16 @@ def _normalize_raw(raw: Iterable) -> tuple[Term, ...]:
 
 
 def _term_sort_key(t: Term):
-    return (
-        t.mass_power,
-        t.hbar_power,
-        len(t.word),
-        tuple(s.name for s in t.word),
-    )
+    """The canonical term order: exponents, word length, generator names."""
+    key = t._sort_key
+    if key is None:
+        key = t._sort_key = (
+            t.mass_power,
+            t.hbar_power,
+            len(t.word),
+            tuple(s.name for s in t.word),
+        )
+    return key
 
 
 _SCALARS = (int, Fraction, GaussRat)

@@ -8,6 +8,7 @@ from fwalg.opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, NonIncreasingOrder, OperatorExpr,
     SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
     commutator, exp_series, mul_trunc, normalize, one, scale, sym, word, zero,
+    _term_sort_key,
 )
 
 from conftest import RAW_SYMBOLS, rand_expr, rand_raw_term
@@ -232,6 +233,47 @@ def test_order_additive_under_mul(rng):
         for scheme in (VELOCITY, MASS):
             assert (prod.min_order(scheme)
                     == a.min_order(scheme) + bterm.min_order(scheme))
+
+
+# -- cached term grading -----------------------------------------------------------
+
+def _fresh_grading(t):
+    """Velocity order, parity and sort key recomputed from the word."""
+    return (sum(s.weight_vc for s in t.word),
+            sum(1 for s in t.word if s.parity == "odd") % 2 == 1,
+            (t.mass_power, t.hbar_power, len(t.word), tuple(s.name for s in t.word)))
+
+
+def _assert_grading_fresh(x):
+    keys = []
+    for t in x.terms:
+        fresh = _fresh_grading(t)
+        for cached, value in zip((t._vc, t._odd, t._sort_key), fresh):
+            assert cached is None or cached == value
+        assert (t.vc_order, t.is_odd, _term_sort_key(t)) == fresh
+        assert t.order(VELOCITY) == fresh[0]
+        keys.append(fresh[2])
+    assert keys == sorted(keys)
+
+
+def test_term_caches_match_recomputation(rng):
+    for _ in range(150):
+        x, y = (rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS) for _ in range(2))
+        # fill the caches, so the derived terms below can carry them over
+        x.parity_split(), y.parity_split(), mul_trunc(x, y, VELOCITY, 99)
+        k = rng.randint(0, 6)
+        derived = [
+            x * y, y * x, mul_trunc(x, y, VELOCITY, k), mul_trunc(y, x, MASS, k - 2),
+            x + y, x - y, -x, scale(I, x), x.adjoint(), x.adjoint() + y,
+            x.filter(lambda t: t.is_odd), y.truncate(VELOCITY, k),
+            commutator(x, y, VELOCITY, k), *x.parity_split(),
+            OperatorExpr(tuple(t.with_coeff(2 * t.coeff) for t in x.terms), _normalized=True),
+        ]
+        assert all(t._odd is not None and t._vc is not None and t._sort_key is not None
+                   for t in (-x).terms)
+        for z in derived:
+            _assert_grading_fresh(z)
+            _assert_grading_fresh(z + x)
 
 
 def test_mass_order_of_rest_term():
