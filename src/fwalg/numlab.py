@@ -9,9 +9,10 @@ same spectral calculus. Each matrix function is evaluated blockwise over the
 connected components of the matrix's exact nonzero pattern: a Hermitian
 matrix that is block-diagonal up to a permutation has the direct sum of its
 blocks' eigendecompositions as its own, so the blockwise result is f(H)
-itself. Symbolic expressions are evaluated into matrices by direct
-substitution, which makes the symbolic layer checkable against exact linear
-algebra.
+itself. The checks on a unitary u form U H U^dag and its residuals in the
+same way, over the components of the joint pattern of H and u. Symbolic
+expressions are evaluated into matrices by direct substitution, which makes
+the symbolic layer checkable against exact linear algebra.
 
 Tolerances here are engineering choices for double precision at dimensions
 up to a few thousand, not claims from any analytic source.
@@ -19,6 +20,7 @@ up to a few thousand, not claims from any analytic source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -120,7 +122,7 @@ def free_model(p_over_mc, mass: float = 1.0, c: float = 1.0) -> MatrixModel:
         h = h + c * (comp * mass * c) * alpha
     return MatrixModel(kind="free_momentum", hamiltonian=h, beta=_BETA4.copy(),
                        mass=mass, c=c,
-                       params={"p_over_mc": float(np.linalg.norm(p))})
+                       params={"p_over_mc": math.hypot(*p)})
 
 
 def lattice_model(n_sites: int = 256, spacing: float = 0.1,
@@ -166,11 +168,13 @@ def regularized_well(depth: float, width: float):
 def _components(mat: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of mat's exact nonzero pattern.
 
-    Min-label propagation over the upper-triangle nonzeros with pointer
-    jumping: every label is an index of the same component and never grows,
-    and at the fixed point both ends of every nonzero share one label.
+    The pattern is read as an undirected graph, so no entry of mat, in
+    either triangle, couples two components. Min-label propagation over the
+    nonzeros with pointer jumping: every label is an index of the same
+    component and never grows, and at the fixed point both ends of every
+    nonzero share one label.
     """
-    rows, cols = np.nonzero(np.triu(mat, 1))
+    rows, cols = np.nonzero(mat)
     label = np.arange(mat.shape[0])
     while True:
         low = np.minimum(label[rows], label[cols])
@@ -185,61 +189,94 @@ def _components(mat: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _hermitian_function(mat: np.ndarray, fn, check) -> np.ndarray:
-    """fn(mat) for Hermitian mat, with one eigh per component of its pattern.
+def _eigh_blocks(mat: np.ndarray, check) -> list:
+    """(idx, evals, vecs) of one eigh per component of mat's pattern.
 
-    ``check`` sees every eigenvalue before fn is applied, and raises if the
-    spectrum is outside fn's domain.
+    ``check`` sees every eigenvalue at once, and raises if the spectrum is
+    outside the domain of the function about to be applied.
     """
     blocks = [(idx, *np.linalg.eigh(mat[np.ix_(idx, idx)]))
               for idx in _components(mat)]
     check(np.concatenate([evals for _, evals, _ in blocks]))
+    return blocks
+
+
+def _hermitian_function(mat: np.ndarray, fn, check) -> np.ndarray:
+    """fn(mat) for Hermitian mat, with one eigh per component of its pattern."""
     out = np.zeros_like(mat)
-    for idx, evals, vecs in blocks:
+    for idx, evals, vecs in _eigh_blocks(mat, check):
         out[np.ix_(idx, idx)] = (vecs * fn(evals)) @ vecs.conj().T
     return out
 
 
-def sign_operator(model: MatrixModel, threshold: float = 1e-8) -> np.ndarray:
-    """lambda = H (H^2)^(-1/2) via eigendecomposition."""
+def _sign_check(threshold: float):
     def check(evals):
         scale = np.max(np.abs(evals))
         if scale == 0.0 or np.min(np.abs(evals)) < threshold * scale:
             raise SingularSign(
                 f"smallest |eigenvalue| below {threshold} of spectral range"
             )
-    return _hermitian_function(model.hamiltonian, np.sign, check)
+    return check
+
+
+def sign_operator(model: MatrixModel, threshold: float = 1e-8) -> np.ndarray:
+    """lambda = H (H^2)^(-1/2) via eigendecomposition."""
+    return _hermitian_function(model.hamiltonian, np.sign, _sign_check(threshold))
 
 
 def eriksen_unitary(model: MatrixModel, threshold: float = 1e-8) -> np.ndarray:
     """U = (1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2).
 
-    beta is applied elementwise, so the entries of the core that couple the
-    two beta sectors cancel exactly and the core splits along them too.
+    lambda is a function of H, so it and U vanish between the components of
+    H's pattern, and U is built one component at a time. The sign check
+    still sees H's whole spectrum. beta is applied elementwise, so the
+    entries of each core block that couple the two beta sectors cancel
+    exactly and the core splits along them too.
     """
     def check(evals):
         if np.min(evals) < threshold:
             raise SingularSign("2 + beta lambda + lambda beta is numerically singular")
-    lam = sign_operator(model, threshold)
     signs = model.beta_signs
-    n = signs.size
-    beta_lam = signs[:, None] * lam
-    core = 2.0 * np.eye(n) + beta_lam + lam * signs
-    inv_sqrt = _hermitian_function(core, lambda evals: 1.0 / np.sqrt(evals), check)
-    return (np.eye(n) + beta_lam) @ inv_sqrt
+    u = np.zeros_like(model.hamiltonian)
+    for idx, evals, vecs in _eigh_blocks(model.hamiltonian, _sign_check(threshold)):
+        lam = (vecs * np.sign(evals)) @ vecs.conj().T
+        beta_lam = signs[idx, None] * lam
+        eye = np.eye(idx.size)
+        core = 2.0 * eye + beta_lam + lam * signs[idx]
+        inv_sqrt = _hermitian_function(core, lambda ev: 1.0 / np.sqrt(ev), check)
+        u[np.ix_(idx, idx)] = (eye + beta_lam) @ inv_sqrt
+    return u
+
+
+def _transformed_blocks(model: MatrixModel, u: np.ndarray):
+    """(idx, U H U^dag restricted to idx) over the joint pattern of H and u.
+
+    H and u vanish between these components, so U H U^dag does too and is
+    the direct sum of the yielded blocks. A dense u gives one block.
+    """
+    h = model.hamiltonian
+    for idx in _components((h != 0) | (u != 0)):
+        ix = np.ix_(idx, idx)
+        u_blk = u[ix]
+        yield idx, u_blk @ h[ix] @ u_blk.conj().T
 
 
 def block_diag_residual(model: MatrixModel, u: np.ndarray) -> float:
     """Frobenius norm of the beta-odd (block-off-diagonal) part of U H U^dag."""
-    transformed = u @ model.hamiltonian @ u.conj().T
-    odd = 0.5 * (transformed - _sandwich(model.beta_signs, transformed))
-    return float(np.linalg.norm(odd))
+    signs = model.beta_signs
+    return float(np.linalg.norm([
+        np.linalg.norm(0.5 * (t - _sandwich(signs[idx], t)))
+        for idx, t in _transformed_blocks(model, u)]))
 
 
 def eriksen_condition_residual(model: MatrixModel, u: np.ndarray) -> float:
-    """Frobenius norm of beta U - U^dag beta."""
+    """Frobenius norm of beta U - U^dag beta, one component of u's pattern at a time."""
     signs = model.beta_signs
-    return float(np.linalg.norm(signs[:, None] * u - u.conj().T * signs))
+    norms = []
+    for idx in _components(u):
+        u_blk, s = u[np.ix_(idx, idx)], signs[idx]
+        norms.append(np.linalg.norm(s[:, None] * u_blk - u_blk.conj().T * s))
+    return float(np.linalg.norm(norms))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -249,10 +286,12 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def positive_block_spectrum(model: MatrixModel, u: np.ndarray) -> np.ndarray:
     """Eigenvalues of the transformed Hamiltonian on the upper-spinor block."""
-    transformed = u @ model.hamiltonian @ u.conj().T
-    proj = np.flatnonzero(model.beta_signs > 0)
-    block = transformed[np.ix_(proj, proj)]
-    return np.sort(np.linalg.eigvalsh(block))
+    upper = model.beta_signs > 0
+    spectra = []
+    for idx, t in _transformed_blocks(model, u):
+        keep = np.flatnonzero(upper[idx])
+        spectra.append(np.linalg.eigvalsh(t[np.ix_(keep, keep)]))
+    return np.sort(np.concatenate(spectra))
 
 
 # -- symbolic-to-matrix bridge ------------------------------------------------------
@@ -300,8 +339,9 @@ class ProbeReport:
     """Order-resolved contribution norms with an operational classification.
 
     The series is flagged diverging when the norms are non-decreasing over
-    the last three recorded orders; a regime parameter at exactly one is
-    flagged as the boundary case.
+    the last three recorded orders, unless they are all zero: such a series
+    terminates. A regime parameter at exactly one is flagged as the
+    boundary case.
     """
 
     orders: list[int]
@@ -332,9 +372,19 @@ def _classify(norms: list[float]) -> str:
     if len(norms) < 3:
         raise ValueError("need at least three orders to classify")
     tail = norms[-3:]
-    if tail[0] <= tail[1] <= tail[2]:
+    if tail[0] <= tail[1] <= tail[2] and tail[2] > 0.0:
         return "diverging"
     return "converging"
+
+
+def _order_norm(expr: OperatorExpr, model: MatrixModel, order: int) -> float:
+    """Spectral norm of expr's matrix; ValueError if it overflows a double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = evaluate_symbolic(expr, model)
+        norm = float(np.linalg.norm(mat, 2)) if np.isfinite(mat).all() else math.inf
+    if not math.isfinite(norm):
+        raise ValueError(f"norm at order {order} is not finite in double precision")
+    return norm
 
 
 def convergence_probe(model: MatrixModel, orders=(2, 4, 6, 8)) -> ProbeReport:
@@ -344,13 +394,14 @@ def convergence_probe(model: MatrixModel, orders=(2, 4, 6, 8)) -> ProbeReport:
     the order slices of the full order-8 closed form (qualitative only).
     """
     orders = sorted(orders)
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"orders must be distinct, got {orders}")
     if model.kind == "free_momentum":
         norms = []
         for k in orders:
             if k < 0 or k % 2:
                 raise ValueError("free-particle series has nonnegative even orders only")
-            mat = evaluate_symbolic(free_series_term(k // 2), model)
-            norms.append(float(np.linalg.norm(mat, 2)))
+            norms.append(_order_norm(free_series_term(k // 2), model, k))
         regime = model.params.get("p_over_mc", 0.0)
         return ProbeReport(orders=list(orders), norms=norms,
                            classification=_classify(norms),
@@ -361,8 +412,7 @@ def convergence_probe(model: MatrixModel, orders=(2, 4, 6, 8)) -> ProbeReport:
     closed_form = reference.build(reference.ERIKSEN_24).subs_symbol(F_SYM, E_SYM)
     norms = []
     for k in orders:
-        mat = evaluate_symbolic(closed_form.order_slice(VELOCITY, k), model)
-        norms.append(float(np.linalg.norm(mat, 2)))
+        norms.append(_order_norm(closed_form.order_slice(VELOCITY, k), model, k))
     depth = float(np.min(model.params.get("potential", np.zeros(1))))
     return ProbeReport(orders=list(orders), norms=norms,
                        classification=_classify(norms),

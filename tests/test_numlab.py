@@ -185,6 +185,47 @@ def test_components_partition_and_decouple(name):
         assert np.all(signs[idx] == signs[idx[0]])
 
 
+def _dense_checks(model, u):
+    """The checks on u from full-matrix products and one full eigvalsh."""
+    beta = model.beta
+    t = u @ model.hamiltonian @ u.conj().T
+    upper = np.flatnonzero(model.beta_signs > 0)
+    return (np.linalg.norm(0.5 * (t - beta @ t @ beta)),
+            np.linalg.norm(beta @ u - u.conj().T @ beta),
+            np.sort(np.linalg.eigvalsh(t[np.ix_(upper, upper)])))
+
+
+def _random_unitary(gen, n):
+    q, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+    return q
+
+
+@pytest.mark.parametrize("name", BLOCK_MODELS)
+def test_checks_on_u_match_dense_formulas(name):
+    m = BLOCK_MODELS[name][0]()
+    comps = _components(m.hamiltonian)
+    n = m.hamiltonian.shape[0]
+    label = np.empty(n, dtype=int)
+    for k, idx in enumerate(comps):
+        label[idx] = k
+    u_exact = eriksen_unitary(m)
+    assert not np.any(u_exact[label[:, None] != label[None, :]])
+    # a unitary with H's blocks that leaves large residuals, the same with
+    # one entry below the diagonal that joins the first and last block, and
+    # a dense unitary that joins every block into one
+    gen = np.random.default_rng(3)
+    u_blocks = np.zeros_like(u_exact)
+    for idx in comps:
+        u_blocks[np.ix_(idx, idx)] = _random_unitary(gen, idx.size)
+    u_joined = u_blocks.copy()
+    u_joined[comps[-1][0], comps[0][0]] = 1.0
+    for u in (u_exact, u_blocks, u_joined, _random_unitary(gen, n)):
+        residual, condition, spectrum = _dense_checks(m, u)
+        assert abs(block_diag_residual(m, u) - residual) <= 1e-12
+        assert abs(eriksen_condition_residual(m, u) - condition) <= 1e-12
+        assert np.max(np.abs(positive_block_spectrum(m, u) - spectrum)) <= 1e-12
+
+
 def test_singular_sign_raised():
     m = free_model(0.0)
     m.hamiltonian = m.hamiltonian * 0.0

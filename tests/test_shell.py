@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwalg.opalg import BETA, E, F, MASS, O, VELOCITY, sym, word
-from fwalg import reference as ref
+from fwalg import numlab, reference as ref
 from fwalg.shell import (
     DuplicateDeclaration, SpecSyntaxError, UnknownSymbol, main, parse_record,
     parse_spec, render, render_latex, render_text, run, serialize_record,
@@ -222,13 +222,17 @@ def test_cli_transform_record_and_output_dir(tmp_path, capsys, monkeypatch):
     assert (out_dir / "toy.record.txt").exists()
 
 
-@pytest.mark.parametrize("module", ["fwalg.shell", "fwalg"])
-def test_cli_runs_as_module_with_quiet_stderr(module):
+def _run_module(module, *args):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", module, "verify", "vc6"],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["fwalg.shell", "fwalg"])
+def test_cli_runs_as_module_with_quiet_stderr(module):
+    proc = _run_module(module, "verify", "vc6")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.strip().endswith("8/8 checks passed")
@@ -279,6 +283,7 @@ _PROBE_ERRORS = [  # (--p-over-mc, --orders, message fragment)
     ("0.5", "2,4", "need at least three orders"),
     ("0.5", "3,5,7", "even orders only"),
     ("0.5", "-2,0,2", "nonnegative even orders only"),
+    ("0.5", "2,2,2", "orders must be distinct"),
     ("nan", "2,4,6,8", "expected a finite number, got 'nan'"),
     ("inf", "2,4,6,8", "expected a finite number, got 'inf'"),
 ]
@@ -332,6 +337,26 @@ def test_cli_probe_record(capsys):
     assert data["classification"] == "converging"
     assert data["boundary"] is True
     assert data["orders"] == [2, 4, 6, 8]
+
+
+def test_probe_zero_momentum_converges(capsys):
+    # at p = 0 every term of the series is zero: it terminates
+    rep = numlab.convergence_probe(numlab.free_model(0.0))
+    assert rep.norms == [0.0] * 4
+    assert rep.classification == "converging"
+    assert main(["probe", "--p-over-mc", "0", "--out", "record"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["norms"] == [0.0] * 4
+    assert data["classification"] == "converging"
+
+
+@pytest.mark.parametrize("p_over_mc, order", [("1e308", 2), ("1e100", 4)])
+def test_cli_probe_overflow_is_one_stderr_line(p_over_mc, order):
+    # in a subprocess, so that numpy's RuntimeWarnings would reach stderr
+    proc = _run_module("fwalg", "probe", "--p-over-mc", p_over_mc)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: probe: norm at order {order} is not finite "
+                           f"in double precision\n")
 
 
 def test_shipped_spec_files():
