@@ -18,13 +18,18 @@ even potential and the time derivative travel together as the single atomic
 symbol F. Commutators with F therefore generate all time-derivative terms
 implicitly, and the lone bare F left at the end (coefficient preserved from
 the input) is rewritten back to E on finalization.
+
+The Dynkin series is summed by bracket word: one coefficient per word
+(Goldberg's, K. Goldberg, Duke Math. J. 23, 13 (1956)) from a memoized
+table, each bracket formed once, every term added into one accumulator.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 from .gaussrat import GaussRat, I, ONE, binom_coeff
 from .opalg import (
@@ -195,34 +200,52 @@ def finalize_bare_f(x: OperatorExpr, expected: GaussRat = ONE) -> OperatorExpr:
 
 # -- Baker-Campbell-Hausdorff ------------------------------------------------
 
-def _dynkin_blocks(total: int, budget: int, a_min: int, b_min: int):
-    """Block sequences ((p1,q1),...), p_i+q_i >= 1, of ``total`` letters within budget.
+@lru_cache(maxsize=None)
+def _bch_word_table(budget: int, a_min: int, b_min: int) -> tuple[tuple[str, GaussRat], ...]:
+    """(word, coefficient) pairs of the Dynkin series, one per bracket word.
 
-    A sequence with n_a letters a and n_b letters b has minimum order
-    n_a*a_min + n_b*b_min; only those at most ``budget`` are yielded. A branch
-    is cut as soon as its remaining letters, at the cheaper minimum each,
-    cannot fit in what is left of the budget.
+    The word ``x1 x2 ... xn`` over the letters a, b stands for the right-nested
+    bracket [x1, [x2, ... [x(n-1), xn]...]]. Summed over every Dynkin block
+    sequence that spells it, its coefficient is c_w / n, with c_w the
+    coefficient of w in log(exp(a) exp(b)) in the free algebra on a and b
+    (K. Goldberg, Duke Math. J. 23, 13 (1956)). That log is expanded here
+    with the letters weighted by ``a_min`` and ``b_min`` and every word over
+    ``budget`` dropped. Words ending in two equal letters are left out: their
+    innermost bracket [x, x] vanishes.
     """
-    if total == 0:
-        yield ()
-        return
-    cheapest = min(a_min, b_min)
-    for first_total in range(1, total + 1):
-        rest_cost = (total - first_total) * cheapest
-        for p in range(first_total + 1):
-            left = budget - p * a_min - (first_total - p) * b_min
-            if left < rest_cost:
-                continue
-            for rest in _dynkin_blocks(total - first_total, left, a_min, b_min):
-                yield ((p, first_total - p),) + rest
+    # X = exp(a) exp(b) - 1 as its blocks a^p b^q, p + q >= 1, by weight
+    blocks = sorted(
+        (p * a_min + q * b_min, "a" * p + "b" * q, Fraction(1, factorial(p) * factorial(q)))
+        for p in range(budget // a_min + 1)
+        for q in range((budget - p * a_min) // b_min + 1) if p or q)
+    log: dict[str, Fraction] = {}
+    power = {"": (0, Fraction(1))}  # X^n as word -> (weight, coefficient)
+    n = 0
+    while power:
+        n += 1
+        nxt: dict[str, tuple[int, Fraction]] = {}
+        for u, (wu, cu) in power.items():
+            for wv, v, cv in blocks:
+                if wu + wv > budget:
+                    break
+                prev = nxt.get(u + v)
+                nxt[u + v] = (wu + wv, cu * cv if prev is None else prev[1] + cu * cv)
+        for w, (_, c) in nxt.items():
+            log[w] = log.get(w, 0) + Fraction((-1) ** (n - 1), n) * c
+        power = nxt
+    return tuple((w, GaussRat(c / len(w))) for w, c in log.items()
+                 if c and not (len(w) >= 2 and w[-1] == w[-2]))
 
 
 def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
                 max_order: int) -> OperatorExpr:
     """Z with exp(Z) = exp(A) exp(B) to max_order, by the Dynkin series.
 
-    Terms are generated until the minimum possible order of a word exceeds
-    max_order; there is no hand-coded depth limit.
+    Summed by bracket word: each word's coefficient is Goldberg's over the
+    word length (``_bch_word_table``), each bracket is formed once and the
+    coefficient-times-bracket terms meet in one accumulator, sorted once.
+    Words are kept while their minimum possible order fits in max_order;
+    there is no hand-coded depth limit.
     """
     if b.is_zero:
         return a.truncate(scheme, max_order)
@@ -236,46 +259,20 @@ def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
         )
     a = a.truncate(scheme, max_order)
     b = b.truncate(scheme, max_order)
-    max_letters = max_order  # each letter contributes order >= 1
-    bracket_memo: dict[tuple[str, ...], OperatorExpr] = {}
+    bracket_memo: dict[str, OperatorExpr] = {"a": a, "b": b}
 
-    def bracket(letters: tuple[str, ...]) -> OperatorExpr:
-        cached = bracket_memo.get(letters)
-        if cached is not None:
-            return cached
-        if len(letters) == 1:
-            out = a if letters[0] == "a" else b
-        else:
-            head = a if letters[0] == "a" else b
+    def bracket(letters: str) -> OperatorExpr:
+        out = bracket_memo.get(letters)
+        if out is None:
             tail = bracket(letters[1:])
-            if tail.is_zero:
-                out = zero()
-            else:
-                out = commutator(head, tail, scheme, max_order)
-        bracket_memo[letters] = out
+            out = tail if tail.is_zero else commutator(
+                bracket_memo[letters[0]], tail, scheme, max_order)
+            bracket_memo[letters] = out
         return out
 
-    total = zero()
-    for letters_count in range(1, max_letters + 1):
-        for blocks in _dynkin_blocks(letters_count, max_order, a_min, b_min):
-            letters = tuple(itertools.chain.from_iterable(
-                ("a",) * p + ("b",) * q for p, q in blocks
-            ))
-            if len(letters) >= 2 and letters[-1] == letters[-2]:
-                continue  # innermost [x, x] vanishes
-            expr = bracket(letters)
-            if expr.is_zero:
-                continue
-            n = len(blocks)
-            denom = n * len(letters)
-            for p, q in blocks:
-                for k in range(2, p + 1):
-                    denom *= k
-                for k in range(2, q + 1):
-                    denom *= k
-            coeff = Fraction((-1) ** (n - 1), denom)
-            total = total + scale(coeff, expr)
-    return total.truncate(scheme, max_order)
+    return OperatorExpr.combine(
+        (coeff, bracket(letters))
+        for letters, coeff in _bch_word_table(max_order, a_min, b_min))
 
 
 def combine_steps(record: TransformRecord) -> OperatorExpr:
@@ -402,16 +399,16 @@ def _binomial_series(x: OperatorExpr, alpha: Fraction, scheme: WeightScheme,
         return one()
     if x.min_order(scheme) < 1:
         raise TransformError("series argument must have positive minimum order")
-    result = one()
     power = one()
+    pairs = [(ONE, power)]
     n = 0
     while True:
         n += 1
         power = mul_trunc(power, x, scheme, max_order)
         if power.is_zero:
             break
-        result = result + scale(binom_coeff(alpha, n), power)
-    return result
+        pairs.append((binom_coeff(alpha, n), power))
+    return OperatorExpr.combine(pairs)
 
 
 # -- Eriksen condition ----------------------------------------------------------

@@ -79,7 +79,7 @@ class MatrixModel:
     def __post_init__(self):
         beta = np.asarray(self.beta)
         if (beta.ndim != 2 or beta.shape[0] != beta.shape[1]
-                or not np.array_equal(beta, np.diag(np.diag(beta)))
+                or np.count_nonzero(beta) != np.count_nonzero(np.diagonal(beta))
                 or not np.isin(np.diag(beta), (1, -1)).all()):
             raise InvalidBeta("beta must be a square diagonal matrix with "
                               "entries +1 and -1")
@@ -139,8 +139,6 @@ def lattice_model(n_sites: int = 256, spacing: float = 0.1,
         raise NumericError(f"lattice needs at least 3 sites for central "
                            f"differences, got {n}")
     x = (np.arange(n) - n / 2) * spacing
-    hop = np.roll(np.eye(n), 1, axis=1)  # hop[j, (j + 1) % n] = 1
-    p_mat = (-1j * hbar / (2 * spacing)) * hop + (1j * hbar / (2 * spacing)) * hop.T
     if potential is None:
         v = np.zeros(n)
     elif callable(potential):
@@ -148,7 +146,13 @@ def lattice_model(n_sites: int = 256, spacing: float = 0.1,
     else:
         v = np.asarray(potential, dtype=float)
     signs = np.tile(np.diag(_BETA4), n)
-    h = c * np.kron(p_mat, _ALPHA1)
+    # c p alpha1 couples site j to j + 1 and j - 1 only: with p[j, j + 1] =
+    # -i hbar / 2a and p[j + 1, j] = +i hbar / 2a, fill those 4x4 blocks.
+    h = np.zeros((4 * n, 4 * n), dtype=complex)
+    blocks = h.reshape(n, 4, n, 4)  # blocks[j, :, k, :] is the block of sites j, k
+    j = np.arange(n)
+    blocks[j, :, (j + 1) % n, :] = c * ((-1j * hbar / (2 * spacing)) * _ALPHA1)
+    blocks[(j + 1) % n, :, j, :] = c * ((1j * hbar / (2 * spacing)) * _ALPHA1)
     h[np.diag_indices(4 * n)] += mass * c ** 2 * signs + np.repeat(v, 4)
     return MatrixModel(kind="lattice1d", hamiltonian=h, beta=np.diag(signs),
                        mass=mass, c=c, hbar=hbar,

@@ -46,35 +46,38 @@ class DuplicateSymbol(AlgebraError):
 
 
 class OperatorSymbol:
-    """Atomic generator with a fixed parity and velocity weight."""
+    """Atomic generator with a fixed parity and velocity weight.
 
-    __slots__ = ("name", "parity", "weight_vc", "_hash")
+    Interned: constructing a ``(name, parity, weight_vc)`` triple a second
+    time returns the first object, so equal symbols are identical and words
+    hash and compare by identity.
+    """
 
-    def __init__(self, name: str, parity: str, weight_vc: int):
-        if parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be {EVEN!r} or {ODD!r}")
-        if weight_vc < 0:
-            raise ValueError("weight_vc must be nonnegative")
-        self.name = name
-        self.parity = parity
-        self.weight_vc = weight_vc
-        self._hash = hash((name, parity, weight_vc))
+    __slots__ = ("name", "parity", "weight_vc")
+
+    _interned: dict = {}
+
+    def __new__(cls, name: str, parity: str, weight_vc: int):
+        key = (name, parity, weight_vc)
+        self = cls._interned.get(key)
+        if self is None:
+            if parity not in (EVEN, ODD):
+                raise ValueError(f"parity must be {EVEN!r} or {ODD!r}")
+            if weight_vc < 0:
+                raise ValueError("weight_vc must be nonnegative")
+            self = cls._interned[key] = super().__new__(cls)
+            self.name = name
+            self.parity = parity
+            self.weight_vc = weight_vc
+        return self
+
+    def __reduce__(self):
+        # copies and unpickled symbols go through __new__, so stay interned
+        return OperatorSymbol, (self.name, self.parity, self.weight_vc)
 
     @property
     def is_odd(self) -> bool:
         return self.parity == ODD
-
-    def __eq__(self, other):
-        if isinstance(other, OperatorSymbol):
-            return (
-                self.name == other.name
-                and self.parity == other.parity
-                and self.weight_vc == other.weight_vc
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"OperatorSymbol({self.name!r}, {self.parity!r}, {self.weight_vc})"
@@ -275,6 +278,25 @@ class SparseSum:
     @classmethod
     def zero(cls):
         return cls._new(())
+
+    @classmethod
+    def combine(cls, pairs: Iterable):
+        """The sum of ``coeff * x`` over ``(coeff, x)`` pairs, merged in one dict.
+
+        The result is sorted once; a chain of ``+`` would rebuild the running
+        sum for every pair.
+        """
+        acc: dict = {}
+        for c, x in pairs:
+            c = GaussRat.coerce(c)
+            for t in x._terms:
+                key = t.key
+                value = c * t.coeff
+                prev = acc.get(key)
+                acc[key] = (t, value) if prev is None else (prev[0], prev[1] + value)
+        terms = [t.with_coeff(v) for t, v in acc.values() if not v.is_zero]
+        terms.sort(key=cls._sort_key)
+        return cls._new(tuple(terms))
 
     # -- inspection ----------------------------------------------------------
 
@@ -570,6 +592,7 @@ def ad_exp_conjugate(s: OperatorExpr, k: OperatorExpr,
             f"exponent has minimum {scheme.kind} order {s_min}; need >= 1"
         )
     s = s.truncate(scheme, max_order)
+    pairs = [(ONE, result)]
     nested = result
     factor = ONE
     n = 0
@@ -579,8 +602,8 @@ def ad_exp_conjugate(s: OperatorExpr, k: OperatorExpr,
         nested = commutator(s, nested, scheme, max_order)
         if nested.is_zero:
             break
-        result = result + scale(factor, nested)
-    return result
+        pairs.append((factor, nested))
+    return OperatorExpr.combine(pairs)
 
 
 def exp_series(x: OperatorExpr, scheme: WeightScheme, max_order: int) -> OperatorExpr:
@@ -593,8 +616,8 @@ def exp_series(x: OperatorExpr, scheme: WeightScheme, max_order: int) -> Operato
             f"exponent has minimum {scheme.kind} order {x_min}; need >= 1"
         )
     x = x.truncate(scheme, max_order)
-    result = one()
     power = one()
+    pairs = [(ONE, power)]
     factor = Fraction(1)
     n = 0
     while True:
@@ -603,5 +626,5 @@ def exp_series(x: OperatorExpr, scheme: WeightScheme, max_order: int) -> Operato
         power = mul_trunc(power, x, scheme, max_order)
         if power.is_zero:
             break
-        result = result + scale(factor, power)
-    return result
+        pairs.append((factor, power))
+    return OperatorExpr.combine(pairs)

@@ -245,9 +245,7 @@ def a24_25() -> OperatorExpr:
         cm(cm(o, cm(o, f)), cm(o2, f)),
         cm(o2, cm(o, cm(cm(o, f), f))),
     ]
-    total = OperatorExpr.zero()
-    for (coeff, _), expr in zip(_A24_PARTS, nested):
-        total = total + coeff * expr
+    total = OperatorExpr.combine((coeff, expr) for (coeff, _), expr in zip(_A24_PARTS, nested))
     return Fraction(1, 256) * _u(5) * b * total
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -9,7 +10,7 @@ from fwalg.opalg import (
 )
 from fwalg.fwtransform import (
     BareFAnomaly, MissingMassTerm, NoConvergence, NotStationary,
-    UnsupportedScheme, _dynkin_blocks, bch_combine, combine_steps, corrected_pipeline,
+    UnsupportedScheme, _bch_word_table, bch_combine, combine_steps, corrected_pipeline,
     correction_exponent, eriksen_condition_check, eriksen_series,
     eriksen_unitary_series, finalize_bare_f, fw_pipeline, fw_step,
     sign_operator_series, split_hamiltonian,
@@ -223,17 +224,28 @@ def _all_blocks(total):
                 yield ((p, first_total - p),) + rest
 
 
-def test_dynkin_blocks_pruned_equals_enumerate_then_filter():
-    every = {total: list(_all_blocks(total)) for total in range(9)}
+def test_bch_word_table_equals_dynkin_sum_per_word():
+    # Oracle: Dynkin's coefficient (-1)^(n-1) / (n |w| prod p_i! q_i!) of every
+    # unpruned block sequence within budget, summed per letter word.
+    every = []
+    for total in range(1, 9):
+        for seq in _all_blocks(total):
+            letters = "".join("a" * p + "b" * q for p, q in seq)
+            denom = len(seq) * len(letters)
+            for p, q in seq:
+                denom *= factorial(p) * factorial(q)
+            every.append((letters, Fraction((-1) ** (len(seq) - 1), denom)))
     for a_min, b_min in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 2)):
         for budget in range(9):
-            for total, blocks in every.items():
-                expected = [
-                    seq for seq in blocks
-                    if sum(p for p, _ in seq) * a_min + sum(q for _, q in seq) * b_min <= budget
-                ]
-                assert list(_dynkin_blocks(total, budget, a_min, b_min)) == expected, (
-                    a_min, b_min, budget, total)
+            expected = {}
+            for letters, c in every:
+                if letters.count("a") * a_min + letters.count("b") * b_min <= budget:
+                    expected[letters] = expected.get(letters, 0) + c
+            expected = {w: GaussRat(c) for w, c in expected.items()
+                        if c and not (len(w) >= 2 and w[-1] == w[-2])}
+            table = _bch_word_table(budget, a_min, b_min)
+            assert len(table) == len(expected)
+            assert dict(table) == expected, (a_min, b_min, budget)
 
 
 # -- combination and correction ---------------------------------------------------------
@@ -400,6 +412,31 @@ def test_method_equivalence_mass_order_five(order_ten):
 
 def test_condition_check_order_ten(order_ten):
     rep = eriksen_condition_check(order_ten[0])
+    assert rep.corrected_ok
+    assert not rep.uncorrected.is_zero
+
+
+# -- order 12: the same agreement two orders further -----------------------------------
+
+@pytest.fixture(scope="module")
+def order_twelve():
+    return corrected_pipeline(dirac_h(), VELOCITY, 12), eriksen_series(dirac_h(), 12)
+
+
+def test_method_equivalence_order_twelve(order_twelve):
+    rec12, h_e = order_twelve
+    assert len(h_e) == 352
+    assert rec12.h_corrected.subs_symbol(F, E) == h_e
+
+
+def test_method_equivalence_mass_order_six(order_twelve):
+    _, h_e = order_twelve
+    rec6 = corrected_pipeline(dirac_h(), MASS, 6)
+    assert rec6.h_corrected.subs_symbol(F, E) == h_e.truncate(MASS, 6)
+
+
+def test_condition_check_order_twelve(order_twelve):
+    rep = eriksen_condition_check(order_twelve[0])
     assert rep.corrected_ok
     assert not rep.uncorrected.is_zero
 

@@ -62,6 +62,23 @@ def test_lattice_model_matches_loop_reference(n_sites):
     assert np.array_equal(m.beta, np.kron(eye_n, BETA4))
 
 
+@pytest.mark.parametrize("n_sites", [3, 4, 63])
+def test_lattice_model_matches_dense_kron_construction(n_sites):
+    # Oracle: the dense construction, c kron(p, alpha1) with p built from a
+    # rolled identity, plus the rest and potential diagonal.
+    spacing, hbar, mass, c = 0.3, 0.7, 1.3, 1.1
+    well = regularized_well(0.35, 0.7)
+    x = (np.arange(n_sites) - n_sites / 2) * spacing
+    hop = np.roll(np.eye(n_sites), 1, axis=1)
+    p_mat = (-1j * hbar / (2 * spacing)) * hop + (1j * hbar / (2 * spacing)) * hop.T
+    h_ref = c * np.kron(p_mat, ALPHAS[0])
+    h_ref[np.diag_indices(4 * n_sites)] += (mass * c ** 2 * np.tile(np.diag(BETA4), n_sites)
+                                           + np.repeat([float(well(xi)) for xi in x], 4))
+    m = lattice_model(n_sites=n_sites, spacing=spacing, potential=well,
+                      mass=mass, c=c, hbar=hbar)
+    assert np.array_equal(m.hamiltonian, h_ref)
+
+
 @pytest.mark.parametrize("n_sites", [0, 1, 2])
 def test_lattice_model_rejects_fewer_than_three_sites(n_sites):
     with pytest.raises(NumericError) as info:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from fwalg.gaussrat import GaussRat, I, binom_coeff
 from fwalg.opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, NonIncreasingOrder, OperatorExpr,
-    SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
+    OperatorSymbol, SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
     commutator, exp_series, mul_trunc, normalize, one, scale, sym, word, zero,
     _term_sort_key,
 )
+
+from fwalg.shell import parse_record, parse_spec, serialize_record
 
 from conftest import RAW_SYMBOLS, rand_expr, rand_raw_term
 
@@ -322,6 +326,37 @@ def test_registry_builtins_and_custom():
         reg.register("Q", "even", 0)
     with pytest.raises(DuplicateSymbol):
         reg.register("beta", "even", 0)
+
+
+def test_symbols_are_interned():
+    assert OperatorSymbol("O", "odd", 1) is O
+    q1 = SymbolRegistry().register("Q", "odd", 1)
+    q2 = SymbolRegistry().register("Q", "odd", 1)
+    assert q1 is q2
+    for other in (OperatorSymbol("Q", "even", 1), OperatorSymbol("Q", "odd", 2)):
+        assert other is not q1
+        assert other != q1
+    assert (q1, O) == (OperatorSymbol("Q", "odd", 1), OperatorSymbol("O", "odd", 1))
+    assert copy.deepcopy(q1) is q1
+    assert pickle.loads(pickle.dumps((q1, O))) == (q1, O)
+
+
+def test_interned_symbols_survive_record_round_trip():
+    spec = parse_spec("symbol Q odd 1; H = beta*m + Q*O + 1/2 * O*Q;")
+    x = spec.hamiltonian
+    back = parse_record(serialize_record(x))
+    assert back == x
+    assert [t.word for t in back] == [t.word for t in x]
+    assert any(OperatorSymbol("Q", "odd", 1) in t.word for t in back)
+
+
+def test_symbol_validation_still_fires():
+    with pytest.raises(ValueError):
+        OperatorSymbol("P", "both", 1)
+    with pytest.raises(ValueError):
+        OperatorSymbol("P", "odd", -1)
+    with pytest.raises(ValueError):
+        SymbolRegistry().register("P", "odd", -1)
 
 
 def test_binom_coeff_half_values():
