@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .gaussrat import GaussRat, I, MINUS_I, ONE
-from .opalg import BETA, E, F, O, OperatorExpr, SparseSum
+from .opalg import BETA, E, F, O, OperatorExpr, SparseSum, _term_sort_key
 
 _EPS = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -243,6 +243,11 @@ class FieldTerm:
     def is_odd(self) -> bool:
         return _inner_is_odd(self.unit[1])
 
+    @property
+    def sort_key(self):
+        return (self.mass_power, self.e_power, self.hbar_power, self.c_power, self.unit,
+                tuple(f.sort_key() for f in self.fields), self.pis, self.t_power)
+
     def with_coeff(self, coeff: GaussRat) -> "FieldTerm":
         return FieldTerm(coeff, self.e_power, self.hbar_power, self.c_power,
                          self.mass_power, self.unit, self.fields, self.pis,
@@ -344,13 +349,8 @@ def _normalize_field(raw: Iterable) -> tuple[FieldTerm, ...]:
         FieldTerm(c, key[4], key[5], key[6], key[7], key[3], key[0], key[1], key[2])
         for key, c in acc.items() if not c.is_zero
     ]
-    terms.sort(key=_field_sort_key)
+    terms.sort(key=_term_sort_key)
     return tuple(terms)
-
-
-def _field_sort_key(t: FieldTerm):
-    return (t.mass_power, t.e_power, t.hbar_power, t.c_power, t.unit,
-            tuple(f.sort_key() for f in t.fields), t.pis, t.t_power)
 
 
 def _word_of(t: FieldTerm) -> list:
@@ -364,14 +364,8 @@ class FieldExpr(SparseSum):
 
     __slots__ = ()
 
-    _sort_key = staticmethod(_field_sort_key)
-
     def __init__(self, terms=(), _normalized=False):
         self._terms = terms if _normalized else _normalize_field(terms)
-
-    @classmethod
-    def one(cls) -> "FieldExpr":
-        return _F_ONE
 
     def __mul__(self, other):
         if not isinstance(other, FieldExpr):
@@ -405,9 +399,6 @@ class FieldExpr(SparseSum):
 
     def truncate_field_order(self, max_order: int) -> "FieldExpr":
         return self.filter(lambda t: t.field_order <= max_order)
-
-
-_F_ONE = FieldExpr((FieldTerm(ONE, 0, 0, 0, 0, (0, _ID), (), (), 0),), _normalized=True)
 
 
 def field_term(coeff, atoms: Sequence = (), e_power: int = 0, hbar_power: int = 0,

@@ -31,10 +31,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .gaussrat import GaussRat, I, ONE, binom_coeff
+from .gaussrat import GaussRat, I, ONE
 from .opalg import (
-    BETA, E, F, VELOCITY, NonIncreasingOrder, OperatorExpr, WeightScheme,
-    ad_exp_conjugate, commutator, exp_series, mul_trunc, one, scale, sym, word, zero,
+    BETA, E, F, VELOCITY, OperatorExpr, WeightScheme, ad_exp_conjugate, commutator,
+    exp_series, mul_trunc, one, require_order_at_least_one, scale, series_sum, sym,
+    word, zero,
 )
 
 
@@ -251,12 +252,8 @@ def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
         return a.truncate(scheme, max_order)
     if a.is_zero:
         return b.truncate(scheme, max_order)
-    a_min = a.min_order(scheme)
-    b_min = b.min_order(scheme)
-    if a_min < 1 or b_min < 1:
-        raise NonIncreasingOrder(
-            f"BCH operands must have minimum order >= 1 (got {a_min}, {b_min})"
-        )
+    a_min = require_order_at_least_one(a, scheme, "BCH operand a")
+    b_min = require_order_at_least_one(b, scheme, "BCH operand b")
     a = a.truncate(scheme, max_order)
     b = b.truncate(scheme, max_order)
     bracket_memo: dict[str, OperatorExpr] = {"a": a, "b": b}
@@ -395,20 +392,10 @@ def eriksen_unitary_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
 
 def _binomial_series(x: OperatorExpr, alpha: Fraction, scheme: WeightScheme,
                      max_order: int) -> OperatorExpr:
-    if x.is_zero:
-        return one()
-    if x.min_order(scheme) < 1:
-        raise TransformError("series argument must have positive minimum order")
-    power = one()
-    pairs = [(ONE, power)]
-    n = 0
-    while True:
-        n += 1
-        power = mul_trunc(power, x, scheme, max_order)
-        if power.is_zero:
-            break
-        pairs.append((binom_coeff(alpha, n), power))
-    return OperatorExpr.combine(pairs)
+    """(1 + x)^alpha truncated at max_order; requires min order >= 1."""
+    require_order_at_least_one(x, scheme, "series argument")
+    return series_sum(one(), lambda power: mul_trunc(power, x, scheme, max_order),
+                      lambda n: (alpha - n + 1) / n)
 
 
 # -- Eriksen condition ----------------------------------------------------------

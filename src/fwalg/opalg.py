@@ -24,8 +24,8 @@ Printers reinstate the paired ``m^k c^(2k)`` factors textually.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gaussrat import GaussRat, I, ONE, ZERO
 
@@ -53,7 +53,7 @@ class OperatorSymbol:
     hash and compare by identity.
     """
 
-    __slots__ = ("name", "parity", "weight_vc")
+    __slots__ = ("name", "parity", "weight_vc", "is_odd")
 
     _interned: dict = {}
 
@@ -69,15 +69,12 @@ class OperatorSymbol:
             self.name = name
             self.parity = parity
             self.weight_vc = weight_vc
+            self.is_odd = parity == ODD
         return self
 
     def __reduce__(self):
         # copies and unpickled symbols go through __new__, so stay interned
         return OperatorSymbol, (self.name, self.parity, self.weight_vc)
-
-    @property
-    def is_odd(self) -> bool:
-        return self.parity == ODD
 
     def __repr__(self):
         return f"OperatorSymbol({self.name!r}, {self.parity!r}, {self.weight_vc})"
@@ -125,19 +122,16 @@ class WeightScheme:
 
     ``velocity`` counts the summed v/c weights of the word factors; ``mass``
     counts the net power of 1/(mc^2). Both are additive under multiplication.
+    ``order_of(term)`` reads the term's ``vc_order`` or ``mass_power``.
     """
 
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "order_of")
 
     def __init__(self, kind: str):
         if kind not in ("velocity", "mass"):
             raise ValueError("kind must be 'velocity' or 'mass'")
         self.kind = kind
-
-    def order_of(self, term: "Term") -> int:
-        if self.kind == "velocity":
-            return term.vc_order
-        return term.mass_power
+        self.order_of = attrgetter("vc_order" if kind == "velocity" else "mass_power")
 
     def __eq__(self, other):
         return isinstance(other, WeightScheme) and self.kind == other.kind
@@ -156,12 +150,15 @@ MASS = WeightScheme("mass")
 class Term:
     """coeff * (1/(mc^2))^mass_power * hbar^hbar_power * word.
 
-    Never mutated. The velocity order, the parity and the sort key depend on
-    the word and exponents only; each is computed the first time it is asked
-    for, and ``with_coeff`` hands the cached values on.
+    Never mutated. Its grading depends on the word and exponents only and is
+    set at construction, in one pass over the word: ``vc_order``, the summed
+    v/c weight; ``is_odd``, whether the word has an odd number of odd
+    factors; ``sort_key``, the canonical term order (exponents, word length,
+    generator names). ``with_coeff`` copies all three.
     """
 
-    __slots__ = ("coeff", "mass_power", "hbar_power", "word", "_vc", "_odd", "_sort_key")
+    __slots__ = ("coeff", "mass_power", "hbar_power", "word",
+                 "vc_order", "is_odd", "sort_key")
 
     def __init__(self, coeff: GaussRat, mass_power: int, hbar_power: int,
                  word: tuple[OperatorSymbol, ...]):
@@ -169,32 +166,28 @@ class Term:
         self.mass_power = mass_power
         self.hbar_power = hbar_power
         self.word = word
-        self._vc = self._odd = self._sort_key = None
+        vc = odd = 0
+        names = []
+        for s in word:
+            vc += s.weight_vc
+            odd ^= s.is_odd
+            names.append(s.name)
+        self.vc_order = vc
+        self.is_odd = bool(odd)
+        self.sort_key = (mass_power, hbar_power, len(word), tuple(names))
 
     @property
     def key(self):
         return (self.word, self.mass_power, self.hbar_power)
 
-    @property
-    def vc_order(self) -> int:
-        """The summed v/c weight of the word."""
-        if self._vc is None:
-            self._vc = sum(s.weight_vc for s in self.word)
-        return self._vc
-
-    @property
-    def is_odd(self) -> bool:
-        """True when the word has an odd number of odd factors."""
-        if self._odd is None:
-            self._odd = bool(sum(1 for s in self.word if s.is_odd) & 1)
-        return self._odd
-
     def order(self, scheme: WeightScheme) -> int:
         return scheme.order_of(self)
 
     def with_coeff(self, coeff: GaussRat) -> "Term":
-        t = Term(coeff, self.mass_power, self.hbar_power, self.word)
-        t._vc, t._odd, t._sort_key = self._vc, self._odd, self._sort_key
+        t = object.__new__(Term)
+        t.coeff = coeff
+        t.mass_power, t.hbar_power, t.word = self.mass_power, self.hbar_power, self.word
+        t.vc_order, t.is_odd, t.sort_key = self.vc_order, self.is_odd, self.sort_key
         return t
 
     def __repr__(self):
@@ -240,17 +233,9 @@ def _normalize_raw(raw: Iterable) -> tuple[Term, ...]:
     return tuple(terms)
 
 
-def _term_sort_key(t: Term):
-    """The canonical term order: exponents, word length, generator names."""
-    key = t._sort_key
-    if key is None:
-        key = t._sort_key = (
-            t.mass_power,
-            t.hbar_power,
-            len(t.word),
-            tuple(s.name for s in t.word),
-        )
-    return key
+#: The canonical term order, read from the term: ``Term.sort_key`` here and
+#: ``FieldTerm.sort_key`` in diracred.
+_term_sort_key = attrgetter("sort_key")
 
 
 _SCALARS = (int, Fraction, GaussRat)
@@ -264,9 +249,9 @@ class SparseSum:
     nothing but term keys and coefficients; a sum of two normal forms is a
     merge of their terms, never a second normalization. A subclass
     normalizes raw input in its constructor (``_normalized=True`` accepts
-    terms that are already normal), forms products and sets ``_sort_key``,
-    the canonical term order. Its terms provide ``key``, ``coeff``,
-    ``is_odd`` and ``with_coeff``.
+    terms that are already normal) and forms products. Its terms provide
+    ``key``, ``coeff``, ``is_odd``, ``sort_key`` (the canonical term order)
+    and ``with_coeff``.
     """
 
     __slots__ = ("_terms",)
@@ -295,7 +280,7 @@ class SparseSum:
                 prev = acc.get(key)
                 acc[key] = (t, value) if prev is None else (prev[0], prev[1] + value)
         terms = [t.with_coeff(v) for t, v in acc.values() if not v.is_zero]
-        terms.sort(key=cls._sort_key)
+        terms.sort(key=_term_sort_key)
         return cls._new(tuple(terms))
 
     # -- inspection ----------------------------------------------------------
@@ -329,7 +314,7 @@ class SparseSum:
             prev = acc.get(key)
             acc[key] = t if prev is None else prev.with_coeff(prev.coeff + t.coeff)
         terms = [t for t in acc.values() if not t.coeff.is_zero]
-        terms.sort(key=self._sort_key)
+        terms.sort(key=_term_sort_key)
         return self._new(tuple(terms))
 
     def __sub__(self, other):
@@ -393,18 +378,12 @@ class OperatorExpr(SparseSum):
 
     __slots__ = ()
 
-    _sort_key = staticmethod(_term_sort_key)
-
     def __init__(self, terms: Sequence = (), _normalized: bool = False):
         self._terms = terms if _normalized else _normalize_raw(terms)
 
     # Bound on the class itself, because bench/tracing.py wraps
     # OperatorExpr's own __add__ to count additions.
     __add__ = SparseSum.__add__
-
-    @classmethod
-    def one(cls) -> "OperatorExpr":
-        return _ONE_EXPR
 
     # -- word queries --------------------------------------------------------
 
@@ -440,7 +419,7 @@ class OperatorExpr(SparseSum):
     def __pow__(self, n: int) -> "OperatorExpr":
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator powers must be nonnegative integers")
-        out = OperatorExpr.one()
+        out = _ONE_EXPR
         for _ in range(n):
             out = out * self
         return out
@@ -576,6 +555,38 @@ def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return a * b + b * a
 
 
+def require_order_at_least_one(x: OperatorExpr, scheme: WeightScheme, what: str):
+    """x's minimum order (None for zero); NonIncreasingOrder if it is below 1.
+
+    Only then does a series in x terminate under truncation: each power of x,
+    each nested commutator with x, raises the minimum order by at least one.
+    """
+    low = x.min_order(scheme)
+    if low is not None and low < 1:
+        raise NonIncreasingOrder(f"{what} has minimum {scheme.kind} order {low}; need >= 1")
+    return low
+
+
+def series_sum(start: OperatorExpr, step: Callable[[OperatorExpr], OperatorExpr],
+               ratio: Callable[[int], object]) -> OperatorExpr:
+    """The sum of ``c_n * step^n(start)`` over n = 0, 1, ..., up to the first zero term.
+
+    ``c_0 = 1`` and ``c_n = c_(n-1) * ratio(n)``. ``step`` is a capped
+    product with, or a capped commutator by, an operand that passed
+    ``require_order_at_least_one``, so some power is zero. Every term meets
+    the others in one ``OperatorExpr.combine``.
+    """
+    pairs = []
+    c = ONE
+    n = 0
+    while not start.is_zero:
+        pairs.append((c, start))
+        n += 1
+        c = c * ratio(n)
+        start = step(start)
+    return OperatorExpr.combine(pairs)
+
+
 def ad_exp_conjugate(s: OperatorExpr, k: OperatorExpr,
                      scheme: WeightScheme, max_order: int) -> OperatorExpr:
     """exp(iS) K exp(-iS) as the nested-commutator series, exact to max_order.
@@ -583,48 +594,16 @@ def ad_exp_conjugate(s: OperatorExpr, k: OperatorExpr,
     The series sum_n (i^n/n!) ad_S^n(K) terminates under truncation because
     every application of ad_S raises the minimum order by at least one.
     """
-    result = k.truncate(scheme, max_order)
-    if s.is_zero:
-        return result
-    s_min = s.min_order(scheme)
-    if s_min < 1:
-        raise NonIncreasingOrder(
-            f"exponent has minimum {scheme.kind} order {s_min}; need >= 1"
-        )
+    require_order_at_least_one(s, scheme, "exponent")
     s = s.truncate(scheme, max_order)
-    pairs = [(ONE, result)]
-    nested = result
-    factor = ONE
-    n = 0
-    while True:
-        n += 1
-        factor = factor * I / n
-        nested = commutator(s, nested, scheme, max_order)
-        if nested.is_zero:
-            break
-        pairs.append((factor, nested))
-    return OperatorExpr.combine(pairs)
+    return series_sum(k.truncate(scheme, max_order),
+                      lambda nested: commutator(s, nested, scheme, max_order),
+                      lambda n: I / n)
 
 
 def exp_series(x: OperatorExpr, scheme: WeightScheme, max_order: int) -> OperatorExpr:
     """Power series of exp(x) truncated at max_order; requires min order >= 1."""
-    if x.is_zero:
-        return one()
-    x_min = x.min_order(scheme)
-    if x_min < 1:
-        raise NonIncreasingOrder(
-            f"exponent has minimum {scheme.kind} order {x_min}; need >= 1"
-        )
+    require_order_at_least_one(x, scheme, "exponent")
     x = x.truncate(scheme, max_order)
-    power = one()
-    pairs = [(ONE, power)]
-    factor = Fraction(1)
-    n = 0
-    while True:
-        n += 1
-        factor = factor / n
-        power = mul_trunc(power, x, scheme, max_order)
-        if power.is_zero:
-            break
-        pairs.append((factor, power))
-    return OperatorExpr.combine(pairs)
+    return series_sum(one(), lambda power: mul_trunc(power, x, scheme, max_order),
+                      lambda n: Fraction(1, n))

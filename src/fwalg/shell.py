@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .gaussrat import GaussRat
 from .opalg import (
-    BETA, E, F, MASS, MC2, O, VELOCITY, DuplicateSymbol, OperatorExpr,
+    BUILTIN_SYMBOLS, E, F, MASS, O, VELOCITY, DuplicateSymbol, OperatorExpr,
     SymbolRegistry, WeightScheme, word,
 )
 from . import fwtransform, numlab, reference
@@ -150,13 +150,17 @@ class _Parser:
         max_order = 6
         method = "fw-corrected"
         max_steps = None
-        seen_h = False
+        seen = set()
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind != "ident":
                 raise SpecSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col,
                                       ("symbol", "H", "scheme", "order", "method", "steps"))
             keyword = tok.text
+            if keyword in seen:
+                raise SpecSyntaxError(f"repeated directive {keyword!r}", tok.line, tok.col)
+            if keyword != "symbol":
+                seen.add(keyword)
             if keyword == "symbol":
                 self.next()
                 name_tok = self.expect("ident", "symbol name")
@@ -173,13 +177,9 @@ class _Parser:
                         name_tok.line, name_tok.col) from None
                 declarations.append((name_tok.text, parity_tok.text, int(weight_tok.text)))
             elif keyword == "H":
-                if seen_h:
-                    raise SpecSyntaxError("only one Hamiltonian per spec",
-                                          tok.line, tok.col)
                 self.next()
                 self.expect("=", "=")
                 hamiltonian = self._expr(registry)
-                seen_h = True
             elif keyword == "scheme":
                 self.next()
                 val = self.expect("ident", "vc|mass")
@@ -318,7 +318,7 @@ _LATEX_NAMES = {"beta": r"\beta", "O": r"{\cal O}", "F": r"{\cal F}",
 
 def _display_sorted(expr: OperatorExpr):
     return sorted(expr.terms,
-                  key=lambda t: (sum(s.weight_vc for s in t.word),
+                  key=lambda t: (t.vc_order,
                                  tuple(s.name for s in t.word),
                                  t.mass_power, t.hbar_power))
 
@@ -424,7 +424,7 @@ def render_latex(expr: OperatorExpr) -> str:
 
 def serialize_record(expr: OperatorExpr, registry: SymbolRegistry | None = None) -> dict:
     """Exact-integer structured form; parse_record inverts it bit for bit."""
-    builtin = {s.name for s in (BETA, O, F, E, MC2)}
+    builtin = {s.name for s in BUILTIN_SYMBOLS}
     symbols = {}
     for t in expr.terms:
         for s in t.word:
@@ -720,8 +720,15 @@ def main(argv=None) -> int:
         try:
             with open(args.spec_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            spec = parse_spec(text)
-            result = run(spec)
+            result = run(parse_spec(text))
+            _write_outputs(result.outputs, args.out, sys.stdout)
+            out_dir = os.environ.get("FW_OUTPUT_DIR")
+            if out_dir:
+                os.makedirs(out_dir, exist_ok=True)
+                base = os.path.splitext(os.path.basename(args.spec_file))[0]
+                path = os.path.join(out_dir, f"{base}.{args.out}.txt")
+                with open(path, "w", encoding="utf-8") as fh:
+                    _write_outputs(result.outputs, args.out, fh)
         except (SpecError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -729,14 +736,6 @@ def main(argv=None) -> int:
             print(f"error: {args.spec_file}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             return 2
-        _write_outputs(result.outputs, args.out, sys.stdout)
-        out_dir = os.environ.get("FW_OUTPUT_DIR")
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            base = os.path.splitext(os.path.basename(args.spec_file))[0]
-            path = os.path.join(out_dir, f"{base}.{args.out}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                _write_outputs(result.outputs, args.out, fh)
         return 0
 
     if args.command == "verify":

@@ -3,22 +3,22 @@ from math import factorial
 
 import pytest
 
-from fwalg.gaussrat import GaussRat, I
+from fwalg.gaussrat import ONE, GaussRat, I, binom_coeff
 from fwalg.opalg import (
-    BETA, E, F, MASS, O, VELOCITY, commutator, exp_series, one, scale, sym,
-    word, zero,
+    BETA, E, F, MASS, O, VELOCITY, NonIncreasingOrder, OperatorExpr, ad_exp_conjugate,
+    commutator, exp_series, one, scale, sym, word, zero,
 )
 from fwalg.fwtransform import (
     BareFAnomaly, MissingMassTerm, NoConvergence, NotStationary,
-    UnsupportedScheme, _bch_word_table, bch_combine, combine_steps, corrected_pipeline,
-    correction_exponent, eriksen_condition_check, eriksen_series,
+    UnsupportedScheme, _bch_word_table, _binomial_series, bch_combine, combine_steps,
+    corrected_pipeline, correction_exponent, eriksen_condition_check, eriksen_series,
     eriksen_unitary_series, finalize_bare_f, fw_pipeline, fw_step,
     sign_operator_series, split_hamiltonian,
 )
 from fwalg import reference as ref
 from fwalg.opalg import SymbolRegistry
 
-from conftest import rand_expr_min_weight
+from conftest import rand_expr, rand_expr_min_weight
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
 
@@ -462,6 +462,44 @@ def test_pipeline_rejects_weightless_odd_generator():
     q = sym(reg.register("Q0", "odd", 0))
     with pytest.raises(NonIncreasingOrder):
         fw_pipeline(ref.mass_term() + q, VELOCITY, 4)
+
+
+# -- truncated series -----------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", [VELOCITY, MASS], ids=["velocity", "mass"])
+def test_series_equal_uncapped_sums_then_truncate(rng, scheme):
+    """Each series against its sum of uncapped powers or nested commutators.
+
+    Every power of x and every nested commutator with s has order >= n, so
+    the terms with n <= max_order - (lowest order of the start) are all that
+    can survive the truncation.
+    """
+    for _ in range(12):
+        x = rand_expr_min_weight(rng, scheme, max_terms=2, max_len=3)
+        k_order = rng.randint(2, 4)
+        # ad_exp_conjugate is exact when S has no term above the order cap;
+        # K may start below order 0 (the mass term in the mass scheme).
+        s = rand_expr_min_weight(rng, scheme, max_terms=2, max_len=3).truncate(scheme, k_order)
+        k = rand_expr(rng, max_terms=2, max_len=3) + ref.mass_term()
+        order = rng.randint(1, 4)
+        powers = [one()]
+        for _ in range(order):
+            powers.append(powers[-1] * x)
+        assert exp_series(x, scheme, order) == OperatorExpr.combine(
+            (Fraction(1, factorial(n)), p) for n, p in enumerate(powers)).truncate(scheme, order)
+        for alpha in (Fraction(-1, 2), Fraction(1, 3)):
+            assert _binomial_series(x, alpha, scheme, order) == OperatorExpr.combine(
+                (binom_coeff(alpha, n), p) for n, p in enumerate(powers)
+            ).truncate(scheme, order)
+        nested = [k]
+        for _ in range(k_order - k.min_order(scheme)):
+            nested.append(commutator(s, nested[-1]))
+        i_powers = (ONE, I, -ONE, -I)
+        assert ad_exp_conjugate(s, k, scheme, k_order) == OperatorExpr.combine(
+            (i_powers[n % 4] * Fraction(1, factorial(n)), c) for n, c in enumerate(nested)
+        ).truncate(scheme, k_order)
+    with pytest.raises(NonIncreasingOrder):
+        _binomial_series(one(), Fraction(-1, 2), scheme, 4)
 
 
 # -- Eriksen condition -----------------------------------------------------------------

@@ -222,6 +222,15 @@ def test_cli_transform_record_and_output_dir(tmp_path, capsys, monkeypatch):
     assert (out_dir / "toy.record.txt").exists()
 
 
+def test_cli_transform_unwritable_output_dir_exit_2(tmp_path, capsys, monkeypatch):
+    spec_file = tmp_path / "toy.fw"
+    spec_file.write_text("H = beta*m + O; order 4; method fw;\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("FW_OUTPUT_DIR", str(blocker / "sub"))
+    assert_one_line_error(capsys, ["transform", str(spec_file)], "Not a directory")
+
+
 def _run_module(module, *args):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
@@ -256,7 +265,13 @@ def assert_one_line_error(capsys, argv, fragment):
     ("H = beta*m + Q;", "unknown symbol"),
     ("H = beta*m + F + O; steps 0;", "step limit must be at least 1 at line 1, column 27"),
     ("H = beta*m + 1/0 * O;", "zero denominator at line 1, column 16"),
-], ids=["unknown-symbol", "steps-0", "zero-denominator"])
+    ("H = beta*m + O; order 4; order 5;", "repeated directive 'order' at line 1, column 26"),
+    ("H = beta*m + O; scheme vc; scheme mass;", "repeated directive 'scheme'"),
+    ("H = beta*m + O; method fw; method eriksen;", "repeated directive 'method'"),
+    ("H = beta*m + O; steps 2; steps 3;", "repeated directive 'steps'"),
+    ("H = beta*m + O; H = beta*m;", "repeated directive 'H'"),
+], ids=["unknown-symbol", "steps-0", "zero-denominator", "repeated-order",
+        "repeated-scheme", "repeated-method", "repeated-steps", "repeated-H"])
 def test_cli_transform_parse_error_exit_2(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.fw"
     bad.write_text(text + "\n")
@@ -271,7 +286,9 @@ def test_cli_transform_missing_file_exit_2(tmp_path, capsys):
     # valid syntax, but the engine rejects the Hamiltonian or the scheme
     ("H = E + O;", "MissingMassTerm"),
     ("H = beta*m + E + O; scheme mass; method eriksen;", "UnsupportedScheme"),
-], ids=["massless", "eriksen-mass-scheme"])
+    # a constant mc^2 term leaves the sign operator's series argument at order 0
+    ("H = beta*m + 2*m + O; method eriksen;", "NonIncreasingOrder"),
+], ids=["massless", "eriksen-mass-scheme", "eriksen-order-zero-argument"])
 def test_cli_transform_engine_error_exit_2(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.fw"
     bad.write_text(text + "\n")
