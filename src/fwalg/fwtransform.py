@@ -22,6 +22,10 @@ the input) is rewritten back to E on finalization.
 The Dynkin series is summed by bracket word: one coefficient per word
 (Goldberg's, K. Goldberg, Duke Math. J. 23, 13 (1956)) from a memoized
 table, each bracket formed once, every term added into one accumulator.
+Words that differ only in the order of the innermost pair share one
+bracket, up to sign. The correction eliminates the even part of the
+recombined exponent one order slice at a time, folding each slice into the
+running exponent instead of recombining from scratch.
 """
 
 from __future__ import annotations
@@ -212,7 +216,10 @@ def _bch_word_table(budget: int, a_min: int, b_min: int) -> tuple[tuple[str, Gau
     (K. Goldberg, Duke Math. J. 23, 13 (1956)). That log is expanded here
     with the letters weighted by ``a_min`` and ``b_min`` and every word over
     ``budget`` dropped. Words ending in two equal letters are left out: their
-    innermost bracket [x, x] vanishes.
+    innermost bracket [x, x] vanishes. A word ending ``ab`` brackets to minus
+    the same word ending ``ba``, so its coefficient is folded, negated, into
+    that word's and only ``...ba`` words are kept; sums that cancel are
+    dropped.
     """
     # X = exp(a) exp(b) - 1 as its blocks a^p b^q, p + q >= 1, by weight
     blocks = sorted(
@@ -234,8 +241,15 @@ def _bch_word_table(budget: int, a_min: int, b_min: int) -> tuple[tuple[str, Gau
         for w, (_, c) in nxt.items():
             log[w] = log.get(w, 0) + Fraction((-1) ** (n - 1), n) * c
         power = nxt
-    return tuple((w, GaussRat(c / len(w))) for w, c in log.items()
-                 if c and not (len(w) >= 2 and w[-1] == w[-2]))
+    folded: dict[str, Fraction] = {}
+    for w, c in log.items():
+        if len(w) >= 2:
+            if w[-1] == w[-2]:
+                continue
+            if w[-1] == "b":  # ...[a, b] = -...[b, a]
+                w, c = w[:-2] + "ba", -c
+        folded[w] = folded.get(w, 0) + c
+    return tuple((w, GaussRat(c / len(w))) for w, c in folded.items() if c)
 
 
 def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
@@ -285,22 +299,27 @@ def correction_exponent(r: OperatorExpr, scheme: WeightScheme,
                         max_order: int) -> OperatorExpr:
     """Even anti-Hermitian C with even(log(exp(C) exp(iR))) = 0 to max_order.
 
-    Built order by order: at each pass the lowest even residual of the
-    recombined exponent is subtracted from C and the recombination redone.
+    Built order by order on the running exponent Z = log(exp(C) exp(iR)),
+    which starts at iR: each pass takes the lowest even slice of Z, negated,
+    as delta and folds it in, Z <- log(exp(delta) exp(Z)). Delta's order is
+    high, so its BCH word table is small. C is the fold of the slices,
+    exp(C) = ... exp(delta_2) exp(delta_1); such an even C is unique order
+    by order, so this is the C of a from-scratch recombination per pass.
     """
-    z = scale(I, r)
+    z = scale(I, r).truncate(scheme, max_order)
     c = zero()
     last = None
     for _ in range(max_order + 2):
-        z_tot = bch_combine(c, z, scheme, max_order) if not c.is_zero else z.truncate(scheme, max_order)
-        even = z_tot.parity_split()[0]
+        even = z.parity_split()[0]
         if even.is_zero:
             return c
         k = even.min_order(scheme)
         if last is not None and k <= last:
             raise EliminationFailure(f"even residual stalled at order {k}")
         last = k
-        c = c - even.order_slice(scheme, k)
+        delta = -even.order_slice(scheme, k)
+        z = bch_combine(delta, z, scheme, max_order)
+        c = bch_combine(delta, c, scheme, max_order)
     raise EliminationFailure("even residual not exhausted within order budget")
 
 

@@ -46,6 +46,17 @@ class GaussRat:
             return cls(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussRat")
 
+    @classmethod
+    def from_pairs(cls, re_num: int, re_den: int, im_num: int, im_den: int) -> "GaussRat":
+        """re_num/re_den + (im_num/im_den) i from integers, in any terms and signs."""
+        if not (re_den and im_den):
+            raise ZeroDivisionError("GaussRat component with zero denominator")
+        if re_den < 0:
+            re_num, re_den = -re_num, -re_den
+        if im_den < 0:
+            im_num, im_den = -im_num, -im_den
+        return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -53,6 +64,18 @@ class GaussRat:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    @property
+    def re_pair(self) -> tuple[int, int]:
+        """The real part as (numerator, denominator) in lowest terms, denominator > 0."""
+        g = gcd(self._a, self._d)
+        return self._a // g, self._d // g
+
+    @property
+    def im_pair(self) -> tuple[int, int]:
+        """The imaginary part as (numerator, denominator) in lowest terms, denominator > 0."""
+        g = gcd(self._b, self._d)
+        return self._b // g, self._d // g
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -593,9 +593,11 @@ def ad_exp_conjugate(s: OperatorExpr, k: OperatorExpr,
 
     The series sum_n (i^n/n!) ad_S^n(K) terminates under truncation because
     every application of ad_S raises the minimum order by at least one.
+    S is not truncated first: a term of S above the cap still lands at or
+    below it against a term of K of negative order, and the capped
+    commutator forms exactly the pairs that do.
     """
     require_order_at_least_one(s, scheme, "exponent")
-    s = s.truncate(scheme, max_order)
     return series_sum(k.truncate(scheme, max_order),
                       lambda nested: commutator(s, nested, scheme, max_order),
                       lambda n: I / n)

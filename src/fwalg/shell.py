@@ -435,8 +435,8 @@ def serialize_record(expr: OperatorExpr, registry: SymbolRegistry | None = None)
         "symbols": symbols,
         "terms": [
             {
-                "coeff_re": [t.coeff.re.numerator, t.coeff.re.denominator],
-                "coeff_im": [t.coeff.im.numerator, t.coeff.im.denominator],
+                "coeff_re": list(t.coeff.re_pair),
+                "coeff_im": list(t.coeff.im_pair),
                 "mass_power": t.mass_power,
                 "hbar_power": t.hbar_power,
                 "word": [s.name for s in t.word],
@@ -446,7 +446,21 @@ def serialize_record(expr: OperatorExpr, registry: SymbolRegistry | None = None)
     }
 
 
+def _int_pair(entry: dict, key: str) -> tuple[int, int]:
+    pair = entry[key]
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or type(pair[0]) is not int or type(pair[1]) is not int or not pair[1]):
+        raise ValueError(f"{key} must be two integers with a nonzero denominator, got {pair!r}")
+    return pair
+
+
 def parse_record(data) -> OperatorExpr:
+    """The expression of a ``serialize_record`` dict or its JSON text.
+
+    The terms go through the normal form, so a record whose terms are
+    unsorted, repeated or not in lowest terms parses to the same expression
+    as its canonical form.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     if data.get("schema") != RECORD_SCHEMA:
@@ -456,7 +470,7 @@ def parse_record(data) -> OperatorExpr:
         registry.register(name, info["parity"], info["weight_vc"])
     raw = []
     for entry in data["terms"]:
-        coeff = GaussRat(Fraction(*entry["coeff_re"]), Fraction(*entry["coeff_im"]))
+        coeff = GaussRat.from_pairs(*_int_pair(entry, "coeff_re"), *_int_pair(entry, "coeff_im"))
         syms = tuple(registry.lookup(n) for n in entry["word"])
         raw.append((coeff, entry["mass_power"], entry["hbar_power"], syms))
     return OperatorExpr(raw)

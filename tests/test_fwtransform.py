@@ -226,7 +226,9 @@ def _all_blocks(total):
 
 def test_bch_word_table_equals_dynkin_sum_per_word():
     # Oracle: Dynkin's coefficient (-1)^(n-1) / (n |w| prod p_i! q_i!) of every
-    # unpruned block sequence within budget, summed per letter word.
+    # unpruned block sequence within budget, summed per letter word. The
+    # brackets of ...ab and ...ba differ only in sign, so the table holds the
+    # first's sum, negated, in the second's; a word ending xx brackets to zero.
     every = []
     for total in range(1, 9):
         for seq in _all_blocks(total):
@@ -241,11 +243,18 @@ def test_bch_word_table_equals_dynkin_sum_per_word():
             for letters, c in every:
                 if letters.count("a") * a_min + letters.count("b") * b_min <= budget:
                     expected[letters] = expected.get(letters, 0) + c
-            expected = {w: GaussRat(c) for w, c in expected.items()
-                        if c and not (len(w) >= 2 and w[-1] == w[-2])}
+            folded = {}
+            for w, c in expected.items():
+                if len(w) >= 2 and w[-1] == w[-2]:
+                    continue
+                if w.endswith("ab"):
+                    w, c = w[:-2] + "ba", -c
+                folded[w] = folded.get(w, 0) + c
+            folded = {w: GaussRat(c) for w, c in folded.items() if c}
             table = _bch_word_table(budget, a_min, b_min)
-            assert len(table) == len(expected)
-            assert dict(table) == expected, (a_min, b_min, budget)
+            assert not any(w.endswith("ab") for w, _ in table)
+            assert len(table) == len(folded)
+            assert dict(table) == folded, (a_min, b_min, budget)
 
 
 # -- combination and correction ---------------------------------------------------------
@@ -300,6 +309,34 @@ def test_correction_exponent_m4_matches_half_commutator_form():
 
 def test_correction_exponent_trivial_when_odd():
     assert correction_exponent(ref.first_step(), VELOCITY, 6).is_zero
+
+
+def _correction_exponent_from_scratch(r, scheme, max_order):
+    """Reference elimination: C is the plain sum of the subtracted slices, and
+    every pass recombines C with iR from scratch."""
+    z = scale(I, r)
+    c = zero()
+    for _ in range(max_order + 2):
+        z_tot = bch_combine(c, z, scheme, max_order) if not c.is_zero else z.truncate(scheme, max_order)
+        even = z_tot.parity_split()[0]
+        if even.is_zero:
+            return c
+        c = c - even.order_slice(scheme, even.min_order(scheme))
+    raise AssertionError("even residual not exhausted")
+
+
+@pytest.mark.parametrize("scheme, order", [
+    (VELOCITY, 6), (VELOCITY, 8), (VELOCITY, 10), (MASS, 4), (MASS, 5), (MASS, 6),
+], ids=["vc6", "vc8", "vc10", "m4", "m5", "m6"])
+def test_correction_exponent_equals_from_scratch_elimination(scheme, order):
+    r = combine_steps(fw_pipeline(dirac_h(), scheme, order))
+    c = correction_exponent(r, scheme, order)
+    assert not c.is_zero
+    assert c == _correction_exponent_from_scratch(r, scheme, order)
+    # defining property, through one fresh recombination
+    assert bch_combine(c, scale(I, r), scheme, order).parity_split()[0].is_zero
+    assert c.parity_split()[1].is_zero
+    assert c.adjoint() == -c
 
 
 def test_apply_correction_vc6():
@@ -441,6 +478,14 @@ def test_condition_check_order_twelve(order_twelve):
     assert not rep.uncorrected.is_zero
 
 
+# -- order 14: the agreement two orders further again --------------------------------
+
+def test_method_equivalence_order_fourteen():
+    h_e = eriksen_series(dirac_h(), 14)
+    assert len(h_e) == 946
+    assert corrected_pipeline(dirac_h(), VELOCITY, 14).h_corrected.subs_symbol(F, E) == h_e
+
+
 def test_pipeline_with_custom_odd_generator():
     # a weight-2 odd generator: odd orders are even numbers, but the
     # iteration and correction go through unchanged
@@ -477,9 +522,10 @@ def test_series_equal_uncapped_sums_then_truncate(rng, scheme):
     for _ in range(12):
         x = rand_expr_min_weight(rng, scheme, max_terms=2, max_len=3)
         k_order = rng.randint(2, 4)
-        # ad_exp_conjugate is exact when S has no term above the order cap;
-        # K may start below order 0 (the mass term in the mass scheme).
-        s = rand_expr_min_weight(rng, scheme, max_terms=2, max_len=3).truncate(scheme, k_order)
+        # K may start below order 0 (the mass term in the mass scheme), so a
+        # term of S above the order cap can still land at or below it.
+        s = (rand_expr_min_weight(rng, scheme, max_terms=2, max_len=3)
+             + word(1, [O], mass_power=k_order + 1))
         k = rand_expr(rng, max_terms=2, max_len=3) + ref.mass_term()
         order = rng.randint(1, 4)
         powers = [one()]

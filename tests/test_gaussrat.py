@@ -71,6 +71,22 @@ def test_construction_is_canonical():
             GaussRat(Fraction(1, 6), Fraction(-1, 4))._d) == (2, 12)
 
 
+def test_integer_pairs_match_fraction_views():
+    rng = random.Random(5)
+    for re, im in _pairs(300, 11):
+        x = GaussRat(re, im)
+        assert x.re_pair == (re.numerator, re.denominator)
+        assert x.im_pair == (im.numerator, im.denominator)
+        # any multiple of either pair, of either sign, gives the same number
+        k, m = rng.choice((1, -1, 3, -4)), rng.choice((1, -2, 5))
+        _check(GaussRat.from_pairs(k * re.numerator, k * re.denominator,
+                                   m * im.numerator, m * im.denominator), re, im)
+    with pytest.raises(ZeroDivisionError):
+        GaussRat.from_pairs(1, 0, 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        GaussRat.from_pairs(1, 1, 0, 0)
+
+
 def test_arithmetic_matches_pair_oracle():
     pairs = _pairs(600, 2)
     for (r1, i1), (r2, i2) in zip(pairs, pairs[1:] + pairs[:1]):

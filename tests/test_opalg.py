@@ -298,6 +298,13 @@ def test_ad_exp_conjugate_free_particle_order2():
     assert ad_exp_conjugate(s, k, VELOCITY, 2) == expected
 
 
+def test_ad_exp_conjugate_keeps_exponent_terms_above_the_cap():
+    # S = O/(mc^2)^3 sits above the mass cap 2, but i[S, beta mc^2] lands on it
+    s = word(1, [O], mass_power=3)
+    expected = mass_term() + word(GaussRat(0, -2), [BETA, O], mass_power=2)
+    assert ad_exp_conjugate(s, mass_term(), MASS, 2) == expected
+
+
 def test_ad_exp_conjugate_rejects_order_zero_exponent():
     with pytest.raises(NonIncreasingOrder):
         ad_exp_conjugate(b, mass_term(), VELOCITY, 4)

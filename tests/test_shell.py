@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fwalg.gaussrat import GaussRat
 from fwalg.opalg import BETA, E, F, MASS, O, VELOCITY, sym, word
 from fwalg import numlab, reference as ref
 from fwalg.shell import (
@@ -183,7 +184,45 @@ def test_record_rejects_unknown_schema():
 def test_record_round_trip_randomized(seed):
     rng = random.Random(seed)
     x = rand_expr(rng, max_terms=4, max_len=4)
-    assert parse_record(serialize_record(x)) == x
+    data = serialize_record(x)
+    assert parse_record(data) == x
+    # coefficients are each part's lowest-terms pair, and re-serializing
+    # the parsed record gives the same JSON
+    assert [(e["coeff_re"], e["coeff_im"]) for e in data["terms"]] == [
+        ([t.coeff.re.numerator, t.coeff.re.denominator],
+         [t.coeff.im.numerator, t.coeff.im.denominator]) for t in x.terms]
+    text = json.dumps(data)
+    assert json.dumps(serialize_record(parse_record(text))) == text
+
+
+def _record(*terms):
+    return {"schema": "fw.expr/1", "terms": [
+        {"coeff_re": re, "coeff_im": im, "mass_power": mass, "hbar_power": 0, "word": names}
+        for re, im, mass, names in terms]}
+
+
+def test_parse_record_normalizes_noncanonical_terms():
+    # unsorted; one key twice, with beta on the right, pairs not in lowest
+    # terms and negative denominators: O beta = -beta O
+    data = _record(([2, 4], [0, 1], 1, ["O", "beta"]),
+                   ([1, 1], [0, 1], -1, ["beta"]),
+                   ([-1, -2], [3, -6], 1, ["O", "beta"]))
+    expected = ref.mass_term() + word(GaussRat(-1, Fraction(1, 2)), [BETA, O], mass_power=1)
+    x = parse_record(data)
+    assert x == expected
+    assert serialize_record(x) == serialize_record(expected)
+    assert serialize_record(x)["terms"][1]["coeff_im"] == [1, 2]
+
+
+@pytest.mark.parametrize("bad", [
+    [1], [1, 2, 3], [1, 0], [0, 0], ["1", 2], [1.5, 2], [1, 2.0], [True, 1], "1/2", None, 3,
+])
+@pytest.mark.parametrize("key", ["coeff_re", "coeff_im"])
+def test_parse_record_rejects_bad_coefficient(key, bad):
+    data = _record(([1, 1], [0, 1], 0, ["O"]))
+    data["terms"][0][key] = bad
+    with pytest.raises(ValueError, match=key):
+        parse_record(data)
 
 
 # -- verification harness ----------------------------------------------------------------
