@@ -203,6 +203,17 @@ def _reduced(a: int, b: int, d: int) -> GaussRat:
     return x
 
 
+def _over_common_denominator(coeffs: list) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(a, b), ...]) with each coefficient equal to (a + b*i)/D.
+
+    D is the lcm of the coefficients' denominators (1 for none). A product of
+    two such lists shares the denominator D1 * D2, so its sums need integer
+    arithmetic only, and ``_reduced`` brings each total to lowest terms.
+    """
+    d = lcm(*(c._d for c in coeffs))
+    return d, [(c._a * (d // c._d), c._b * (d // c._d)) for c in coeffs]
+
+
 def _imag_str(b: Fraction) -> str:
     sign = "-" if b < 0 else ""
     mag = abs(b)

@@ -24,10 +24,10 @@ Printers reinstate the paired ``m^k c^(2k)`` factors textually.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .gaussrat import GaussRat, I, ONE, ZERO
+from .gaussrat import GaussRat, I, ONE, ZERO, _over_common_denominator, _reduced
 
 EVEN = "even"
 ODD = "odd"
@@ -154,7 +154,8 @@ class Term:
     set at construction, in one pass over the word: ``vc_order``, the summed
     v/c weight; ``is_odd``, whether the word has an odd number of odd
     factors; ``sort_key``, the canonical term order (exponents, word length,
-    generator names). ``with_coeff`` copies all three.
+    generator names). ``with_coeff`` copies all three, and the product
+    kernel (``_collect``) adds them up from the two factors' instead.
     """
 
     __slots__ = ("coeff", "mass_power", "hbar_power", "word",
@@ -373,13 +374,20 @@ class OperatorExpr(SparseSum):
     """Normalized sum of terms; the universal currency of the engine.
 
     Immutable after construction. All arithmetic returns new normalized
-    expressions, so results are independent of evaluation order.
+    expressions, so results are independent of evaluation order. ``_grades``
+    keeps the operand form of the product kernel per order function
+    (``_graded``); it is derived from the terms and takes no part in
+    equality, hashing, pickling or copying.
     """
 
-    __slots__ = ()
+    __slots__ = ("_grades",)
 
     def __init__(self, terms: Sequence = (), _normalized: bool = False):
         self._terms = terms if _normalized else _normalize_raw(terms)
+        self._grades = None
+
+    def __reduce__(self):
+        return type(self), (self._terms, True)
 
     # Bound on the class itself, because bench/tracing.py wraps
     # OperatorExpr's own __add__ to count additions.
@@ -414,7 +422,7 @@ class OperatorExpr(SparseSum):
     def __mul__(self, other):
         if not isinstance(other, OperatorExpr):
             return self._times_scalar(other)
-        return _product(_graded(self, _no_order), _graded(other, _no_order), 0)
+        return _product(self, other, _no_order, 0)
 
     def __pow__(self, n: int) -> "OperatorExpr":
         if not isinstance(n, int) or n < 0:
@@ -444,54 +452,117 @@ _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, ()),), _normalized=True)
 
 
 # -- the product kernel --------------------------------------------------------
+#
+# Every word product goes through ``_accumulate`` and ``_collect``. An operand
+# is graded once per order function (``_graded``): its coefficients are put
+# over one common denominator, so a pair product is four integer multiplies
+# and the sums are plain integers, reduced once per surviving term. Each
+# output term's grading is read from its two factors, not from its word.
 
 def _no_order(term: Term) -> int:
     return 0
 
 
-def _graded(x: OperatorExpr, order) -> list:
-    """x's terms as (order, beta, rest, is odd, coeff, mass, hbar), sorted by order.
+def _graded(x: OperatorExpr, order) -> tuple:
+    """x's terms graded under ``order``, built once and kept on x.
 
-    ``rest`` is the normal word without its leading beta; beta is even, so
-    the rest's parity is the term's.
+    Returns ``(D, entries, plain, crossed)``, each coefficient being
+    ``(a + b*i)/D``. ``entries`` holds one tuple per term, sorted by order:
+    ``(order, rest, beta + rest, a, b, mass, hbar, grading, has beta)``,
+    where ``rest`` is the word without its leading beta and ``grading`` the
+    rest's ``(vc_order, is_odd, names)``; beta is even and of weight zero,
+    so the rest's order and parity are the term's. ``plain`` and ``crossed``
+    are the entries without and with a beta, in the same order.
     """
-    out = []
-    for t in x._terms:
-        w = t.word
-        beta = bool(w) and w[0] is BETA
-        out.append((order(t), beta, w[1:] if beta else w, t.is_odd,
-                    t.coeff, t.mass_power, t.hbar_power))
-    out.sort(key=itemgetter(0))
+    grades = x._grades
+    if grades is None:
+        grades = x._grades = {}
+    out = grades.get(order)
+    if out is None:
+        terms = sorted(x._terms, key=order)
+        d, nums = _over_common_denominator([t.coeff for t in terms])
+        entries, plain, crossed = [], [], []
+        for t, (a, b) in zip(terms, nums):
+            w, names = t.word, t.sort_key[3]
+            beta = bool(w) and w[0] is BETA
+            rest = w[1:] if beta else w
+            entry = (order(t), rest, w if beta else (BETA,) + w, a, b, t.mass_power,
+                     t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names), beta)
+            entries.append(entry)
+            (crossed if beta else plain).append(entry)
+        out = grades[order] = (d, entries, plain, crossed)
     return out
 
 
-def _product(left: list, right: list, cap: int) -> OperatorExpr:
-    """The normal form of the pair products of two graded operands of order <= cap.
+def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
+                negate: bool = False) -> dict:
+    """Add the pair products of two graded operands of order <= cap into acc.
 
-    Both words are normal, so a pair multiplies in O(1): the left beta stays
-    leftmost, the right beta crosses the left rest (one sign per odd factor
-    there), the two betas cancel or leave one and the rests concatenate.
-    Both lists are sorted by order, so each loop stops at the first pair over
-    the cap.
+    acc maps each output key ``(word, mass, hbar)`` to ``[a, b, left
+    grading, right grading]``: the summed numerator over ``D_left *
+    D_right`` and the gradings of the first pair that formed the key. With
+    ``negate`` the products are subtracted. Both words are normal, so a pair
+    multiplies in O(1): the left beta stays leftmost, a right beta crosses
+    the left rest (one sign per odd factor there) and the two betas cancel
+    or leave one. The output word is the left word, its beta toggled when
+    the right factor has one, followed by the right rest. Each list is
+    sorted by order, so each loop stops at the first pair over the cap.
     """
-    acc: dict = {}
-    if left and right:
-        room = cap - right[0][0]
-        for oa, beta_a, rest_a, odd_a, ca, ma, ha in left:
-            if oa > room:
-                break
-            ca_crossed = -ca if odd_a else ca  # when the right term carries beta
-            for ob, beta_b, rest_b, _, cb, mb, hb in right:
+    _, _, plain, crossed = right
+    if not (plain or crossed):
+        return acc
+    room = cap - min(part[0][0] for part in (plain, crossed) if part)
+    for oa, rest_a, beta_rest_a, a, b, ma, ha, ga, beta_a in left[1]:
+        if oa > room:
+            break
+        if negate:
+            a, b = -a, -b
+        # the right beta crosses the left rest: one sign per odd factor
+        xa, xb = (-a, -b) if ga[1] else (a, b)
+        for part, prefix, pa, pb in (
+                (plain, beta_rest_a if beta_a else rest_a, a, b),
+                (crossed, rest_a if beta_a else beta_rest_a, xa, xb)):
+            for ob, rest, _, c, d, mb, hb, gb, _ in part:
                 if oa + ob > cap:
                     break
-                rest = rest_a + rest_b
-                key = ((BETA,) + rest if beta_a != beta_b else rest, ma + mb, ha + hb)
-                c = (ca_crossed if beta_b else ca) * cb
+                key = (prefix + rest, ma + mb, ha + hb)
+                re, im = pa * c - pb * d, pa * d + pb * c
                 prev = acc.get(key)
-                acc[key] = c if prev is None else prev + c
-    terms = [Term(c, m, h, w) for (w, m, h), c in acc.items() if not c.is_zero]
+                if prev is None:
+                    acc[key] = [re, im, ga, gb]
+                else:
+                    prev[0] += re
+                    prev[1] += im
+    return acc
+
+
+def _collect(acc: dict, d: int) -> OperatorExpr:
+    """The expression of an ``_accumulate`` dict whose numerators are over d.
+
+    Terms whose sums cancel are never built. The others are built without
+    ``Term.__init__``: the order is the sum of the factors', the parity
+    their XOR and the sort key's names the two name tuples concatenated,
+    after a "beta" when the word keeps one.
+    """
+    terms = []
+    new = object.__new__
+    for (w, m, h), (a, b, ga, gb) in acc.items():
+        if a or b:
+            names = ga[2] + gb[2]
+            t = new(Term)
+            t.coeff = _reduced(a, b, d)
+            t.mass_power, t.hbar_power, t.word = m, h, w
+            t.vc_order = ga[0] + gb[0]
+            t.is_odd = ga[1] ^ gb[1]
+            t.sort_key = (m, h, len(w), ("beta",) + names if w and w[0] is BETA else names)
+            terms.append(t)
     terms.sort(key=_term_sort_key)
     return OperatorExpr._new(tuple(terms))
+
+
+def _product(a: OperatorExpr, b: OperatorExpr, order, cap: int) -> OperatorExpr:
+    left, right = _graded(a, order), _graded(b, order)
+    return _collect(_accumulate({}, left, right, cap), left[0] * right[0])
 
 
 def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
@@ -501,8 +572,7 @@ def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
     Both weight schemes are additive, so a pair's order is the sum of its
     factors' orders, each computed once per operand.
     """
-    order = scheme.order_of
-    return _product(_graded(a, order), _graded(b, order), max_order)
+    return _product(a, b, scheme.order_of, max_order)
 
 
 # -- construction helpers ----------------------------------------------------
@@ -544,11 +614,15 @@ def scale(c, x: SparseSum) -> SparseSum:
 
 def commutator(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme | None = None,
                max_order: int | None = None) -> OperatorExpr:
-    """[a, b]; given a scheme, only its terms of order <= max_order are formed."""
-    if scheme is None:
-        return a * b - b * a
-    left, right = _graded(a, scheme.order_of), _graded(b, scheme.order_of)
-    return _product(left, right, max_order) - _product(right, left, max_order)
+    """[a, b]; given a scheme, only its terms of order <= max_order are formed.
+
+    ``ab`` and ``-ba`` meet in one accumulator, so terms that cancel are
+    never built.
+    """
+    order, cap = (_no_order, 0) if scheme is None else (scheme.order_of, max_order)
+    left, right = _graded(a, order), _graded(b, order)
+    acc = _accumulate(_accumulate({}, left, right, cap), right, left, cap, negate=True)
+    return _collect(acc, left[0] * right[0])
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .gaussrat import GaussRat
 from .opalg import (
     BUILTIN_SYMBOLS, E, F, MASS, O, VELOCITY, DuplicateSymbol, OperatorExpr,
-    SymbolRegistry, WeightScheme, word,
+    SymbolRegistry, Term, WeightScheme, word,
 )
 from . import fwtransform, numlab, reference
 from .fwtransform import TransformRecord
@@ -447,19 +447,56 @@ def serialize_record(expr: OperatorExpr, registry: SymbolRegistry | None = None)
 
 
 def _int_pair(entry: dict, key: str) -> tuple[int, int]:
-    pair = entry[key]
+    pair = entry.get(key)
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or type(pair[0]) is not int or type(pair[1]) is not int or not pair[1]):
         raise ValueError(f"{key} must be two integers with a nonzero denominator, got {pair!r}")
     return pair
 
 
+def _int_field(entry: dict, key: str) -> int:
+    value = entry.get(key)
+    if type(value) is not int:  # bool is a subclass of int, not an exponent
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _word_field(entry: dict, symbols: dict) -> tuple:
+    names = entry.get("word")
+    if not isinstance(names, (list, tuple)):
+        raise ValueError(f"word must be a list of symbol names, got {names!r}")
+    try:
+        return tuple([symbols[name] for name in names])
+    except (KeyError, TypeError):  # an unregistered or unhashable name
+        bad = next(name for name in names if not isinstance(name, str) or name not in symbols)
+        raise ValueError(f"word has an unknown symbol {bad!r}") from None
+
+
+def _is_canonical(terms: list) -> bool:
+    """Whether parsed terms are already the normal form of their sum.
+
+    That holds when the sort keys strictly increase (so no key repeats),
+    beta is at most the first factor, no word holds the m generator and no
+    coefficient is zero; the coefficients are canonical as parsed.
+    """
+    prev = None
+    for t in terms:
+        names = t.sort_key[3]
+        if (t.coeff.is_zero or "m" in names or "beta" in names[1:]
+                or (prev is not None and not prev < t.sort_key)):
+            return False
+        prev = t.sort_key
+    return True
+
+
 def parse_record(data) -> OperatorExpr:
     """The expression of a ``serialize_record`` dict or its JSON text.
 
-    The terms go through the normal form, so a record whose terms are
-    unsorted, repeated or not in lowest terms parses to the same expression
-    as its canonical form.
+    A record that ``serialize_record`` wrote is already in normal form and
+    is taken as it is. Any other goes through the normal form, so a record
+    whose terms are unsorted, repeated or not in lowest terms parses to the
+    same expression as its canonical form. A malformed coefficient,
+    exponent or word raises ``ValueError`` naming the field.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -468,12 +505,16 @@ def parse_record(data) -> OperatorExpr:
     registry = SymbolRegistry()
     for name, info in data.get("symbols", {}).items():
         registry.register(name, info["parity"], info["weight_vc"])
-    raw = []
-    for entry in data["terms"]:
-        coeff = GaussRat.from_pairs(*_int_pair(entry, "coeff_re"), *_int_pair(entry, "coeff_im"))
-        syms = tuple(registry.lookup(n) for n in entry["word"])
-        raw.append((coeff, entry["mass_power"], entry["hbar_power"], syms))
-    return OperatorExpr(raw)
+    symbols = {s.name: s for s in registry.symbols()}
+    terms = [
+        Term(GaussRat.from_pairs(*_int_pair(entry, "coeff_re"), *_int_pair(entry, "coeff_im")),
+             _int_field(entry, "mass_power"), _int_field(entry, "hbar_power"),
+             _word_field(entry, symbols))
+        for entry in data["terms"]
+    ]
+    if _is_canonical(terms):
+        return OperatorExpr(tuple(terms), _normalized=True)
+    return OperatorExpr(terms)
 
 
 def render(expr: OperatorExpr, fmt: str = "text"):

@@ -76,6 +76,23 @@ def test_mul_associative_distributive(rng):
         assert (x + y) * z == x * z + y * z
 
 
+def _concatenated(x, y, sign=1):
+    """Raw terms of sign * x y: every pair's words concatenated, nothing else."""
+    return [(sign * s.coeff * t.coeff, s.mass_power + t.mass_power,
+             s.hbar_power + t.hbar_power, s.word + t.word) for s in x for t in y]
+
+
+def _assert_kernel_matches_definition(x, y, scheme, k):
+    """Every product route equals normalize-the-concatenation, then truncate."""
+    product = normalize(_concatenated(x, y))
+    bracket = normalize(_concatenated(x, y) + _concatenated(y, x, -1))
+    assert x * y == product
+    assert mul_trunc(x, y, scheme, k) == product.truncate(scheme, k)
+    assert commutator(x, y) == bracket
+    assert commutator(x, y, scheme, k) == bracket.truncate(scheme, k)
+    return product, bracket
+
+
 def test_product_kernel_matches_definition(rng):
     # raw operands with m and negative mass powers; half of them beta-leading
     dropped = kept = 0
@@ -85,18 +102,79 @@ def test_product_kernel_matches_definition(rng):
             y = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
             if rng.random() < 0.5:
                 x = b * x
-            concatenated = normalize(
-                (s.coeff * t.coeff, s.mass_power + t.mass_power,
-                 s.hbar_power + t.hbar_power, s.word + t.word)
-                for s in x for t in y)
-            assert x * y == concatenated
             k = rng.randint(-2, 6)
-            full = (x * y).truncate(scheme, k)
-            assert mul_trunc(x, y, scheme, k) == full
-            assert commutator(x, y, scheme, k) == commutator(x, y).truncate(scheme, k)
-            dropped += len(full) < len(x * y)
+            product, _ = _assert_kernel_matches_definition(x, y, scheme, k)
+            full = product.truncate(scheme, k)
+            dropped += len(full) < len(product)
             kept += not full.is_zero
     assert dropped > 50 and kept > 50
+
+
+#: Fermat numbers 2**(2**n) + 1 are pairwise coprime; these are all past 2**64.
+_COPRIME_DENOMINATORS = [2 ** (2 ** n) + 1 for n in range(6, 12)]
+
+
+def _big_coeff(rng):
+    """A real, imaginary or complex coefficient over pairwise coprime denominators."""
+    re_den, im_den = rng.sample(_COPRIME_DENOMINATORS, 2)
+    re = Fraction(rng.randint(1, 2 ** 70) * rng.choice((-1, 1)), re_den)
+    im = Fraction(rng.randint(1, 2 ** 70) * rng.choice((-1, 1)), im_den)
+    return GaussRat(*rng.choice(((re, 0), (0, im), (re, im))))
+
+
+def test_product_kernel_big_coprime_denominators_and_cancelling_brackets(rng):
+    parts = {"real": 0, "imaginary": 0, "complex": 0}
+    cancelled = partial = 0
+    for scheme in (VELOCITY, MASS):
+        for _ in range(60):
+            x, y = (normalize((_big_coeff(rng), *rand_raw_term(rng)[1:]) for _ in range(3))
+                    for _ in range(2))
+            if rng.random() < 0.5:
+                x = b * x
+            k = rng.randint(-1, 6)
+            _assert_kernel_matches_definition(x, y, scheme, k)
+            # [x, 2x] cancels completely; in [x, x + y] the x x pairs cancel
+            _, full = _assert_kernel_matches_definition(x, 2 * x, scheme, k)
+            assert full.is_zero
+            _, part = _assert_kernel_matches_definition(x, x + y, scheme, k)
+            assert part == commutator(x, y)
+            cancelled += not (x * x).is_zero
+            partial += not part.is_zero
+            for t in x:
+                parts["complex" if t.coeff.re and t.coeff.im
+                      else "real" if t.coeff.re else "imaginary"] += 1
+    assert min(parts.values()) > 20 and cancelled > 50 and partial > 50
+
+
+def test_operand_graded_under_each_order_function(rng):
+    # the same operands graded under the velocity, mass and no order, and
+    # again, each result against its definition
+    for _ in range(60):
+        x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        y = b * rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        product = normalize(_concatenated(x, y))
+        k = rng.randint(-1, 5)
+        for _ in range(2):
+            assert mul_trunc(x, y, VELOCITY, k) == product.truncate(VELOCITY, k)
+            assert mul_trunc(x, y, MASS, k - 1) == product.truncate(MASS, k - 1)
+            assert x * y == product
+            assert mul_trunc(y, y, MASS, k) == normalize(_concatenated(y, y)).truncate(MASS, k)
+
+
+def test_grade_cache_ignored_by_equality_hash_pickle_and_copy(rng):
+    for _ in range(30):
+        x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        fresh = OperatorExpr(x.terms, _normalized=True)
+        plain_pickle = pickle.dumps(fresh)
+        x * x, mul_trunc(x, x, VELOCITY, 3), commutator(x, x, MASS, 2)
+        assert x._grades and fresh._grades is None
+        assert x == fresh and hash(x) == hash(fresh)
+        assert pickle.dumps(x) == plain_pickle
+        for back in (pickle.loads(plain_pickle), pickle.loads(pickle.dumps(x)),
+                     copy.deepcopy(x), copy.copy(x)):
+            assert back._grades is None
+            assert back == x and hash(back) == hash(x)
+            assert back * back == x * x
 
 
 def test_scalar_ops():
@@ -267,7 +345,8 @@ def test_term_caches_match_recomputation(rng):
             x * y, y * x, mul_trunc(x, y, VELOCITY, k), mul_trunc(y, x, MASS, k - 2),
             x + y, x - y, -x, scale(I, x), x.adjoint(), x.adjoint() + y,
             x.filter(lambda t: t.is_odd), y.truncate(VELOCITY, k),
-            commutator(x, y, VELOCITY, k), *x.parity_split(),
+            commutator(x, y, VELOCITY, k), commutator(x, y), commutator(y, x, MASS, k - 2),
+            commutator(x, x + y), commutator(x + y, x, VELOCITY, k), *x.parity_split(),
             OperatorExpr(tuple(t.with_coeff(2 * t.coeff) for t in x.terms), _normalized=True),
             OperatorExpr(_normalize_raw([rand_raw_term(rng) for _ in range(5)]),
                          _normalized=True),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwalg.gaussrat import GaussRat
-from fwalg.opalg import BETA, E, F, MASS, O, VELOCITY, sym, word
-from fwalg import numlab, reference as ref
+from fwalg.opalg import BETA, E, F, MASS, MC2, O, VELOCITY, normalize, sym, word
+from fwalg import numlab, opalg, reference as ref
 from fwalg.shell import (
     DuplicateDeclaration, SpecSyntaxError, UnknownSymbol, main, parse_record,
     parse_spec, render, render_latex, render_text, run, serialize_record,
@@ -223,6 +223,56 @@ def test_parse_record_rejects_bad_coefficient(key, bad):
     data["terms"][0][key] = bad
     with pytest.raises(ValueError, match=key):
         parse_record(data)
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("mass_power", 1.5), ("mass_power", "1"), ("mass_power", None), ("mass_power", False),
+    ("hbar_power", True), ("hbar_power", _MISSING),
+    ("word", "O"), ("word", ["Q"]), ("word", ["O", 1]), ("word", None), ("word", _MISSING),
+], ids=["mass-float", "mass-str", "mass-none", "mass-false", "hbar-true", "hbar-missing",
+        "word-str", "word-unregistered", "word-non-str", "word-none", "word-missing"])
+def test_parse_record_rejects_bad_exponent_or_word(key, bad):
+    data = _record(([1, 1], [0, 1], 0, ["O"]))
+    if bad is _MISSING:
+        del data["terms"][0][key]
+    else:
+        data["terms"][0][key] = bad
+    with pytest.raises(ValueError, match=key):
+        parse_record(data)
+
+
+_SYMS = {"beta": BETA, "O": O, "E": E, "m": MC2}
+
+
+@pytest.mark.parametrize("terms", [
+    (([1, 1], [0, 1], 1, ["O"]), ([1, 1], [0, 1], 0, ["O"])),
+    (([1, 1], [0, 1], 0, ["O"]), ([1, 2], [0, 1], 0, ["O"])),
+    (([1, 1], [0, 1], 0, ["O", "beta"]),),
+    (([1, 1], [0, 1], 1, ["m", "O"]),),
+    (([0, 1], [0, 1], 0, ["E"]), ([1, 1], [0, 1], 0, ["O"])),
+], ids=["unsorted", "repeated-key", "beta-not-leftmost", "m-in-word", "zero-coefficient"])
+def test_parse_record_normalizes_each_noncanonical_form(terms):
+    expected = normalize(
+        (GaussRat.from_pairs(*re, *im), mass, 0, tuple(_SYMS[n] for n in names))
+        for re, im, mass, names in terms)
+    x = parse_record(_record(*terms))
+    assert x == expected
+    assert serialize_record(x) == serialize_record(expected)
+
+
+def test_parse_record_takes_serialized_records_as_they_are(monkeypatch, rng):
+    # a record serialize_record wrote is already the normal form
+    records = [serialize_record(rand_expr(rng, max_terms=4)) for _ in range(50)]
+    expected = [normalize(parse_record(r)) for r in records]
+
+    def no_normal_form(raw):
+        raise AssertionError("canonical record put through the normal form")
+
+    monkeypatch.setattr(opalg, "_normalize_raw", no_normal_form)
+    assert [parse_record(r) for r in records] == expected
 
 
 # -- verification harness ----------------------------------------------------------------
