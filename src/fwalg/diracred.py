@@ -444,45 +444,38 @@ def div_e() -> FieldExpr:
 
 # -- instantiation ---------------------------------------------------------------
 
+def _images(ctx: FieldContext) -> dict:
+    """Each generator's concrete image under the substitution."""
+    phi = field_term(1, [phi_atom()], e_power=1) if ctx.has_scalar else FieldExpr.zero()
+    odd = FieldExpr.combine(
+        (1, field_term(1, [alpha_atom(i), PiAtom(i)], c_power=1)) for i in (1, 2, 3))
+    return {BETA: field_term(1, [BETA_ATOM]), O: odd, E: phi,
+            F: phi + field_term(1, [TAtom()])}
+
+
 def instantiate(abstract: OperatorExpr, ctx: FieldContext = FieldContext(),
                 max_field_order: int | None = None) -> FieldExpr:
     """Substitute the concrete Dirac realization into an abstract expression.
 
-    O -> c alpha.pi, E -> e Phi, F -> e Phi + T, beta -> beta. Unknown
-    generators raise UnreducedWord. The optional truncation drops terms with
-    mass_power + (number of field factors) above max_field_order, the usual
-    weak-field bookkeeping.
+    O -> c alpha.pi, E -> e Phi, F -> e Phi + T, beta -> beta, extended to
+    words as a homomorphism: each term is the product of its generators'
+    images in ``FieldExpr``'s own algebra. Without a scalar potential E -> 0
+    and F -> T. Unknown generators raise UnreducedWord. The optional
+    truncation drops terms with mass_power + (number of field factors)
+    above max_field_order, the usual weak-field bookkeeping.
     """
-    total_raw = []
+    images = _images(ctx)
+    pieces = []
     for term in abstract.terms:
-        branches = [(term.coeff, 0, term.hbar_power, 0, term.mass_power, (0, _ID), [])]
+        piece = field_term(term.coeff, hbar_power=term.hbar_power,
+                           mass_power=term.mass_power)
         for s in term.word:
-            new_branches = []
-            for (coeff, ep, hp, cp, mp, unit, w) in branches:
-                if s == BETA:
-                    u_coeff, unit2 = _unit_mul(unit, (1, _ID))
-                    new_branches.append((coeff * u_coeff, ep, hp, cp, mp, unit2, w))
-                elif s == O:
-                    for i in (1, 2, 3):
-                        u_coeff, unit2 = _unit_mul(unit, (0, _alpha(i)))
-                        new_branches.append((coeff * u_coeff, ep, hp, cp + 1, mp,
-                                             unit2, w + [PiAtom(i)]))
-                elif s == E:
-                    if ctx.has_scalar:
-                        new_branches.append((coeff, ep + 1, hp, cp, mp, unit,
-                                             w + [phi_atom()]))
-                elif s == F:
-                    if ctx.has_scalar:
-                        new_branches.append((coeff, ep + 1, hp, cp, mp, unit,
-                                             w + [phi_atom()]))
-                    new_branches.append((coeff, ep, hp, cp, mp, unit, w + [TAtom()]))
-                else:
-                    raise UnreducedWord(
-                        f"no concrete substitution for generator {s.name!r}"
-                    )
-            branches = new_branches
-        total_raw.extend(branches)
-    out = FieldExpr(total_raw)
+            image = images.get(s)
+            if image is None:
+                raise UnreducedWord(f"no concrete substitution for generator {s.name!r}")
+            piece = piece * image
+        pieces.append((1, piece))
+    out = FieldExpr.combine(pieces)
     if not ctx.has_vector:
         out = out.filter(lambda t: all(f.base != "A" for f in t.fields))
     if max_field_order is not None:

@@ -161,21 +161,21 @@ def fw_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
     bare = k.coefficient((F,))
     split_hamiltonian(k)
     record = TransformRecord(scheme=scheme, max_order=max_order, bare_f_coeff=bare)
+    odd = _effective_odd(k, scheme, max_order)
     for _ in range(max_steps):
-        odd = _effective_odd(k, scheme, max_order)
         if odd.is_zero:
             break
         before = odd.min_order(scheme)
         s, k = fw_step(k, scheme, max_order)
-        after_odd = _effective_odd(k, scheme, max_order)
-        if not after_odd.is_zero and after_odd.min_order(scheme) <= before:
+        odd = _effective_odd(k, scheme, max_order)
+        if not odd.is_zero and odd.min_order(scheme) <= before:
             raise NoConvergence(
                 f"odd part stalled at {scheme.kind} order {before}"
             )
         record.steps.append(s)
         record.intermediates.append(k)
     else:
-        if not _effective_odd(k, scheme, max_order).is_zero:
+        if not odd.is_zero:
             raise NoConvergence(
                 f"odd part persists after {max_steps} steps"
             )

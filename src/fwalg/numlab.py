@@ -26,8 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .fwtransform import eriksen_series
 from .gaussrat import binom_coeff
-from .opalg import BETA, E, F, O, OperatorExpr, word
+from .opalg import BETA, E, F, O, VELOCITY, OperatorExpr, sym, word
 
 
 class NumericError(Exception):
@@ -395,28 +396,24 @@ def convergence_probe(model: MatrixModel, orders=(2, 4, 6, 8)) -> ProbeReport:
     """Per-order contribution norms of the block-diagonalized expansion.
 
     Free models probe the kinetic square-root series; potential models probe
-    the order slices of the full order-8 closed form (qualitative only).
+    the order slices of the Eriksen series of beta mc^2 + E + O, formed once
+    at the largest order asked for (qualitative only).
     """
     orders = sorted(orders)
     if len(set(orders)) < len(orders):
         raise ValueError(f"orders must be distinct, got {orders}")
+    if any(k < 0 or k % 2 for k in orders):
+        raise ValueError("the block-diagonal series has nonnegative even orders only")
     if model.kind == "free_momentum":
-        norms = []
-        for k in orders:
-            if k < 0 or k % 2:
-                raise ValueError("free-particle series has nonnegative even orders only")
-            norms.append(_order_norm(free_series_term(k // 2), model, k))
+        norms = [_order_norm(free_series_term(k // 2), model, k) for k in orders]
         regime = model.params.get("p_over_mc", 0.0)
         return ProbeReport(orders=list(orders), norms=norms,
                            classification=_classify(norms),
                            regime=f"p/(mc) = {regime}",
                            boundary=bool(abs(regime - 1.0) < 1e-12))
-    from . import reference
-    from .opalg import E as E_SYM, F as F_SYM, VELOCITY
-    closed_form = reference.build(reference.ERIKSEN_24).subs_symbol(F_SYM, E_SYM)
-    norms = []
-    for k in orders:
-        norms.append(_order_norm(closed_form.order_slice(VELOCITY, k), model, k))
+    series = eriksen_series(word(1, [BETA], mass_power=-1) + sym(E) + sym(O),
+                            max(orders, default=0))
+    norms = [_order_norm(series.order_slice(VELOCITY, k), model, k) for k in orders]
     depth = float(np.min(model.params.get("potential", np.zeros(1))))
     return ProbeReport(orders=list(orders), norms=norms,
                        classification=_classify(norms),

@@ -616,9 +616,11 @@ def commutator(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme | None = N
                max_order: int | None = None) -> OperatorExpr:
     """[a, b]; given a scheme, only its terms of order <= max_order are formed.
 
-    ``ab`` and ``-ba`` meet in one accumulator, so terms that cancel are
-    never built.
+    ``scheme`` and ``max_order`` come together or not at all. ``ab`` and
+    ``-ba`` meet in one accumulator, so terms that cancel are never built.
     """
+    if (scheme is None) != (max_order is None):
+        raise TypeError("commutator needs both scheme and max_order, or neither")
     order, cap = (_no_order, 0) if scheme is None else (scheme.order_of, max_order)
     left, right = _graded(a, order), _graded(b, order)
     acc = _accumulate(_accumulate({}, left, right, cap), right, left, cap, negate=True)

@@ -302,9 +302,6 @@ _BUILDERS = {
     DIRAC_13: dirac_13,
 }
 
-REFERENCE_IDS = tuple(_BUILDERS)
-
-
 def build(ref_id: str):
     """Return the transcribed expression for the given id.
 

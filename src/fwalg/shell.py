@@ -719,15 +719,13 @@ def verify(suite: str) -> list[CheckResult]:
 # -- CLI ----------------------------------------------------------------------------
 
 def _write_outputs(outputs: dict, fmt: str, stream) -> None:
+    rendered = {name: render(expr, fmt) for name, expr in outputs.items()
+                if isinstance(expr, OperatorExpr)}
     if fmt == "record":
-        payload = {name: serialize_record(expr) for name, expr in outputs.items()
-                   if isinstance(expr, OperatorExpr)}
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write(json.dumps(rendered, indent=2) + "\n")
         return
-    renderer = render_text if fmt == "text" else render_latex
-    for name, expr in outputs.items():
-        if isinstance(expr, OperatorExpr):
-            stream.write(f"{name} = {renderer(expr)}\n")
+    for name, text in rendered.items():
+        stream.write(f"{name} = {text}\n")
 
 
 def _orders(text: str) -> tuple[int, ...]:

@@ -11,11 +11,13 @@ from fwalg.opalg import (
 )
 from fwalg.diracred import (
     BETA_ATOM, CliffordAtom, FieldAtom, FieldContext, FieldExpr, GAMMA5,
-    PiAtom, UnreducedWord, _word_of, alpha_atom, a_atom, b_field, div_e,
-    e_field, field_term, instantiate, phi_atom, polarization,
-    reference_field_hamiltonian, sigma_atom,
+    PiAtom, TAtom, UnreducedWord, _ID, _alpha, _unit_mul, _word_of, alpha_atom,
+    a_atom, b_field, div_e, e_field, field_term, instantiate, phi_atom,
+    polarization, reference_field_hamiltonian, sigma_atom,
 )
 from fwalg import reference as ref
+
+from conftest import rand_expr
 
 
 # -- explicit Dirac-representation matrices -----------------------------------------
@@ -202,6 +204,64 @@ def test_reduction_oracle_random_words(rng):
         word(1, w) + total
     with pytest.raises(TypeError):
         total + word(1, w)
+
+
+def branch_expansion(abstract, ctx=FieldContext(), max_field_order=None):
+    """The substitution expanded term by term into every branch of its word.
+
+    O contributes three branches (one per alpha_i pi_i), F two (e Phi and T)
+    and E one; all branches of all terms are normalized together. An
+    independent route to instantiate's result, kept as its oracle.
+    """
+    raw = []
+    for term in abstract.terms:
+        branches = [(term.coeff, 0, term.hbar_power, 0, term.mass_power, (0, _ID), [])]
+        for s in term.word:
+            grown = []
+            for coeff, ep, hp, cp, mp, unit, w in branches:
+                if s == BETA:
+                    u_coeff, unit2 = _unit_mul(unit, (1, _ID))
+                    grown.append((coeff * u_coeff, ep, hp, cp, mp, unit2, w))
+                elif s == O:
+                    for i in (1, 2, 3):
+                        u_coeff, unit2 = _unit_mul(unit, (0, _alpha(i)))
+                        grown.append((coeff * u_coeff, ep, hp, cp + 1, mp, unit2,
+                                      w + [PiAtom(i)]))
+                else:
+                    if ctx.has_scalar:
+                        grown.append((coeff, ep + 1, hp, cp, mp, unit, w + [phi_atom()]))
+                    if s == F:
+                        grown.append((coeff, ep, hp, cp, mp, unit, w + [TAtom()]))
+            branches = grown
+        raw.extend(branches)
+    out = FieldExpr(raw)
+    if not ctx.has_vector:
+        out = out.filter(lambda t: all(f.base != "A" for f in t.fields))
+    if max_field_order is not None:
+        out = out.truncate_field_order(max_field_order)
+    return out
+
+
+_CONTEXTS = [FieldContext(has_scalar=s, has_vector=v)
+             for s in (True, False) for v in (True, False)]
+
+
+def test_instantiate_matches_branch_expansion(rng):
+    # random words over beta, O, E, F with mass and hbar powers, every
+    # potential context, untruncated and at two weak-field orders
+    for _ in range(40):
+        abstract = rand_expr(rng, max_terms=3, max_len=4)
+        for ctx in _CONTEXTS:
+            for cut in (None, 2, 3):
+                assert instantiate(abstract, ctx, cut) == \
+                    branch_expansion(abstract, ctx, cut), (abstract, ctx, cut)
+
+
+def test_instantiate_eriksen_closed_form_hermitian_and_even():
+    concrete = instantiate(ref.eriksen_24().truncate(VELOCITY, 6))
+    assert len(concrete) == 1628
+    assert concrete == concrete.adjoint()
+    assert concrete.parity_split()[1].is_zero
 
 
 # -- named identities -----------------------------------------------------------------

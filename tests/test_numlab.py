@@ -347,6 +347,36 @@ def test_probe_lattice_regimes():
     assert rep2.classification == "converging"
 
 
+def fine_lattice():
+    return lattice_model(n_sites=32, spacing=0.1, potential=regularized_well(0.35, 0.7))
+
+
+def test_probe_lattice_matches_closed_form_slices():
+    # up to order 8 the series' slices are those of the transcribed closed form
+    model = fine_lattice()
+    closed_form = ref.build(ref.ERIKSEN_24).subs_symbol(F, E)
+    rep = convergence_probe(model, orders=(2, 4, 6, 8))
+    expected = [float(np.linalg.norm(
+        evaluate_symbolic(closed_form.order_slice(VELOCITY, k), model), 2))
+        for k in (2, 4, 6, 8)]
+    assert rep.norms == expected
+
+
+def test_probe_lattice_past_the_closed_form():
+    rep = convergence_probe(fine_lattice(), orders=(2, 4, 6, 8, 10, 12))
+    assert rep.classification == "diverging"
+    assert rep.norms[-2] > rep.norms[-3] > 0.0
+    assert rep.norms[-1] > rep.norms[-2]
+
+
+@pytest.mark.parametrize("orders", [(2, 3, 4), (-2, 0, 2), (2, 4, 7)])
+@pytest.mark.parametrize("model", [fine_lattice(), free_model(0.5)],
+                         ids=["lattice", "free"])
+def test_probe_rejects_odd_and_negative_orders(model, orders):
+    with pytest.raises(ValueError, match="nonnegative even"):
+        convergence_probe(model, orders=orders)
+
+
 def test_probe_report_lines():
     rep = convergence_probe(free_model(1.0))
     lines = rep.lines()

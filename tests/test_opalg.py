@@ -201,6 +201,13 @@ def test_commutator_stays_formal():
     assert len(x) == 2
 
 
+@pytest.mark.parametrize("cap", [{"scheme": VELOCITY}, {"max_order": 3}],
+                         ids=["scheme-only", "max_order-only"])
+def test_commutator_rejects_half_a_cap(cap):
+    with pytest.raises(TypeError, match="both scheme and max_order"):
+        commutator(o, f, **cap)
+
+
 def test_nested_commutator_identity():
     # [[O,F],[[O,F],F]] - [[O,[[O,F],F]],F] = -[O,[[[O,F],F],F]]
     x = commutator(o, f)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -476,3 +478,69 @@ def test_shipped_spec_files():
     ):
         spec = parse_spec((root / name).read_text())
         assert run(spec).outputs[key] == expected
+
+
+# -- spec grammar fuzzer ---------------------------------------------------------------
+#
+# Each choice is mostly well formed, with rarer bad alternatives: a zero
+# denominator, a negative power of an operator, an undeclared name (Q and P
+# may be declared by a symbol line, X never is), a bad parity, scheme or
+# method, and a repeated directive.
+
+_RATIONALS = st.builds(lambda n, d: str(n) if d is None else f"{n}/{d}",
+                       st.integers(0, 5), st.sampled_from((None,) * 4 + (2, 3) * 2 + (0,)))
+_NAMES = st.sampled_from(("beta", "m", "E", "F", "O", "i") * 3 + ("Q", "P", "X"))
+
+
+def _factors(primary):
+    return st.builds(lambda neg, base, power: "-" * neg + base
+                     + ("" if power is None else f"^{power}"),
+                     st.integers(0, 1), primary,
+                     st.sampled_from((None,) * 16 + (0, 2, 3, -1)))
+
+
+def _sums(primary):
+    terms = st.lists(_factors(primary), min_size=1, max_size=2).map("*".join)
+    return st.builds(lambda first, rest: first + "".join(op + t for op, t in rest),
+                     terms, st.lists(st.tuples(st.sampled_from((" + ", " - ")), terms),
+                                     max_size=2))
+
+
+_ATOMS = st.one_of(_NAMES, _NAMES, _RATIONALS)
+_EXPRS = _sums(_ATOMS | _sums(_ATOMS).map(lambda inner: f"({inner})"))
+_DIRECTIVES = st.one_of(
+    st.builds("symbol {} {} {}".format, st.sampled_from(("Q", "P", "Q", "P", "O")),
+              st.sampled_from(("even", "odd") * 3 + ("evn",)), st.integers(0, 3)),
+    _EXPRS.map("H = {}".format),
+    _EXPRS.map("H = beta*m + {}".format),
+    st.sampled_from(("vc", "mass") * 3 + ("velocity",)).map("scheme {}".format),
+    st.integers(0, 4).map("order {}".format),
+    st.sampled_from(("fw", "fw-corrected", "eriksen") * 2 + ("fw-magic",))
+    .map("method {}".format),
+    st.sampled_from((1, 2, 3) * 2 + (0,)).map("steps {}".format),
+)
+# Any order; symbol lines may repeat, and one other directive now and then.
+_SPECS = st.builds(
+    lambda lines, repeat: "; ".join(lines + lines[:repeat]),
+    st.lists(_DIRECTIVES, max_size=6,
+             unique_by=lambda d: d if d.startswith("symbol") else d.split()[0]),
+    st.sampled_from((0, 0, 0, 1)))
+
+
+@given(_SPECS)
+@settings(max_examples=150, deadline=None)
+def test_cli_transform_fuzzed_specs_exit_0_or_one_error_line(tmp_path_factory, text):
+    # Directives in any order and possibly repeated, over declared and
+    # undeclared names, zero denominators, negative powers and an unknown
+    # method: every spec runs or is rejected with one line, never a traceback.
+    spec_file = tmp_path_factory.getbasetemp() / "fuzzed.fw"
+    spec_file.write_text(text + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["transform", str(spec_file)])
+    errors = err.getvalue().splitlines()
+    assert status in (0, 2), text
+    if status == 2:
+        assert len(errors) == 1 and errors[0].startswith("error:"), (text, errors)
+    else:
+        assert errors == [], (text, errors)
