@@ -26,6 +26,12 @@ Words that differ only in the order of the innermost pair share one
 bracket, up to sign. The correction eliminates the even part of the
 recombined exponent one order slice at a time, folding each slice into the
 running exponent instead of recombining from scratch.
+
+Brackets, nested commutators and series powers stay in the product
+kernel's graded form (integer numerators over one denominator, sorted by
+order) from one commutator or capped product to the next, and into the
+integer sum that combines them (``OperatorExpr.combine``); terms are built
+only for each stage's output.
 """
 
 from __future__ import annotations
@@ -258,7 +264,9 @@ def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
 
     Summed by bracket word: each word's coefficient is Goldberg's over the
     word length (``_bch_word_table``), each bracket is formed once and the
-    coefficient-times-bracket terms meet in one accumulator, sorted once.
+    coefficient-times-bracket terms meet in one integer accumulator, sorted
+    once. The memo holds each bracket as the commutator returns it, in the
+    kernel's graded form, so no bracket is turned into terms.
     Words are kept while their minimum possible order fits in max_order;
     there is no hand-coded depth limit.
     """
@@ -448,7 +456,7 @@ def eriksen_condition_check(record: TransformRecord) -> ConditionReport:
     beta_e = sym(BETA)
 
     def residual(mat: OperatorExpr) -> OperatorExpr:
-        return (mul_trunc(beta_e, mat, scheme, max_order)
-                - mul_trunc(mat.adjoint(), beta_e, scheme, max_order))
+        return OperatorExpr.combine(((1, mul_trunc(beta_e, mat, scheme, max_order)),
+                                     (-1, mul_trunc(mat.adjoint(), beta_e, scheme, max_order))))
 
     return ConditionReport(uncorrected=residual(u), corrected=residual(u_corr))

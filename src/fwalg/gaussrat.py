@@ -55,6 +55,11 @@ class GaussRat:
             re_num, re_den = -re_num, -re_den
         if im_den < 0:
             im_num, im_den = -im_num, -im_den
+        # a zero part or a shared denominator needs no cross multiplication
+        if not im_num or re_den == im_den:
+            return _reduced(re_num, im_num, re_den)
+        if not re_num:
+            return _reduced(0, im_num, im_den)
         return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
 
     @property

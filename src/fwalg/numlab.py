@@ -305,7 +305,10 @@ def evaluate_symbolic(expr: OperatorExpr, model: MatrixModel) -> np.ndarray:
     """Substitute matrices for generators; stationary models only.
 
     beta -> beta matrix, O -> odd part of H, E and F -> even potential part.
-    The substitution is a homomorphism of the word algebra.
+    The substitution is a homomorphism of the word algebra. The words are
+    walked in lexicographic order, so a prefix shared with the next word is
+    multiplied out once: a stack keeps only the prefix products that the
+    next word still needs, at most one per factor of the longest word.
     """
     n = model.beta.shape[0]
     lookup = {
@@ -316,19 +319,36 @@ def evaluate_symbolic(expr: OperatorExpr, model: MatrixModel) -> np.ndarray:
     }
     total = np.zeros((n, n), dtype=complex)
     rest = model.rest_energy
-    for term in expr.terms:
-        mat = np.eye(n, dtype=complex)
-        for s in term.word:
-            try:
-                mat = mat @ lookup[s.name]
-            except KeyError:
-                raise UnboundSymbol(
-                    f"generator {s.name!r} has no matrix realization"
-                ) from None
+    terms = sorted(expr.terms, key=lambda t: t.sort_key[3])
+    # stack[i] is the product of the first i factors of the last word; the
+    # empty product is None, so no identity is ever multiplied in
+    stack = [None]
+    for term, after in zip(terms, terms[1:] + [None]):
+        names = term.sort_key[3]
+        keep = _shared_prefix(names, after.sort_key[3]) if after else 0
+        mat = stack[-1]
+        for j in range(len(stack) - 1, len(names)):
+            factor = lookup.get(names[j])
+            if factor is None:
+                raise UnboundSymbol(f"generator {names[j]!r} has no matrix realization")
+            mat = factor if mat is None else mat @ factor
+            if j < keep:
+                stack.append(mat)
+        del stack[keep + 1:]
         coeff = complex(term.coeff.re) + 1j * complex(term.coeff.im)
         coeff *= rest ** (-term.mass_power) * model.hbar ** term.hbar_power
-        total = total + coeff * mat
+        total = total + coeff * (np.eye(n, dtype=complex) if mat is None else mat)
     return total
+
+
+def _shared_prefix(a: tuple, b: tuple) -> int:
+    """The length of the longest common prefix of two tuples."""
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return k
 
 
 # -- convergence probe ----------------------------------------------------------------

@@ -24,7 +24,8 @@ Printers reinstate the paired ``m^k c^(2k)`` factors textually.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
+from math import gcd, lcm
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gaussrat import GaussRat, I, ONE, ZERO, _over_common_denominator, _reduced
@@ -154,8 +155,9 @@ class Term:
     set at construction, in one pass over the word: ``vc_order``, the summed
     v/c weight; ``is_odd``, whether the word has an odd number of odd
     factors; ``sort_key``, the canonical term order (exponents, word length,
-    generator names). ``with_coeff`` copies all three, and the product
-    kernel (``_collect``) adds them up from the two factors' instead.
+    generator names). ``with_coeff`` copies all three, the product kernel
+    adds them up from the two factors' (``_collect``), and ``graded`` takes
+    them from a caller that has read them already.
     """
 
     __slots__ = ("coeff", "mass_power", "hbar_power", "word",
@@ -176,6 +178,17 @@ class Term:
         self.vc_order = vc
         self.is_odd = bool(odd)
         self.sort_key = (mass_power, hbar_power, len(word), tuple(names))
+
+    @classmethod
+    def graded(cls, coeff: GaussRat, mass_power: int, hbar_power: int,
+               word: tuple[OperatorSymbol, ...], vc_order: int, is_odd: bool,
+               names: tuple[str, ...]) -> "Term":
+        """The term of a word whose grading the caller has read already."""
+        t = object.__new__(cls)
+        t.coeff, t.mass_power, t.hbar_power, t.word = coeff, mass_power, hbar_power, word
+        t.vc_order, t.is_odd = vc_order, is_odd
+        t.sort_key = (mass_power, hbar_power, len(word), names)
+        return t
 
     @property
     def key(self):
@@ -270,7 +283,9 @@ class SparseSum:
         """The sum of ``coeff * x`` over ``(coeff, x)`` pairs, merged in one dict.
 
         The result is sorted once; a chain of ``+`` would rebuild the running
-        sum for every pair.
+        sum for every pair. Each term costs one ``GaussRat`` multiply and add;
+        ``OperatorExpr`` overrides this with one integer sum over its graded
+        forms.
         """
         acc: dict = {}
         for c, x in pairs:
@@ -375,9 +390,11 @@ class OperatorExpr(SparseSum):
 
     Immutable after construction. All arithmetic returns new normalized
     expressions, so results are independent of evaluation order. ``_grades``
-    keeps the operand form of the product kernel per order function
-    (``_graded``); it is derived from the terms and takes no part in
-    equality, hashing, pickling or copying.
+    keeps the operand form of the product kernel per order (``_graded``); it
+    takes no part in equality, hashing, pickling or copying. A kernel result
+    starts with its graded form only: its terms are built from it when first
+    read (``__getattr__``), so a bracket or a series term that only feeds
+    another product or a sum never builds them.
     """
 
     __slots__ = ("_grades",)
@@ -386,8 +403,46 @@ class OperatorExpr(SparseSum):
         self._terms = terms if _normalized else _normalize_raw(terms)
         self._grades = None
 
+    def __getattr__(self, name):
+        # Reached for an unset slot only: the terms of a kernel result.
+        if name != "_terms":
+            raise AttributeError(name)
+        terms = self._terms = _terms_of(*_any_form(self)[:2])
+        return terms
+
     def __reduce__(self):
         return type(self), (self._terms, True)
+
+    @property
+    def is_zero(self) -> bool:
+        return not (_any_form(self)[1] if self._grades else self._terms)
+
+    @classmethod
+    def combine(cls, pairs: Iterable) -> "OperatorExpr":
+        """The sum of ``coeff * x`` over ``(coeff, x)`` pairs, in integers.
+
+        Every graded form enters one accumulator over the lcm of the
+        ``coeff`` and form denominators, and each output term is reduced
+        once; no ``GaussRat`` is formed per input term.
+        """
+        forms = [(GaussRat.coerce(c), _any_form(x)) for c, x in pairs]
+        big = lcm(*(c._d * form[0] for c, form in forms))
+        acc: dict = {}
+        for c, (d, entries, _, _) in forms:
+            lift = big // (c._d * d)
+            p, q = c._a * lift, c._b * lift
+            for _, rest, beta, a, b, m, h, grading in entries:
+                key = (rest, beta, m, h)
+                re, im = p * a - q * b, p * b + q * a
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = [re, im, grading]
+                else:
+                    prev[0] += re
+                    prev[1] += im
+        return cls._new(_terms_of(big, [
+            (0, rest, beta, a, b, m, h, grading)
+            for (rest, beta, m, h), (a, b, grading) in acc.items() if a or b]))
 
     # Bound on the class itself, because bench/tracing.py wraps
     # OperatorExpr's own __add__ to count additions.
@@ -422,7 +477,7 @@ class OperatorExpr(SparseSum):
     def __mul__(self, other):
         if not isinstance(other, OperatorExpr):
             return self._times_scalar(other)
-        return _product(self, other, _no_order, 0)
+        return _product(self, other, None, 0)
 
     def __pow__(self, n: int) -> "OperatorExpr":
         if not isinstance(n, int) or n < 0:
@@ -433,10 +488,26 @@ class OperatorExpr(SparseSum):
         return out
 
     def adjoint(self) -> "OperatorExpr":
-        return OperatorExpr([
-            (t.coeff.conjugate(), t.mass_power, t.hbar_power, t.word[::-1])
-            for t in self._terms
-        ])
+        """Each word reversed, each coefficient conjugated; no renormalization.
+
+        A normal word ``beta r`` reverses to ``r' beta``, and beta moves back
+        to the front past every factor of ``r``: one sign when r holds an odd
+        number of odd factors, which is the term's parity. The map is a
+        bijection on normal words, so nothing merges; one sort restores the
+        canonical order.
+        """
+        terms = []
+        for t in self._terms:
+            w, names, c = t.word, t.sort_key[3], t.coeff.conjugate()
+            if w and w[0] is BETA:
+                w, names = (BETA,) + w[:0:-1], ("beta",) + names[:0:-1]
+                if t.is_odd:
+                    c = -c
+            else:
+                w, names = w[::-1], names[::-1]
+            terms.append(Term.graded(c, t.mass_power, t.hbar_power, w, t.vc_order, t.is_odd, names))
+        terms.sort(key=_term_sort_key)
+        return OperatorExpr._new(tuple(terms))
 
     def subs_symbol(self, old: OperatorSymbol, new: OperatorSymbol) -> "OperatorExpr":
         if old.parity != new.parity:
@@ -453,79 +524,103 @@ _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, ()),), _normalized=True)
 
 # -- the product kernel --------------------------------------------------------
 #
-# Every word product goes through ``_accumulate`` and ``_collect``. An operand
-# is graded once per order function (``_graded``): its coefficients are put
-# over one common denominator, so a pair product is four integer multiplies
-# and the sums are plain integers, reduced once per surviving term. Each
-# output term's grading is read from its two factors, not from its word.
+# Every word product goes through ``_accumulate`` and ``_collect``, and works
+# on graded forms: an operand's coefficients as integer numerators over one
+# common denominator, its terms sorted by order, each with its word split
+# into a beta flag and the rest, and the rest's grading. A pair product is
+# four integer multiplies, sums are plain integers, and each output term's
+# grading is read from its two factors, not from its word. ``_collect`` hands
+# the product on in the same graded form, reduced by one content gcd, so a
+# bracket or a series power that feeds the next product is never turned into
+# terms and graded again; ``OperatorExpr.combine`` sums graded forms in one
+# integer accumulator. Terms and ``GaussRat``s are built only for what is
+# read: a sum's output, or a kernel result whose terms are asked for.
+#
+# The order of a graded form is the scheme's, named by its kind: velocity
+# reads ``vc_order``, mass ``mass_power``, and the untruncated product (kind
+# None) gives every term order 0.
 
 def _no_order(term: Term) -> int:
     return 0
 
 
-def _graded(x: OperatorExpr, order) -> tuple:
-    """x's terms graded under ``order``, built once and kept on x.
+_ORDER_OF = {None: _no_order, "velocity": VELOCITY.order_of, "mass": MASS.order_of}
+_entry_order = itemgetter(0)
 
-    Returns ``(D, entries, plain, crossed)``, each coefficient being
-    ``(a + b*i)/D``. ``entries`` holds one tuple per term, sorted by order:
-    ``(order, rest, beta + rest, a, b, mass, hbar, grading, has beta)``,
-    where ``rest`` is the word without its leading beta and ``grading`` the
-    rest's ``(vc_order, is_odd, names)``; beta is even and of weight zero,
-    so the rest's order and parity are the term's. ``plain`` and ``crossed``
-    are the entries without and with a beta, in the same order.
+
+def _form(d: int, entries: list) -> tuple:
+    """The graded form ``(D, entries, plain, crossed)`` of entries over D.
+
+    ``plain`` and ``crossed`` are the entries without and with a beta, in
+    the same order.
+    """
+    return (d, entries, [e for e in entries if not e[2]], [e for e in entries if e[2]])
+
+
+def _graded(x: OperatorExpr, kind: str | None) -> tuple:
+    """x's graded form under the order of ``kind``, built once and kept on x.
+
+    Each coefficient is ``(a + b*i)/D`` with D the lcm of the terms'
+    denominators. ``entries`` holds one tuple per term, sorted by order:
+    ``(order, rest, has beta, a, b, mass, hbar, grading)``, where ``rest`` is
+    the word without its leading beta and ``grading`` the rest's
+    ``(vc_order, is_odd, names)``; beta is even and of weight zero, so the
+    rest's order and parity are the term's.
     """
     grades = x._grades
     if grades is None:
         grades = x._grades = {}
-    out = grades.get(order)
+    out = grades.get(kind)
     if out is None:
-        terms = sorted(x._terms, key=order)
+        order = _ORDER_OF[kind]
+        terms = x._terms if kind is None else sorted(x._terms, key=order)
         d, nums = _over_common_denominator([t.coeff for t in terms])
-        entries, plain, crossed = [], [], []
+        entries = []
         for t, (a, b) in zip(terms, nums):
             w, names = t.word, t.sort_key[3]
             beta = bool(w) and w[0] is BETA
-            rest = w[1:] if beta else w
-            entry = (order(t), rest, w if beta else (BETA,) + w, a, b, t.mass_power,
-                     t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names), beta)
-            entries.append(entry)
-            (crossed if beta else plain).append(entry)
-        out = grades[order] = (d, entries, plain, crossed)
+            entries.append((order(t), w[1:] if beta else w, beta, a, b, t.mass_power,
+                            t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names)))
+        out = grades[kind] = _form(d, entries)
     return out
+
+
+def _any_form(x: OperatorExpr) -> tuple:
+    """A graded form of x under any order (a sum does not read the order)."""
+    grades = x._grades
+    return next(iter(grades.values())) if grades else _graded(x, None)
 
 
 def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
                 negate: bool = False) -> dict:
     """Add the pair products of two graded operands of order <= cap into acc.
 
-    acc maps each output key ``(word, mass, hbar)`` to ``[a, b, left
-    grading, right grading]``: the summed numerator over ``D_left *
+    acc maps each output key ``(rest, has beta, mass, hbar)`` to ``[a, b,
+    left grading, right grading]``: the summed numerator over ``D_left *
     D_right`` and the gradings of the first pair that formed the key. With
     ``negate`` the products are subtracted. Both words are normal, so a pair
     multiplies in O(1): the left beta stays leftmost, a right beta crosses
     the left rest (one sign per odd factor there) and the two betas cancel
-    or leave one. The output word is the left word, its beta toggled when
-    the right factor has one, followed by the right rest. Each list is
-    sorted by order, so each loop stops at the first pair over the cap.
+    or leave one. The output rest is the left rest followed by the right
+    one. Each list is sorted by order, so each loop stops at the first pair
+    over the cap.
     """
     _, _, plain, crossed = right
     if not (plain or crossed):
         return acc
     room = cap - min(part[0][0] for part in (plain, crossed) if part)
-    for oa, rest_a, beta_rest_a, a, b, ma, ha, ga, beta_a in left[1]:
+    for oa, rest_a, beta_a, a, b, ma, ha, ga in left[1]:
         if oa > room:
             break
         if negate:
             a, b = -a, -b
         # the right beta crosses the left rest: one sign per odd factor
         xa, xb = (-a, -b) if ga[1] else (a, b)
-        for part, prefix, pa, pb in (
-                (plain, beta_rest_a if beta_a else rest_a, a, b),
-                (crossed, rest_a if beta_a else beta_rest_a, xa, xb)):
-            for ob, rest, _, c, d, mb, hb, gb, _ in part:
+        for part, beta, pa, pb in ((plain, beta_a, a, b), (crossed, not beta_a, xa, xb)):
+            for ob, rest, _, c, d, mb, hb, gb in part:
                 if oa + ob > cap:
                     break
-                key = (prefix + rest, ma + mb, ha + hb)
+                key = (rest_a + rest, beta, ma + mb, ha + hb)
                 re, im = pa * c - pb * d, pa * d + pb * c
                 prev = acc.get(key)
                 if prev is None:
@@ -536,33 +631,59 @@ def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
     return acc
 
 
-def _collect(acc: dict, d: int) -> OperatorExpr:
-    """The expression of an ``_accumulate`` dict whose numerators are over d.
+def _collect(acc: dict, d: int, kind: str | None) -> OperatorExpr:
+    """The kernel result of an ``_accumulate`` dict whose numerators are over d.
 
-    Terms whose sums cancel are never built. The others are built without
-    ``Term.__init__``: the order is the sum of the factors', the parity
-    their XOR and the sort key's names the two name tuples concatenated,
-    after a "beta" when the word keeps one.
+    Terms whose sums cancel are dropped. The others become the graded form
+    under ``kind``: numerators and d divided by their one content gcd, so d
+    is the lcm of the reduced denominators, as ``_graded`` of the terms
+    would give; order, parity and names are the sum, XOR and concatenation
+    of the factors'. The result holds that form only; its terms are built
+    when first read.
+    """
+    g = d
+    for v in acc.values():
+        g = gcd(g, v[0], v[1])
+        if g == 1:
+            break
+    velocity, mass = kind == "velocity", kind == "mass"
+    entries = []
+    for (rest, beta, m, h), (a, b, ga, gb) in acc.items():
+        if a or b:
+            vc = ga[0] + gb[0]
+            entries.append((vc if velocity else m if mass else 0, rest, beta, a // g, b // g,
+                            m, h, (vc, ga[1] ^ gb[1], ga[2] + gb[2])))
+    if kind is not None:
+        entries.sort(key=_entry_order)
+    out = object.__new__(OperatorExpr)
+    out._grades = {kind: _form(d // g, entries)}
+    return out
+
+
+def _terms_of(d: int, entries: list) -> tuple:
+    """The canonical terms of graded entries over d, one ``_reduced`` each.
+
+    Built without ``Term.__init__``: the grading is the entry's, with
+    "beta" put back in front of the word and the names when it has one.
     """
     terms = []
     new = object.__new__
-    for (w, m, h), (a, b, ga, gb) in acc.items():
-        if a or b:
-            names = ga[2] + gb[2]
-            t = new(Term)
-            t.coeff = _reduced(a, b, d)
-            t.mass_power, t.hbar_power, t.word = m, h, w
-            t.vc_order = ga[0] + gb[0]
-            t.is_odd = ga[1] ^ gb[1]
-            t.sort_key = (m, h, len(w), ("beta",) + names if w and w[0] is BETA else names)
-            terms.append(t)
+    for _, rest, beta, a, b, m, h, (vc, odd, names) in entries:
+        t = new(Term)
+        t.coeff = _reduced(a, b, d)
+        t.mass_power, t.hbar_power, t.vc_order, t.is_odd = m, h, vc, odd
+        if beta:
+            rest, names = (BETA,) + rest, ("beta",) + names
+        t.word = rest
+        t.sort_key = (m, h, len(rest), names)
+        terms.append(t)
     terms.sort(key=_term_sort_key)
-    return OperatorExpr._new(tuple(terms))
+    return tuple(terms)
 
 
-def _product(a: OperatorExpr, b: OperatorExpr, order, cap: int) -> OperatorExpr:
-    left, right = _graded(a, order), _graded(b, order)
-    return _collect(_accumulate({}, left, right, cap), left[0] * right[0])
+def _product(a: OperatorExpr, b: OperatorExpr, kind: str | None, cap: int) -> OperatorExpr:
+    left, right = _graded(a, kind), _graded(b, kind)
+    return _collect(_accumulate({}, left, right, cap), left[0] * right[0], kind)
 
 
 def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
@@ -572,7 +693,7 @@ def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
     Both weight schemes are additive, so a pair's order is the sum of its
     factors' orders, each computed once per operand.
     """
-    return _product(a, b, scheme.order_of, max_order)
+    return _product(a, b, scheme.kind, max_order)
 
 
 # -- construction helpers ----------------------------------------------------
@@ -621,10 +742,10 @@ def commutator(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme | None = N
     """
     if (scheme is None) != (max_order is None):
         raise TypeError("commutator needs both scheme and max_order, or neither")
-    order, cap = (_no_order, 0) if scheme is None else (scheme.order_of, max_order)
-    left, right = _graded(a, order), _graded(b, order)
+    kind, cap = (None, 0) if scheme is None else (scheme.kind, max_order)
+    left, right = _graded(a, kind), _graded(b, kind)
     acc = _accumulate(_accumulate({}, left, right, cap), right, left, cap, negate=True)
-    return _collect(acc, left[0] * right[0])
+    return _collect(acc, left[0] * right[0], kind)
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -649,8 +770,10 @@ def series_sum(start: OperatorExpr, step: Callable[[OperatorExpr], OperatorExpr]
 
     ``c_0 = 1`` and ``c_n = c_(n-1) * ratio(n)``. ``step`` is a capped
     product with, or a capped commutator by, an operand that passed
-    ``require_order_at_least_one``, so some power is zero. Every term meets
-    the others in one ``OperatorExpr.combine``.
+    ``require_order_at_least_one``, so some power is zero. Each ``step``
+    result is a kernel result: it is graded once, handed to the next step
+    as it is, and never turned into terms; every term meets the others in
+    one integer sum, ``OperatorExpr.combine``, which builds the output terms.
     """
     pairs = []
     c = ONE

@@ -462,14 +462,25 @@ def _int_field(entry: dict, key: str) -> int:
 
 
 def _word_field(entry: dict, symbols: dict) -> tuple:
+    """The entry's word with its grading, read in one pass over its names.
+
+    Returns ``(word, vc_order, is_odd, names)``, the grading ``Term`` would
+    compute from the word.
+    """
     names = entry.get("word")
     if not isinstance(names, (list, tuple)):
         raise ValueError(f"word must be a list of symbol names, got {names!r}")
+    word, vc, odd = [], 0, False
     try:
-        return tuple([symbols[name] for name in names])
+        for name in names:
+            s = symbols[name]
+            word.append(s)
+            vc += s.weight_vc
+            odd ^= s.is_odd
     except (KeyError, TypeError):  # an unregistered or unhashable name
         bad = next(name for name in names if not isinstance(name, str) or name not in symbols)
         raise ValueError(f"word has an unknown symbol {bad!r}") from None
+    return tuple(word), vc, odd, tuple(names)
 
 
 def _is_canonical(terms: list) -> bool:
@@ -506,12 +517,14 @@ def parse_record(data) -> OperatorExpr:
     for name, info in data.get("symbols", {}).items():
         registry.register(name, info["parity"], info["weight_vc"])
     symbols = {s.name: s for s in registry.symbols()}
-    terms = [
-        Term(GaussRat.from_pairs(*_int_pair(entry, "coeff_re"), *_int_pair(entry, "coeff_im")),
-             _int_field(entry, "mass_power"), _int_field(entry, "hbar_power"),
-             _word_field(entry, symbols))
-        for entry in data["terms"]
-    ]
+    terms = []
+    for entry in data["terms"]:
+        re_num, re_den = _int_pair(entry, "coeff_re")
+        im_num, im_den = _int_pair(entry, "coeff_im")
+        word, vc, odd, names = _word_field(entry, symbols)
+        terms.append(Term.graded(GaussRat.from_pairs(re_num, re_den, im_num, im_den),
+                                 _int_field(entry, "mass_power"),
+                                 _int_field(entry, "hbar_power"), word, vc, odd, names))
     if _is_canonical(terms):
         return OperatorExpr(tuple(terms), _normalized=True)
     return OperatorExpr(terms)

@@ -6,7 +6,7 @@ import pytest
 from fwalg.gaussrat import ONE, GaussRat, I, binom_coeff
 from fwalg.opalg import (
     BETA, E, F, MASS, O, VELOCITY, NonIncreasingOrder, OperatorExpr, ad_exp_conjugate,
-    commutator, exp_series, one, scale, sym, word, zero,
+    commutator, exp_series, mul_trunc, one, scale, sym, word, zero,
 )
 from fwalg.fwtransform import (
     BareFAnomaly, MissingMassTerm, NoConvergence, NotStationary,
@@ -546,6 +546,51 @@ def test_series_equal_uncapped_sums_then_truncate(rng, scheme):
         ).truncate(scheme, k_order)
     with pytest.raises(NonIncreasingOrder):
         _binomial_series(one(), Fraction(-1, 2), scheme, 4)
+
+
+def _per_term_sum(pairs):
+    """sum of c * x, one GaussRat multiply and add per term (the integer sum's oracle)."""
+    acc = {}
+    for c, x in pairs:
+        for t in x.terms:
+            acc[t.key] = acc.get(t.key, GaussRat(0)) + GaussRat.coerce(c) * t.coeff
+    return OperatorExpr([(v, m, h, w) for (w, m, h), v in acc.items()])
+
+
+@pytest.mark.parametrize("scheme", [VELOCITY, MASS], ids=["velocity", "mass"])
+def test_series_and_bch_equal_per_term_sums_of_their_terms(rng, scheme):
+    """The integer sums against per-term GaussRat sums of the same powers or brackets."""
+    for _ in range(12):
+        x = scale(Fraction(1, 3), rand_expr_min_weight(rng, scheme, max_terms=3, max_len=3))
+        s = scale(I, rand_expr_min_weight(rng, scheme, max_terms=2, max_len=3))
+        k = rand_expr(rng, max_terms=3, max_len=3) + ref.mass_term()
+        order = rng.randint(1, 4)
+        powers = [one()]
+        while not powers[-1].is_zero:
+            powers.append(mul_trunc(powers[-1], x.truncate(scheme, order), scheme, order))
+        assert exp_series(x, scheme, order) == _per_term_sum(
+            (Fraction(1, factorial(n)), p) for n, p in enumerate(powers))
+        alpha = Fraction(-1, 2)
+        assert _binomial_series(x, alpha, scheme, order) == _per_term_sum(
+            (binom_coeff(alpha, n), p) for n, p in enumerate(powers))
+        nested = [k.truncate(scheme, order)]
+        while not nested[-1].is_zero:
+            nested.append(commutator(s, nested[-1], scheme, order))
+        i_powers = (ONE, I, -ONE, -I)
+        assert ad_exp_conjugate(s, k, scheme, order) == _per_term_sum(
+            (i_powers[n % 4] * Fraction(1, factorial(n)), c) for n, c in enumerate(nested))
+        a, c = x, rand_expr_min_weight(rng, scheme, max_terms=2, max_len=3)
+        a_t, c_t = a.truncate(scheme, order), c.truncate(scheme, order)
+        memo = {"a": a_t, "b": c_t}
+
+        def bracket(letters):
+            if letters not in memo:
+                memo[letters] = commutator(memo[letters[0]], bracket(letters[1:]), scheme, order)
+            return memo[letters]
+
+        table = _bch_word_table(order, a.min_order(scheme), c.min_order(scheme))
+        assert bch_combine(a, c, scheme, order) == _per_term_sum(
+            (coeff, bracket(letters)) for letters, coeff in table)
 
 
 # -- Eriksen condition -----------------------------------------------------------------

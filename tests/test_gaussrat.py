@@ -81,6 +81,12 @@ def test_integer_pairs_match_fraction_views():
         k, m = rng.choice((1, -1, 3, -4)), rng.choice((1, -2, 5))
         _check(GaussRat.from_pairs(k * re.numerator, k * re.denominator,
                                    m * im.numerator, m * im.denominator), re, im)
+        # a shared denominator or a zero part, of either sign
+        a, b, d = rng.randint(-30, 30), rng.randint(-30, 30), rng.choice((1, -1, 6, -8, 9))
+        e = rng.choice((1, -3, 4))
+        _check(GaussRat.from_pairs(a, d, b, d), Fraction(a, d), Fraction(b, d))
+        _check(GaussRat.from_pairs(a, d, 0, e), Fraction(a, d), Fraction(0))
+        _check(GaussRat.from_pairs(0, e, b, d), Fraction(0), Fraction(b, d))
     with pytest.raises(ZeroDivisionError):
         GaussRat.from_pairs(1, 0, 0, 1)
     with pytest.raises(ZeroDivisionError):

@@ -282,6 +282,33 @@ def test_evaluate_symbolic_homomorphism(rng):
         assert np.allclose(prod, sep, atol=1e-12)
 
 
+def _term_by_term(expr, model):
+    """Each term's matrix from the identity, one product per generator."""
+    n = model.beta.shape[0]
+    lookup = {"beta": model.beta, "O": model.odd_part, "E": model.even_potential,
+              "F": model.even_potential}
+    total = np.zeros((n, n), dtype=complex)
+    for t in expr.terms:
+        mat = np.eye(n, dtype=complex)
+        for s in t.word:
+            mat = mat @ lookup[s.name]
+        scale = model.rest_energy ** (-t.mass_power) * model.hbar ** t.hbar_power
+        total += complex(t.coeff.re) * scale * mat + 1j * complex(t.coeff.im) * scale * mat
+    return total
+
+
+def test_evaluate_symbolic_shared_prefixes_match_term_by_term():
+    # the order slices of the closed form share long prefixes (beta O ..., O O ...)
+    closed_form = ref.build(ref.ERIKSEN_24).subs_symbol(F, E)
+    for model in (fine_lattice(), lattice_model(n_sites=32, spacing=2.0,
+                                                potential=regularized_well(0.2, 4.0))):
+        assert model.beta.shape == (128, 128)
+        for k in (0, 2, 4, 6, 8):
+            part = closed_form.order_slice(VELOCITY, k)
+            got, want = evaluate_symbolic(part, model), _term_by_term(part, model)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_closed_form_truncation_error_scales_as_p8():
     # spectral error of the order-6 closed form against beta*eps drops as p^8
     h35 = ref.h_orig_35().subs_symbol(F, E)

@@ -10,7 +10,7 @@ from fwalg.opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, NonIncreasingOrder, OperatorExpr,
     OperatorSymbol, SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
     commutator, exp_series, mul_trunc, normalize, one, scale, sym, word, zero,
-    _normalize_raw, _term_sort_key,
+    _graded, _normalize_raw, _term_sort_key,
 )
 
 from fwalg.shell import parse_record, parse_spec, serialize_record
@@ -257,6 +257,20 @@ def test_adjoint_involution_and_antihomomorphism(rng):
         assert (x * y).adjoint() == y.adjoint() * x.adjoint()
 
 
+def test_adjoint_equals_normal_form_of_reversed_words(rng):
+    # beta and odd generators stand anywhere in the raw words, so the normal
+    # words reached have a leading beta or none and either parity
+    seen = set()
+    for _ in range(300):
+        x = rand_expr(rng, max_terms=5, max_len=6, symbols=RAW_SYMBOLS)
+        expected = normalize([(t.coeff.conjugate(), t.mass_power, t.hbar_power, t.word[::-1])
+                              for t in x])
+        assert x.adjoint() == expected
+        _assert_grading_fresh(x.adjoint())
+        seen.update((bool(t.word) and t.word[0] is BETA, t.is_odd) for t in x)
+    assert len(seen) == 4
+
+
 # -- parity ------------------------------------------------------------------------
 
 def test_parity_split_dirac_form():
@@ -363,6 +377,33 @@ def test_term_caches_match_recomputation(rng):
         for z in derived:
             _assert_grading_fresh(z)
             _assert_grading_fresh(z + x)
+
+
+def _graded_by_key(form):
+    d, entries, plain, crossed = form
+    assert [e[0] for e in entries] == sorted(e[0] for e in entries)
+    assert (plain, crossed) == ([e for e in entries if not e[2]], [e for e in entries if e[2]])
+    by_key = {(rest, beta, m, h): (o, a, b, grading)
+              for o, rest, beta, a, b, m, h, grading in entries}
+    assert len(by_key) == len(entries)
+    return d, by_key
+
+
+def test_kernel_results_hand_on_the_graded_form_of_their_terms(rng):
+    # what a commutator or a capped product hands to the next product is the
+    # graded form of its own terms: the same D and numerators per word key
+    for _ in range(80):
+        x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        y = scale(Fraction(1, rng.choice((2, 3, 6))), rand_expr(rng, max_terms=4))
+        k = rng.randint(0, 6)
+        for kind, results in (
+                ("velocity", (commutator(x, y, VELOCITY, k), mul_trunc(x, y, VELOCITY, k))),
+                ("mass", (commutator(y, x, MASS, k - 2), mul_trunc(y, x, MASS, k - 2))),
+                (None, (commutator(x, y), x * y))):
+            for r in results:
+                assert list(r._grades) == [kind]
+                handed = _graded_by_key(r._grades[kind])
+                assert handed == _graded_by_key(_graded(OperatorExpr(r.terms, True), kind))
 
 
 def test_mass_order_of_rest_term():
