@@ -426,20 +426,13 @@ def e_field(i: int, sderiv=(), tderiv=0) -> FieldExpr:
 
 def b_field(k: int, sderiv=(), tderiv=0) -> FieldExpr:
     """B_k = (curl A)_k, with optional extra derivatives."""
-    out = FieldExpr.zero()
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            s = eps(k, i, j)
-            if s:
-                out = out + field_term(s, [a_atom(j, tuple(sderiv) + (i,), tderiv)])
-    return out
+    return FieldExpr.combine(
+        (s, field_term(1, [a_atom(j, tuple(sderiv) + (i,), tderiv)]))
+        for (axis, i, j), s in _EPS.items() if axis == k)
 
 
 def div_e() -> FieldExpr:
-    out = FieldExpr.zero()
-    for i in (1, 2, 3):
-        out = out + e_field(i, sderiv=(i,))
-    return out
+    return FieldExpr.combine((1, e_field(i, sderiv=(i,))) for i in (1, 2, 3))
 
 
 # -- instantiation ---------------------------------------------------------------
@@ -493,32 +486,21 @@ def polarization(i: int) -> FieldExpr:
 # -- conventional rendering --------------------------------------------------------
 
 def _pi_squared() -> FieldExpr:
-    out = FieldExpr.zero()
-    for i in (1, 2, 3):
-        out = out + field_term(1, [PiAtom(i), PiAtom(i)])
-    return out
+    return FieldExpr.combine((1, field_term(1, [PiAtom(i), PiAtom(i)])) for i in (1, 2, 3))
 
 
 def _sigma_pi_e_pair() -> FieldExpr:
     """Sigma.[pi x E] - Sigma.[E x pi] as one block (they share monomials)."""
-    out = FieldExpr.zero()
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                s = eps(i, j, k)
-                if not s:
-                    continue
-                sig = field_term(s, [sigma_atom(i)])
-                out = out + sig * field_term(1, [PiAtom(j)]) * e_field(k)
-                out = out - sig * e_field(j) * field_term(1, [PiAtom(k)])
-    return out
+    return FieldExpr.combine(
+        (sign * s, field_term(1, [sigma_atom(i)]) * left * right)
+        for (i, j, k), s in _EPS.items()
+        for sign, left, right in ((1, field_term(1, [PiAtom(j)]), e_field(k)),
+                                  (-1, e_field(j), field_term(1, [PiAtom(k)]))))
 
 
 def _conventional_catalog() -> list[tuple[str, FieldExpr]]:
     pi2 = _pi_squared()
-    beta_sigma_b = FieldExpr.zero()
-    for i in (1, 2, 3):
-        beta_sigma_b = beta_sigma_b + polarization(i) * b_field(i)
+    beta_sigma_b = FieldExpr.combine((1, polarization(i) * b_field(i)) for i in (1, 2, 3))
     return [
         ("beta mc^2", field_term(1, [BETA_ATOM], mass_power=-1)),
         ("beta pi^2 /m", field_term(1, [BETA_ATOM], c_power=2, mass_power=1) * pi2),
@@ -580,7 +562,5 @@ def reference_field_hamiltonian() -> FieldExpr:
     weak-field truncation of the pi^4 block (mass power plus field count
     <= 3) matches the bookkeeping of the printed equation.
     """
-    h = FieldExpr.zero()
-    for coeff, (_, block) in zip(_EQ13_MULTIPLES, _conventional_catalog()):
-        h = h + block * coeff
-    return h
+    return FieldExpr.combine(
+        (coeff, block) for coeff, (_, block) in zip(_EQ13_MULTIPLES, _conventional_catalog()))

@@ -22,6 +22,8 @@ the input) is rewritten back to E on finalization.
 The Dynkin series is summed by bracket word: one coefficient per word
 (Goldberg's, K. Goldberg, Duke Math. J. 23, 13 (1956)) from a memoized
 table, each bracket formed once, every term added into one accumulator.
+The table is read from the engine's own exp and log series of two free
+generators.
 Words that differ only in the order of the innermost pair share one
 bracket, up to sign. The correction eliminates the even part of the
 recombined exponent one order slice at a time, folding each slice into the
@@ -39,13 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .gaussrat import GaussRat, I, ONE
 from .opalg import (
-    BETA, E, F, VELOCITY, OperatorExpr, WeightScheme, ad_exp_conjugate, commutator,
-    exp_series, mul_trunc, one, require_order_at_least_one, scale, series_sum, sym,
-    word, zero,
+    BETA, E, EVEN, F, VELOCITY, OperatorExpr, OperatorSymbol, WeightScheme,
+    ad_exp_conjugate, commutator, exp_series, mul_trunc, one, require_order_at_least_one,
+    scale, series_sum, sym, word, zero,
 )
 
 
@@ -219,43 +220,31 @@ def _bch_word_table(budget: int, a_min: int, b_min: int) -> tuple[tuple[str, Gau
     bracket [x1, [x2, ... [x(n-1), xn]...]]. Summed over every Dynkin block
     sequence that spells it, its coefficient is c_w / n, with c_w the
     coefficient of w in log(exp(a) exp(b)) in the free algebra on a and b
-    (K. Goldberg, Duke Math. J. 23, 13 (1956)). That log is expanded here
-    with the letters weighted by ``a_min`` and ``b_min`` and every word over
-    ``budget`` dropped. Words ending in two equal letters are left out: their
-    innermost bracket [x, x] vanishes. A word ending ``ab`` brackets to minus
-    the same word ending ``ba``, so its coefficient is folded, negated, into
-    that word's and only ``...ba`` words are kept; sums that cancel are
-    dropped.
+    (K. Goldberg, Duke Math. J. 23, 13 (1956)). That log is read from the
+    engine's own series on two free even generators of velocity weights
+    ``a_min`` and ``b_min``, capped at ``budget``: X = exp(a) exp(b) - 1,
+    then log(1 + X) = sum_n (-1)^(n-1) X^n / n. Words ending in two equal
+    letters are left out: their innermost bracket [x, x] vanishes. A word
+    ending ``ab`` brackets to minus the same word ending ``ba``, so its
+    coefficient is folded, negated, into that word's and only ``...ba``
+    words are kept; sums that cancel are dropped.
     """
-    # X = exp(a) exp(b) - 1 as its blocks a^p b^q, p + q >= 1, by weight
-    blocks = sorted(
-        (p * a_min + q * b_min, "a" * p + "b" * q, Fraction(1, factorial(p) * factorial(q)))
-        for p in range(budget // a_min + 1)
-        for q in range((budget - p * a_min) // b_min + 1) if p or q)
-    log: dict[str, Fraction] = {}
-    power = {"": (0, Fraction(1))}  # X^n as word -> (weight, coefficient)
-    n = 0
-    while power:
-        n += 1
-        nxt: dict[str, tuple[int, Fraction]] = {}
-        for u, (wu, cu) in power.items():
-            for wv, v, cv in blocks:
-                if wu + wv > budget:
-                    break
-                prev = nxt.get(u + v)
-                nxt[u + v] = (wu + wv, cu * cv if prev is None else prev[1] + cu * cv)
-        for w, (_, c) in nxt.items():
-            log[w] = log.get(w, 0) + Fraction((-1) ** (n - 1), n) * c
-        power = nxt
-    folded: dict[str, Fraction] = {}
-    for w, c in log.items():
+    a = sym(OperatorSymbol("a", EVEN, a_min))
+    b = sym(OperatorSymbol("b", EVEN, b_min))
+    x = mul_trunc(exp_series(a, VELOCITY, budget), exp_series(b, VELOCITY, budget),
+                  VELOCITY, budget) - one()
+    log = series_sum(x, lambda power: mul_trunc(power, x, VELOCITY, budget),
+                     lambda n: Fraction(-n, n + 1))
+    folded: dict[str, GaussRat] = {}
+    for t in log:
+        w, c = "".join(s.name for s in t.word), t.coeff
         if len(w) >= 2:
             if w[-1] == w[-2]:
                 continue
             if w[-1] == "b":  # ...[a, b] = -...[b, a]
                 w, c = w[:-2] + "ba", -c
         folded[w] = folded.get(w, 0) + c
-    return tuple((w, GaussRat(c / len(w))) for w, c in folded.items() if c)
+    return tuple((w, c / len(w)) for w, c in folded.items() if c)
 
 
 def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,

@@ -412,18 +412,27 @@ def _order_norm(expr: OperatorExpr, model: MatrixModel, order: int) -> float:
     return norm
 
 
+#: The largest order ``convergence_probe`` takes. A free-model order k costs
+#: a word of k + 1 generators and C(1/2, k/2) in exact fractions: order 1000
+#: takes about 0.015 s, and every even order up to it about 1.6 s together.
+PROBE_MAX_ORDER = 1000
+
+
 def convergence_probe(model: MatrixModel, orders=(2, 4, 6, 8)) -> ProbeReport:
     """Per-order contribution norms of the block-diagonalized expansion.
 
     Free models probe the kinetic square-root series; potential models probe
     the order slices of the Eriksen series of beta mc^2 + E + O, formed once
-    at the largest order asked for (qualitative only).
+    at the largest order asked for (qualitative only). Orders above
+    ``PROBE_MAX_ORDER`` are rejected before any series work.
     """
     orders = sorted(orders)
     if len(set(orders)) < len(orders):
         raise ValueError(f"orders must be distinct, got {orders}")
     if any(k < 0 or k % 2 for k in orders):
         raise ValueError("the block-diagonal series has nonnegative even orders only")
+    if orders and orders[-1] > PROBE_MAX_ORDER:
+        raise ValueError(f"orders must be at most {PROBE_MAX_ORDER}, got {orders[-1]}")
     if model.kind == "free_momentum":
         norms = [_order_norm(free_series_term(k // 2), model, k) for k in orders]
         regime = model.params.get("p_over_mc", 0.0)

@@ -23,6 +23,7 @@ Printers reinstate the paired ``m^k c^(2k)`` factors textually.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
@@ -477,7 +478,7 @@ class OperatorExpr(SparseSum):
     def __mul__(self, other):
         if not isinstance(other, OperatorExpr):
             return self._times_scalar(other)
-        return _product(self, other, None, 0)
+        return _product(self, other, VELOCITY, _NO_CAP)
 
     def __pow__(self, n: int) -> "OperatorExpr":
         if not isinstance(n, int) or n < 0:
@@ -536,15 +537,11 @@ _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, ()),), _normalized=True)
 # integer accumulator. Terms and ``GaussRat``s are built only for what is
 # read: a sum's output, or a kernel result whose terms are asked for.
 #
-# The order of a graded form is the scheme's, named by its kind: velocity
-# reads ``vc_order``, mass ``mass_power``, and the untruncated product (kind
-# None) gives every term order 0.
+# The order of a graded form is its scheme's: velocity reads ``vc_order``,
+# mass ``mass_power``. An uncapped product is the velocity product under a
+# cap that no pair reaches, so an operand multiplied both ways is graded once.
 
-def _no_order(term: Term) -> int:
-    return 0
-
-
-_ORDER_OF = {None: _no_order, "velocity": VELOCITY.order_of, "mass": MASS.order_of}
+_NO_CAP = sys.maxsize
 _entry_order = itemgetter(0)
 
 
@@ -557,23 +554,24 @@ def _form(d: int, entries: list) -> tuple:
     return (d, entries, [e for e in entries if not e[2]], [e for e in entries if e[2]])
 
 
-def _graded(x: OperatorExpr, kind: str | None) -> tuple:
-    """x's graded form under the order of ``kind``, built once and kept on x.
+def _graded(x: OperatorExpr, scheme: WeightScheme) -> tuple:
+    """x's graded form under the order of ``scheme``, built once and kept on x.
 
     Each coefficient is ``(a + b*i)/D`` with D the lcm of the terms'
     denominators. ``entries`` holds one tuple per term, sorted by order:
     ``(order, rest, has beta, a, b, mass, hbar, grading)``, where ``rest`` is
     the word without its leading beta and ``grading`` the rest's
     ``(vc_order, is_odd, names)``; beta is even and of weight zero, so the
-    rest's order and parity are the term's.
+    rest's order and parity are the term's. ``x._grades`` keys the forms by
+    the scheme's kind.
     """
     grades = x._grades
     if grades is None:
         grades = x._grades = {}
-    out = grades.get(kind)
+    out = grades.get(scheme.kind)
     if out is None:
-        order = _ORDER_OF[kind]
-        terms = x._terms if kind is None else sorted(x._terms, key=order)
+        order = scheme.order_of
+        terms = sorted(x._terms, key=order)
         d, nums = _over_common_denominator([t.coeff for t in terms])
         entries = []
         for t, (a, b) in zip(terms, nums):
@@ -581,14 +579,14 @@ def _graded(x: OperatorExpr, kind: str | None) -> tuple:
             beta = bool(w) and w[0] is BETA
             entries.append((order(t), w[1:] if beta else w, beta, a, b, t.mass_power,
                             t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names)))
-        out = grades[kind] = _form(d, entries)
+        out = grades[scheme.kind] = _form(d, entries)
     return out
 
 
 def _any_form(x: OperatorExpr) -> tuple:
     """A graded form of x under any order (a sum does not read the order)."""
     grades = x._grades
-    return next(iter(grades.values())) if grades else _graded(x, None)
+    return next(iter(grades.values())) if grades else _graded(x, VELOCITY)
 
 
 def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
@@ -631,11 +629,11 @@ def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
     return acc
 
 
-def _collect(acc: dict, d: int, kind: str | None) -> OperatorExpr:
+def _collect(acc: dict, d: int, scheme: WeightScheme) -> OperatorExpr:
     """The kernel result of an ``_accumulate`` dict whose numerators are over d.
 
     Terms whose sums cancel are dropped. The others become the graded form
-    under ``kind``: numerators and d divided by their one content gcd, so d
+    under ``scheme``: numerators and d divided by their one content gcd, so d
     is the lcm of the reduced denominators, as ``_graded`` of the terms
     would give; order, parity and names are the sum, XOR and concatenation
     of the factors'. The result holds that form only; its terms are built
@@ -646,17 +644,16 @@ def _collect(acc: dict, d: int, kind: str | None) -> OperatorExpr:
         g = gcd(g, v[0], v[1])
         if g == 1:
             break
-    velocity, mass = kind == "velocity", kind == "mass"
+    mass = scheme.kind == "mass"
     entries = []
     for (rest, beta, m, h), (a, b, ga, gb) in acc.items():
         if a or b:
             vc = ga[0] + gb[0]
-            entries.append((vc if velocity else m if mass else 0, rest, beta, a // g, b // g,
+            entries.append((m if mass else vc, rest, beta, a // g, b // g,
                             m, h, (vc, ga[1] ^ gb[1], ga[2] + gb[2])))
-    if kind is not None:
-        entries.sort(key=_entry_order)
+    entries.sort(key=_entry_order)
     out = object.__new__(OperatorExpr)
-    out._grades = {kind: _form(d // g, entries)}
+    out._grades = {scheme.kind: _form(d // g, entries)}
     return out
 
 
@@ -681,9 +678,9 @@ def _terms_of(d: int, entries: list) -> tuple:
     return tuple(terms)
 
 
-def _product(a: OperatorExpr, b: OperatorExpr, kind: str | None, cap: int) -> OperatorExpr:
-    left, right = _graded(a, kind), _graded(b, kind)
-    return _collect(_accumulate({}, left, right, cap), left[0] * right[0], kind)
+def _product(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme, cap: int) -> OperatorExpr:
+    left, right = _graded(a, scheme), _graded(b, scheme)
+    return _collect(_accumulate({}, left, right, cap), left[0] * right[0], scheme)
 
 
 def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
@@ -693,7 +690,7 @@ def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
     Both weight schemes are additive, so a pair's order is the sum of its
     factors' orders, each computed once per operand.
     """
-    return _product(a, b, scheme.kind, max_order)
+    return _product(a, b, scheme, max_order)
 
 
 # -- construction helpers ----------------------------------------------------
@@ -742,10 +739,12 @@ def commutator(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme | None = N
     """
     if (scheme is None) != (max_order is None):
         raise TypeError("commutator needs both scheme and max_order, or neither")
-    kind, cap = (None, 0) if scheme is None else (scheme.kind, max_order)
-    left, right = _graded(a, kind), _graded(b, kind)
-    acc = _accumulate(_accumulate({}, left, right, cap), right, left, cap, negate=True)
-    return _collect(acc, left[0] * right[0], kind)
+    if scheme is None:
+        scheme, max_order = VELOCITY, _NO_CAP
+    left, right = _graded(a, scheme), _graded(b, scheme)
+    acc = _accumulate(_accumulate({}, left, right, max_order), right, left, max_order,
+                      negate=True)
+    return _collect(acc, left[0] * right[0], scheme)
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:

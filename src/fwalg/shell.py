@@ -775,7 +775,9 @@ def main(argv=None) -> int:
 
     p_probe = sub.add_parser("probe", help="series convergence probe")
     p_probe.add_argument("--p-over-mc", type=_finite_float, required=True)
-    p_probe.add_argument("--orders", type=_orders, default="2,4,6,8")
+    p_probe.add_argument("--orders", type=_orders, default="2,4,6,8",
+                         help="distinct even orders, comma-separated, each at most "
+                              f"{numlab.PROBE_MAX_ORDER} (default 2,4,6,8)")
     p_probe.add_argument("--out", choices=("text", "record"), default="text")
 
     args = parser.parse_args(argv)

@@ -257,6 +257,59 @@ def test_bch_word_table_equals_dynkin_sum_per_word():
             assert dict(table) == folded, (a_min, b_min, budget)
 
 
+def _fraction_word_table(budget, a_min, b_min):
+    """The word table expanded directly in Fraction arithmetic: the oracle.
+
+    X = exp(a) exp(b) - 1 as its blocks a^p b^q (p + q >= 1) by weight, the
+    powers of X as letter strings, log(1 + X) summed by hand, then the same
+    fold as the table: no word ending xx, ...ab into ...ba negated, each sum
+    over the word length.
+    """
+    blocks = sorted(
+        (p * a_min + q * b_min, "a" * p + "b" * q, Fraction(1, factorial(p) * factorial(q)))
+        for p in range(budget // a_min + 1)
+        for q in range((budget - p * a_min) // b_min + 1) if p or q)
+    log = {}
+    power = {"": (0, Fraction(1))}  # X^n as word -> (weight, coefficient)
+    n = 0
+    while power:
+        n += 1
+        nxt = {}
+        for u, (wu, cu) in power.items():
+            for wv, v, cv in blocks:
+                if wu + wv > budget:
+                    break
+                prev = nxt.get(u + v)
+                nxt[u + v] = (wu + wv, cu * cv if prev is None else prev[1] + cu * cv)
+        for w, (_, c) in nxt.items():
+            log[w] = log.get(w, 0) + Fraction((-1) ** (n - 1), n) * c
+        power = nxt
+    folded = {}
+    for w, c in log.items():
+        if len(w) >= 2:
+            if w[-1] == w[-2]:
+                continue
+            if w[-1] == "b":
+                w, c = w[:-2] + "ba", -c
+        folded[w] = folded.get(w, 0) + c
+    return {w: GaussRat(c / len(w)) for w, c in folded.items() if c}
+
+
+#: The tables that corrected vc14 builds: its left operands (a step exponent
+#: or a correction slice) have minimum order 3 or more.
+_VC14_TABLES = [(14, a_min, 1) for a_min in range(3, 15)] + [
+    (14, a_min, 4) for a_min in (6, 8, 10, 12, 14)]
+
+
+def test_bch_word_table_equals_fraction_expansion():
+    keys = [(budget, a_min, b_min) for budget in range(11)
+            for a_min in range(1, 5) for b_min in range(1, 5)] + _VC14_TABLES
+    for key in keys:
+        table = _bch_word_table(*key)
+        assert len(table) == len(dict(table))
+        assert dict(table) == _fraction_word_table(*key), key
+
+
 # -- combination and correction ---------------------------------------------------------
 
 def test_combine_single_step():

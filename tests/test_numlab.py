@@ -6,7 +6,7 @@ from fwalg.opalg import (
 )
 from fwalg import reference as ref
 from fwalg.numlab import (
-    ALPHAS, BETA4, InvalidBeta, MatrixModel, NumericError, SingularSign,
+    ALPHAS, BETA4, PROBE_MAX_ORDER, InvalidBeta, MatrixModel, NumericError, SingularSign,
     UnboundSymbol, _components, block_diag_residual, convergence_probe,
     eriksen_condition_residual, eriksen_unitary, evaluate_symbolic,
     free_model, free_series_term, lattice_model, positive_block_spectrum,
@@ -402,6 +402,13 @@ def test_probe_lattice_past_the_closed_form():
 def test_probe_rejects_odd_and_negative_orders(model, orders):
     with pytest.raises(ValueError, match="nonnegative even"):
         convergence_probe(model, orders=orders)
+
+
+def test_probe_rejects_orders_over_the_limit():
+    model = free_model(0.5)
+    assert len(convergence_probe(model, orders=(2, 4, PROBE_MAX_ORDER)).norms) == 3
+    with pytest.raises(ValueError, match=f"at most {PROBE_MAX_ORDER}, got {PROBE_MAX_ORDER + 2}"):
+        convergence_probe(model, orders=(2, 4, PROBE_MAX_ORDER + 2))
 
 
 def test_probe_report_lines():

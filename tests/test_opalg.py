@@ -147,8 +147,8 @@ def test_product_kernel_big_coprime_denominators_and_cancelling_brackets(rng):
 
 
 def test_operand_graded_under_each_order_function(rng):
-    # the same operands graded under the velocity, mass and no order, and
-    # again, each result against its definition
+    # the same operands graded under the velocity and mass orders, capped and
+    # uncapped, and again, each result against its definition
     for _ in range(60):
         x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
         y = b * rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
@@ -159,6 +159,16 @@ def test_operand_graded_under_each_order_function(rng):
             assert mul_trunc(x, y, MASS, k - 1) == product.truncate(MASS, k - 1)
             assert x * y == product
             assert mul_trunc(y, y, MASS, k) == normalize(_concatenated(y, y)).truncate(MASS, k)
+
+
+def test_operand_graded_once_for_uncapped_and_velocity_products(rng):
+    # an uncapped product is the velocity product under no cap, so an operand
+    # multiplied both ways holds one graded form
+    for _ in range(30):
+        x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        y = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        x * y, commutator(x, y), mul_trunc(x, y, VELOCITY, rng.randint(0, 5))
+        assert list(x._grades) == list(y._grades) == ["velocity"]
 
 
 def test_grade_cache_ignored_by_equality_hash_pickle_and_copy(rng):
@@ -396,14 +406,14 @@ def test_kernel_results_hand_on_the_graded_form_of_their_terms(rng):
         x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
         y = scale(Fraction(1, rng.choice((2, 3, 6))), rand_expr(rng, max_terms=4))
         k = rng.randint(0, 6)
-        for kind, results in (
-                ("velocity", (commutator(x, y, VELOCITY, k), mul_trunc(x, y, VELOCITY, k))),
-                ("mass", (commutator(y, x, MASS, k - 2), mul_trunc(y, x, MASS, k - 2))),
-                (None, (commutator(x, y), x * y))):
+        for scheme, results in (
+                (VELOCITY, (commutator(x, y, VELOCITY, k), mul_trunc(x, y, VELOCITY, k))),
+                (MASS, (commutator(y, x, MASS, k - 2), mul_trunc(y, x, MASS, k - 2))),
+                (VELOCITY, (commutator(x, y), x * y))):
             for r in results:
-                assert list(r._grades) == [kind]
-                handed = _graded_by_key(r._grades[kind])
-                assert handed == _graded_by_key(_graded(OperatorExpr(r.terms, True), kind))
+                assert list(r._grades) == [scheme.kind]
+                handed = _graded_by_key(r._grades[scheme.kind])
+                assert handed == _graded_by_key(_graded(OperatorExpr(r.terms, True), scheme))
 
 
 def test_mass_order_of_rest_term():

@@ -392,6 +392,7 @@ _PROBE_ERRORS = [  # (--p-over-mc, --orders, message fragment)
     ("0.5", "3,5,7", "even orders only"),
     ("0.5", "-2,0,2", "nonnegative even orders only"),
     ("0.5", "2,2,2", "orders must be distinct"),
+    ("0.5", "2,4,1002", "orders must be at most 1000, got 1002"),
     ("nan", "2,4,6,8", "expected a finite number, got 'nan'"),
     ("inf", "2,4,6,8", "expected a finite number, got 'inf'"),
 ]
