@@ -270,60 +270,30 @@ class FieldTerm:
         return "(" + " ".join(parts) + ")"
 
 
-def _reduce_word(atoms: Sequence):
-    """Normal-order a word of field/pi/T atoms.
+def _commute(x, y):
+    """The correction branches of ``x y = y x + ...``; None if x y is in order.
 
-    Yields branches (coeff, e_shift, hbar_shift, c_shift, fields, pis, t_power)
-    with canonical order: sorted fields, then pis with ascending axes, then T.
+    The normal order is sorted fields, then pis with ascending axes, then T.
+    A branch ``(coeff, e_shift, hbar_shift, c_shift, atom)`` is one atom
+    standing in for the pair, times coeff and the shifted powers. Two
+    fields out of order commute: no branch.
     """
-    results = []
-    stack = [(ONE, 0, 0, 0, list(atoms))]
-    while stack:
-        coeff, de, dh, dc, seq = stack.pop()
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(len(seq) - 1):
-                x, y = seq[idx], seq[idx + 1]
-                if isinstance(x, TAtom) and not isinstance(y, TAtom):
-                    if isinstance(y, FieldAtom):
-                        # T f = f T - i hbar (d_t f)
-                        rest = seq[:idx] + [y.d_time()] + seq[idx + 2:]
-                        stack.append((coeff * MINUS_I, de, dh + 1, dc, rest))
-                    else:  # PiAtom
-                        # T pi_i = pi_i T + i hbar (e/c) (d_t A_i)
-                        rest = seq[:idx] + [a_atom(y.axis, (), 1)] + seq[idx + 2:]
-                        stack.append((coeff * I, de + 1, dh + 1, dc - 1, rest))
-                    seq[idx], seq[idx + 1] = y, x
-                    changed = True
-                    break
-                if isinstance(x, PiAtom) and isinstance(y, FieldAtom):
-                    # pi_i f = f pi_i - i hbar (d_i f)
-                    rest = seq[:idx] + [y.d_spatial(x.axis)] + seq[idx + 2:]
-                    stack.append((coeff * MINUS_I, de, dh + 1, dc, rest))
-                    seq[idx], seq[idx + 1] = y, x
-                    changed = True
-                    break
-                if isinstance(x, PiAtom) and isinstance(y, PiAtom) and x.axis > y.axis:
-                    # pi_i pi_j = pi_j pi_i + i hbar (e/c) (d_i A_j - d_j A_i)
-                    i, j = x.axis, y.axis
-                    rest1 = seq[:idx] + [a_atom(j, (i,))] + seq[idx + 2:]
-                    rest2 = seq[:idx] + [a_atom(i, (j,))] + seq[idx + 2:]
-                    stack.append((coeff * I, de + 1, dh + 1, dc - 1, rest1))
-                    stack.append((coeff * MINUS_I, de + 1, dh + 1, dc - 1, rest2))
-                    seq[idx], seq[idx + 1] = y, x
-                    changed = True
-                    break
-                if (isinstance(x, FieldAtom) and isinstance(y, FieldAtom)
-                        and x.sort_key() > y.sort_key()):
-                    seq[idx], seq[idx + 1] = y, x
-                    changed = True
-                    break
-        fields = tuple(a for a in seq if isinstance(a, FieldAtom))
-        pis = tuple(a.axis for a in seq if isinstance(a, PiAtom))
-        t_power = sum(1 for a in seq if isinstance(a, TAtom))
-        results.append((coeff, de, dh, dc, fields, pis, t_power))
-    return results
+    tx, ty = type(x), type(y)
+    if tx is TAtom:
+        if ty is FieldAtom:  # T f = f T - i hbar (d_t f)
+            return [(MINUS_I, 0, 1, 0, y.d_time())]
+        if ty is PiAtom:  # T pi_i = pi_i T + i hbar (e/c) (d_t A_i)
+            return [(I, 1, 1, -1, a_atom(y.axis, (), 1))]
+    elif tx is PiAtom:
+        if ty is FieldAtom:  # pi_i f = f pi_i - i hbar (d_i f)
+            return [(MINUS_I, 0, 1, 0, y.d_spatial(x.axis))]
+        if ty is PiAtom and x.axis > y.axis:
+            # pi_i pi_j = pi_j pi_i + i hbar (e/c) (d_i A_j - d_j A_i)
+            return [(I, 1, 1, -1, a_atom(y.axis, (x.axis,))),
+                    (MINUS_I, 1, 1, -1, a_atom(x.axis, (y.axis,)))]
+    elif ty is FieldAtom and x.sort_key() > y.sort_key():
+        return []
+    return None
 
 
 def _normalize_field(raw: Iterable) -> tuple[FieldTerm, ...]:
@@ -331,26 +301,37 @@ def _normalize_field(raw: Iterable) -> tuple[FieldTerm, ...]:
 
     A raw tuple is ``(coeff, e_power, hbar_power, c_power, mass_power, unit,
     word)``: the Clifford unit already multiplied out, the word a list of
-    field/pi/T atoms in any order.
+    field/pi/T atoms in any order. Each word is sorted by adjacent swaps,
+    stepping back one place after each; a swap leaves the branches of
+    ``_commute`` to be sorted in turn. Each normal word is summed under its
+    key, and the sums become terms.
     """
     acc: dict = {}
     for coeff0, e_power, hbar_power, c_power, mass_power, unit, word in raw:
         if coeff0.is_zero:
             continue
-        for (coeff, de, dh, dc, fields, pis, t_power) in _reduce_word(word):
-            total = coeff0 * coeff
-            if total.is_zero:
-                continue
-            key = (fields, pis, t_power, unit, e_power + de, hbar_power + dh,
-                   c_power + dc, mass_power)
+        stack = [(coeff0, e_power, hbar_power, c_power, list(word))]
+        while stack:
+            coeff, e, h, c, seq = stack.pop()
+            idx, last = 0, len(seq) - 1
+            while idx < last:
+                x, y = seq[idx], seq[idx + 1]
+                branches = _commute(x, y)
+                if branches is None:
+                    idx += 1
+                    continue
+                for dcoeff, de, dh, dc, atom in branches:
+                    stack.append((coeff * dcoeff, e + de, h + dh, c + dc,
+                                  seq[:idx] + [atom] + seq[idx + 2:]))
+                seq[idx], seq[idx + 1] = y, x
+                idx = max(idx - 1, 0)
+            fields = tuple(a for a in seq if isinstance(a, FieldAtom))
+            pis = tuple(a.axis for a in seq if isinstance(a, PiAtom))
+            key = (e, h, c, mass_power, unit, fields, pis, len(seq) - len(fields) - len(pis))
             prev = acc.get(key)
-            acc[key] = total if prev is None else prev + total
-    terms = [
-        FieldTerm(c, key[4], key[5], key[6], key[7], key[3], key[0], key[1], key[2])
-        for key, c in acc.items() if not c.is_zero
-    ]
-    terms.sort(key=_term_sort_key)
-    return tuple(terms)
+            acc[key] = coeff if prev is None else prev + coeff
+    return tuple(sorted((FieldTerm(c, *key) for key, c in acc.items() if not c.is_zero),
+                        key=_term_sort_key))
 
 
 def _word_of(t: FieldTerm) -> list:

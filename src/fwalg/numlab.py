@@ -214,22 +214,22 @@ def _hermitian_function(mat: np.ndarray, fn, check) -> np.ndarray:
     return out
 
 
-def _sign_check(threshold: float):
-    def check(evals):
-        scale = np.max(np.abs(evals))
-        if scale == 0.0 or np.min(np.abs(evals)) < threshold * scale:
-            raise SingularSign(
-                f"smallest |eigenvalue| below {threshold} of spectral range"
-            )
-    return check
+#: The smallest |eigenvalue| of H, over its spectral range, and of U's core.
+SIGN_THRESHOLD = 1e-8
 
 
-def sign_operator(model: MatrixModel, threshold: float = 1e-8) -> np.ndarray:
+def _sign_check(evals):
+    scale = np.max(np.abs(evals))
+    if scale == 0.0 or np.min(np.abs(evals)) < SIGN_THRESHOLD * scale:
+        raise SingularSign(f"smallest |eigenvalue| below {SIGN_THRESHOLD} of spectral range")
+
+
+def sign_operator(model: MatrixModel) -> np.ndarray:
     """lambda = H (H^2)^(-1/2) via eigendecomposition."""
-    return _hermitian_function(model.hamiltonian, np.sign, _sign_check(threshold))
+    return _hermitian_function(model.hamiltonian, np.sign, _sign_check)
 
 
-def eriksen_unitary(model: MatrixModel, threshold: float = 1e-8) -> np.ndarray:
+def eriksen_unitary(model: MatrixModel) -> np.ndarray:
     """U = (1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2).
 
     lambda is a function of H, so it and U vanish between the components of
@@ -239,11 +239,11 @@ def eriksen_unitary(model: MatrixModel, threshold: float = 1e-8) -> np.ndarray:
     exactly and the core splits along them too.
     """
     def check(evals):
-        if np.min(evals) < threshold:
+        if np.min(evals) < SIGN_THRESHOLD:
             raise SingularSign("2 + beta lambda + lambda beta is numerically singular")
     signs = model.beta_signs
     u = np.zeros_like(model.hamiltonian)
-    for idx, evals, vecs in _eigh_blocks(model.hamiltonian, _sign_check(threshold)):
+    for idx, evals, vecs in _eigh_blocks(model.hamiltonian, _sign_check):
         lam = (vecs * np.sign(evals)) @ vecs.conj().T
         beta_lam = signs[idx, None] * lam
         eye = np.eye(idx.size)
@@ -416,6 +416,9 @@ def _order_norm(expr: OperatorExpr, model: MatrixModel, order: int) -> float:
 #: a word of k + 1 generators and C(1/2, k/2) in exact fractions: order 1000
 #: takes about 0.015 s, and every even order up to it about 1.6 s together.
 PROBE_MAX_ORDER = 1000
+#: The largest order on a lattice, where ``eriksen_series`` is formed at it:
+#: 1 s at 16 on a 16-site lattice, and about 3.5 times more per two orders.
+PROBE_MAX_LATTICE_ORDER = 16
 
 
 def convergence_probe(model: MatrixModel, orders=(2, 4, 6, 8)) -> ProbeReport:
@@ -424,15 +427,17 @@ def convergence_probe(model: MatrixModel, orders=(2, 4, 6, 8)) -> ProbeReport:
     Free models probe the kinetic square-root series; potential models probe
     the order slices of the Eriksen series of beta mc^2 + E + O, formed once
     at the largest order asked for (qualitative only). Orders above
-    ``PROBE_MAX_ORDER`` are rejected before any series work.
+    ``PROBE_MAX_ORDER``, or on a lattice above ``PROBE_MAX_LATTICE_ORDER``,
+    are rejected before any series work.
     """
     orders = sorted(orders)
     if len(set(orders)) < len(orders):
         raise ValueError(f"orders must be distinct, got {orders}")
     if any(k < 0 or k % 2 for k in orders):
         raise ValueError("the block-diagonal series has nonnegative even orders only")
-    if orders and orders[-1] > PROBE_MAX_ORDER:
-        raise ValueError(f"orders must be at most {PROBE_MAX_ORDER}, got {orders[-1]}")
+    limit = PROBE_MAX_ORDER if model.kind == "free_momentum" else PROBE_MAX_LATTICE_ORDER
+    if orders and orders[-1] > limit:
+        raise ValueError(f"orders must be at most {limit}, got {orders[-1]}")
     if model.kind == "free_momentum":
         norms = [_order_norm(free_series_term(k // 2), model, k) for k in orders]
         regime = model.params.get("p_over_mc", 0.0)

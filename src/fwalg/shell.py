@@ -120,6 +120,8 @@ class HamiltonianSpec:
 
 
 _METHODS = ("fw", "fw-corrected", "eriksen")
+#: Names a spec cannot declare: the imaginary unit and the builtin generators.
+_RESERVED_NAMES = ("i",) + tuple(s.name for s in BUILTIN_SYMBOLS)
 
 
 class _Parser:
@@ -164,6 +166,9 @@ class _Parser:
             if keyword == "symbol":
                 self.next()
                 name_tok = self.expect("ident", "symbol name")
+                if name_tok.text in _RESERVED_NAMES:
+                    raise SpecSyntaxError(f"symbol name {name_tok.text!r} is reserved",
+                                          name_tok.line, name_tok.col)
                 parity_tok = self.expect("ident", "even|odd")
                 if parity_tok.text not in ("even", "odd"):
                     raise SpecSyntaxError(f"bad parity {parity_tok.text!r}",
@@ -422,7 +427,7 @@ def render_latex(expr: OperatorExpr) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-def serialize_record(expr: OperatorExpr, registry: SymbolRegistry | None = None) -> dict:
+def serialize_record(expr: OperatorExpr) -> dict:
     """Exact-integer structured form; parse_record inverts it bit for bit."""
     builtin = {s.name for s in BUILTIN_SYMBOLS}
     symbols = {}
@@ -464,8 +469,7 @@ def _int_field(entry: dict, key: str) -> int:
 def _word_field(entry: dict, symbols: dict) -> tuple:
     """The entry's word with its grading, read in one pass over its names.
 
-    Returns ``(word, vc_order, is_odd, names)``, the grading ``Term`` would
-    compute from the word.
+    Returns ``(word, vc_order, is_odd, names)``, the grading ``Term`` stores.
     """
     names = entry.get("word")
     if not isinstance(names, (list, tuple)):
@@ -506,25 +510,38 @@ def parse_record(data) -> OperatorExpr:
     A record that ``serialize_record`` wrote is already in normal form and
     is taken as it is. Any other goes through the normal form, so a record
     whose terms are unsorted, repeated or not in lowest terms parses to the
-    same expression as its canonical form. A malformed coefficient,
-    exponent or word raises ``ValueError`` naming the field.
+    same expression as its canonical form. A malformed record, symbol,
+    coefficient, exponent or word raises ``ValueError`` naming the field.
     """
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"record must be an object, got {data!r}")
     if data.get("schema") != RECORD_SCHEMA:
         raise ValueError(f"unsupported record schema {data.get('schema')!r}")
+    declared = data.get("symbols", {})
+    if not isinstance(declared, dict):
+        raise ValueError(f"symbols must map names to parity and weight_vc, got {declared!r}")
     registry = SymbolRegistry()
-    for name, info in data.get("symbols", {}).items():
-        registry.register(name, info["parity"], info["weight_vc"])
+    for name, info in declared.items():
+        if not isinstance(info, dict):
+            raise ValueError(f"symbols entry {name!r} must hold parity and weight_vc, got {info!r}")
+        try:
+            registry.register(name, info.get("parity"), _int_field(info, "weight_vc"))
+        except (ValueError, DuplicateSymbol) as exc:
+            raise ValueError(f"symbols entry {name!r}: {exc}") from None
     symbols = {s.name: s for s in registry.symbols()}
+    entries = data.get("terms")
+    if not isinstance(entries, (list, tuple)) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"terms must be a list of term objects, got {entries!r}")
     terms = []
-    for entry in data["terms"]:
+    for entry in entries:
         re_num, re_den = _int_pair(entry, "coeff_re")
         im_num, im_den = _int_pair(entry, "coeff_im")
         word, vc, odd, names = _word_field(entry, symbols)
-        terms.append(Term.graded(GaussRat.from_pairs(re_num, re_den, im_num, im_den),
-                                 _int_field(entry, "mass_power"),
-                                 _int_field(entry, "hbar_power"), word, vc, odd, names))
+        terms.append(Term(GaussRat.from_pairs(re_num, re_den, im_num, im_den),
+                          _int_field(entry, "mass_power"),
+                          _int_field(entry, "hbar_power"), word, vc, odd, names))
     if _is_canonical(terms):
         return OperatorExpr(tuple(terms), _normalized=True)
     return OperatorExpr(terms)

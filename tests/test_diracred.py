@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from fwalg.gaussrat import GaussRat
+from fwalg.gaussrat import GaussRat, I, MINUS_I, ONE
 from fwalg.opalg import (
     BETA, E, F, O, VELOCITY, OperatorExpr, SymbolRegistry, commutator, sym,
     word,
 )
 from fwalg.diracred import (
-    BETA_ATOM, CliffordAtom, FieldAtom, FieldContext, FieldExpr, GAMMA5,
-    PiAtom, TAtom, UnreducedWord, _ID, _alpha, _unit_mul, _word_of, alpha_atom,
+    BETA_ATOM, CliffordAtom, FieldAtom, FieldContext, FieldExpr, FieldTerm, GAMMA5,
+    PiAtom, TAtom, UnreducedWord, _ID, _alpha, _normalize_field, _unit_mul, _word_of,
+    _term_sort_key, alpha_atom,
     a_atom, b_field, div_e, e_field, field_term, instantiate, phi_atom,
     polarization, reference_field_hamiltonian, sigma_atom,
 )
@@ -204,6 +205,99 @@ def test_reduction_oracle_random_words(rng):
         word(1, w) + total
     with pytest.raises(TypeError):
         total + word(1, w)
+
+
+def _reduce_word(atoms):
+    """Normal-order a word of field/pi/T atoms: the oracle of ``_normalize_field``.
+
+    Each of the four commutation rules written out on its own, and the scan
+    restarted from the left after every swap. Returns branches (coeff,
+    e_shift, hbar_shift, c_shift, fields, pis, t_power).
+    """
+    results = []
+    stack = [(ONE, 0, 0, 0, list(atoms))]
+    while stack:
+        coeff, de, dh, dc, seq = stack.pop()
+        changed = True
+        while changed:
+            changed = False
+            for idx in range(len(seq) - 1):
+                x, y = seq[idx], seq[idx + 1]
+                if isinstance(x, TAtom) and not isinstance(y, TAtom):
+                    if isinstance(y, FieldAtom):
+                        # T f = f T - i hbar (d_t f)
+                        rest = seq[:idx] + [y.d_time()] + seq[idx + 2:]
+                        stack.append((coeff * MINUS_I, de, dh + 1, dc, rest))
+                    else:  # PiAtom
+                        # T pi_i = pi_i T + i hbar (e/c) (d_t A_i)
+                        rest = seq[:idx] + [a_atom(y.axis, (), 1)] + seq[idx + 2:]
+                        stack.append((coeff * I, de + 1, dh + 1, dc - 1, rest))
+                    seq[idx], seq[idx + 1] = y, x
+                    changed = True
+                    break
+                if isinstance(x, PiAtom) and isinstance(y, FieldAtom):
+                    # pi_i f = f pi_i - i hbar (d_i f)
+                    rest = seq[:idx] + [y.d_spatial(x.axis)] + seq[idx + 2:]
+                    stack.append((coeff * MINUS_I, de, dh + 1, dc, rest))
+                    seq[idx], seq[idx + 1] = y, x
+                    changed = True
+                    break
+                if isinstance(x, PiAtom) and isinstance(y, PiAtom) and x.axis > y.axis:
+                    # pi_i pi_j = pi_j pi_i + i hbar (e/c) (d_i A_j - d_j A_i)
+                    i, j = x.axis, y.axis
+                    rest1 = seq[:idx] + [a_atom(j, (i,))] + seq[idx + 2:]
+                    rest2 = seq[:idx] + [a_atom(i, (j,))] + seq[idx + 2:]
+                    stack.append((coeff * I, de + 1, dh + 1, dc - 1, rest1))
+                    stack.append((coeff * MINUS_I, de + 1, dh + 1, dc - 1, rest2))
+                    seq[idx], seq[idx + 1] = y, x
+                    changed = True
+                    break
+                if (isinstance(x, FieldAtom) and isinstance(y, FieldAtom)
+                        and x.sort_key() > y.sort_key()):
+                    seq[idx], seq[idx + 1] = y, x
+                    changed = True
+                    break
+        fields = tuple(a for a in seq if isinstance(a, FieldAtom))
+        pis = tuple(a.axis for a in seq if isinstance(a, PiAtom))
+        t_power = sum(1 for a in seq if isinstance(a, TAtom))
+        results.append((coeff, de, dh, dc, fields, pis, t_power))
+    return results
+
+
+def _normalize_by_restart(raw):
+    """``_normalize_field``'s terms, each word reduced by ``_reduce_word``."""
+    acc = {}
+    for coeff0, e_power, hbar_power, c_power, mass_power, unit, atoms in raw:
+        for coeff, de, dh, dc, fields, pis, t_power in _reduce_word(atoms):
+            key = (fields, pis, t_power, unit, e_power + de, hbar_power + dh,
+                   c_power + dc, mass_power)
+            prev = acc.get(key)
+            acc[key] = coeff0 * coeff if prev is None else prev + coeff0 * coeff
+    terms = [FieldTerm(c, key[4], key[5], key[6], key[7], key[3], key[0], key[1], key[2])
+             for key, c in acc.items() if not c.is_zero]
+    return sorted(terms, key=_term_sort_key)
+
+
+def _random_atom(rng):
+    kind = rng.random()
+    if kind < 0.3:
+        return rng.choice([phi_atom(), phi_atom((2,)), phi_atom((), 1), a_atom(1),
+                           a_atom(3, (1, 2)), a_atom(2, (), 1)])
+    if kind < 0.8:
+        return PiAtom(rng.choice((1, 2, 3)))
+    return TAtom()
+
+
+def test_normalize_field_equals_restarting_reducer(rng):
+    # words of fields, pis (repeated and descending axes among them) and T;
+    # one raw tuple or several that share keys
+    for _ in range(300):
+        raw = [(GaussRat(rng.randint(-3, 3) or 1, rng.randint(-1, 1)), rng.randint(0, 1),
+                rng.randint(0, 1), 0, rng.randint(0, 1), (rng.randint(0, 1), _ID),
+                [_random_atom(rng) for _ in range(rng.randint(0, 6))])
+               for _ in range(rng.randint(1, 3))]
+        assert ([(t.key, t.coeff) for t in _normalize_field(raw)]
+                == [(t.key, t.coeff) for t in _normalize_by_restart(raw)]), raw
 
 
 def branch_expansion(abstract, ctx=FieldContext(), max_field_order=None):

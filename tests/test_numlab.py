@@ -4,10 +4,10 @@ import pytest
 from fwalg.opalg import (
     BETA, E, F, O, VELOCITY, SymbolRegistry, commutator, sym, word,
 )
-from fwalg import reference as ref
+from fwalg import numlab, reference as ref
 from fwalg.numlab import (
-    ALPHAS, BETA4, PROBE_MAX_ORDER, InvalidBeta, MatrixModel, NumericError, SingularSign,
-    UnboundSymbol, _components, block_diag_residual, convergence_probe,
+    ALPHAS, BETA4, PROBE_MAX_LATTICE_ORDER, PROBE_MAX_ORDER, InvalidBeta, MatrixModel,
+    NumericError, SingularSign, UnboundSymbol, _components, block_diag_residual, convergence_probe,
     eriksen_condition_residual, eriksen_unitary, evaluate_symbolic,
     free_model, free_series_term, lattice_model, positive_block_spectrum,
     regularized_well, sign_operator, unitarity_defect,
@@ -409,6 +409,15 @@ def test_probe_rejects_orders_over_the_limit():
     assert len(convergence_probe(model, orders=(2, 4, PROBE_MAX_ORDER)).norms) == 3
     with pytest.raises(ValueError, match=f"at most {PROBE_MAX_ORDER}, got {PROBE_MAX_ORDER + 2}"):
         convergence_probe(model, orders=(2, 4, PROBE_MAX_ORDER + 2))
+
+
+def test_probe_rejects_lattice_orders_over_the_lattice_limit(monkeypatch):
+    # a lattice forms the Eriksen series at the largest order, so its limit
+    # is far below the free model's; the check comes before any series work
+    monkeypatch.setattr(numlab, "eriksen_series", None)
+    with pytest.raises(ValueError, match=f"at most {PROBE_MAX_LATTICE_ORDER}, got "
+                                         f"{PROBE_MAX_LATTICE_ORDER + 2}"):
+        convergence_probe(fine_lattice(), orders=(2, 4, PROBE_MAX_LATTICE_ORDER + 2))
 
 
 def test_probe_report_lines():

@@ -389,6 +389,30 @@ def test_term_caches_match_recomputation(rng):
             _assert_grading_fresh(z + x)
 
 
+def test_normalize_raw_grades_words_with_beta_and_m_anywhere(rng):
+    # beta and m put anywhere in raw words, custom symbols among the others;
+    # the oracle multiplies each word out factor by factor in the product kernel
+    q = OperatorSymbol("Q", "odd", 3)
+    for _ in range(200):
+        raw = []
+        for _ in range(rng.randint(1, 4)):
+            c, mass, hbar, w = rand_raw_term(rng, max_len=5, symbols=RAW_SYMBOLS + (q,))
+            w = list(w)
+            for s in (BETA, MC2, BETA):
+                w.insert(rng.randint(0, len(w)), s)
+            raw.append((c, mass, hbar, tuple(w)))
+        x = OperatorExpr(_normalize_raw(raw), _normalized=True)
+        _assert_grading_fresh(x)
+        assert all(MC2 not in t.word and BETA not in t.word[1:] for t in x)
+        expected = zero()
+        for c, mass, hbar, w in raw:
+            product = word(c, [], mass, hbar)
+            for s in w:
+                product = product * sym(s)
+            expected = expected + product
+        assert x == expected
+
+
 def _graded_by_key(form):
     d, entries, plain, crossed = form
     assert [e[0] for e in entries] == sorted(e[0] for e in entries)
@@ -496,6 +520,10 @@ def test_interned_symbols_survive_record_round_trip():
 def test_symbol_validation_still_fires():
     with pytest.raises(ValueError):
         OperatorSymbol("P", "both", 1)
+    # a builtin's name takes no other parity or weight
+    for name, parity, weight in (("beta", "odd", 3), ("m", "odd", 1), ("E", "even", 1)):
+        with pytest.raises(ValueError, match=f"{name!r} is a builtin"):
+            OperatorSymbol(name, parity, weight)
     with pytest.raises(ValueError):
         OperatorSymbol("P", "odd", -1)
     with pytest.raises(ValueError):

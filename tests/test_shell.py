@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -246,6 +247,30 @@ def test_parse_record_rejects_bad_exponent_or_word(key, bad):
         parse_record(data)
 
 
+@pytest.mark.parametrize("change, field", [
+    (lambda r: {**r, "symbols": {"Q": {"parity": "odd"}}}, "weight_vc"),
+    (lambda r: {**r, "symbols": {"Q": 3}}, "symbols entry 'Q'"),
+    (lambda r: {**r, "symbols": {"beta": {"parity": "even", "weight_vc": 0}}},
+     "symbols entry 'beta'"),
+    (lambda r: {**r, "symbols": {"m": {"parity": "odd", "weight_vc": 1}}}, "symbols entry 'm'"),
+    (lambda r: {**r, "symbols": {"Q": {"parity": "odd", "weight_vc": "2"}}}, "weight_vc"),
+    (lambda r: {**r, "symbols": {"Q": {"parity": "odd", "weight_vc": True}}}, "weight_vc"),
+    (lambda r: {**r, "symbols": {"Q": {"parity": "both", "weight_vc": 1}}}, "symbols entry 'Q'"),
+    (lambda r: {**r, "symbols": [["Q", "odd", 1]]}, "symbols must map"),
+    (lambda r: {k: v for k, v in r.items() if k != "terms"}, "terms"),
+    (lambda r: {**r, "terms": {"O": 1}}, "terms"),
+    (lambda r: {**r, "terms": ["O"]}, "terms"),
+    (lambda r: [r], "record must be an object"),
+    (lambda r: "[]", "record must be an object"),
+], ids=["weight-missing", "symbol-not-object", "symbol-beta", "symbol-m", "weight-str",
+        "weight-true", "bad-parity", "symbols-list", "terms-missing", "terms-object",
+        "term-not-object", "record-list", "record-json-list"])
+def test_parse_record_rejects_malformed_record(change, field):
+    data = change(_record(([1, 1], [0, 1], 0, ["O"])))
+    with pytest.raises(ValueError, match=re.escape(field)):
+        parse_record(data)
+
+
 _SYMS = {"beta": BETA, "O": O, "E": E, "m": MC2}
 
 
@@ -361,8 +386,12 @@ def assert_one_line_error(capsys, argv, fragment):
     ("H = beta*m + O; method fw; method eriksen;", "repeated directive 'method'"),
     ("H = beta*m + O; steps 2; steps 3;", "repeated directive 'steps'"),
     ("H = beta*m + O; H = beta*m;", "repeated directive 'H'"),
+    ("symbol i odd 1; H = beta*m + O + i*O; order 2; method fw;",
+     "symbol name 'i' is reserved at line 1, column 8"),
+    ("symbol beta even 0; H = beta*m + O;", "symbol name 'beta' is reserved at line 1, column 8"),
 ], ids=["unknown-symbol", "steps-0", "zero-denominator", "repeated-order",
-        "repeated-scheme", "repeated-method", "repeated-steps", "repeated-H"])
+        "repeated-scheme", "repeated-method", "repeated-steps", "repeated-H", "symbol-i",
+        "symbol-beta"])
 def test_cli_transform_parse_error_exit_2(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.fw"
     bad.write_text(text + "\n")
