@@ -150,23 +150,40 @@ class TAtom:
     """The -i hbar d/dt bookkeeping operator carried inside F."""
 
 
-@dataclass(frozen=True)
 class FieldAtom:
     """Commuting potential symbol with derivative bookkeeping.
 
     base is "Phi" or "A" (axis 1..3 for the vector potential); sderiv is the
     sorted tuple of spatial derivative axes and tderiv the number of time
-    derivatives.
+    derivatives. Interned, as ``OperatorSymbol`` is: equal atoms are
+    identical, so they hash and compare by identity, and ``sort_key`` is
+    read once, at construction.
     """
 
-    base: str
-    axis: int = 0
-    sderiv: tuple[int, ...] = ()
-    tderiv: int = 0
+    __slots__ = ("base", "axis", "sderiv", "tderiv", "sort_key")
 
-    def sort_key(self):
-        rank = 0 if self.base == "Phi" else 1
-        return (rank, self.axis, self.sderiv, self.tderiv)
+    _interned: dict = {}
+
+    def __new__(cls, base: str, axis: int = 0, sderiv: tuple[int, ...] = (),
+                tderiv: int = 0):
+        key = (base, axis, sderiv, tderiv)
+        self = cls._interned.get(key)
+        if self is None:
+            self = cls._interned[key] = super().__new__(cls)
+            self.base = base
+            self.axis = axis
+            self.sderiv = sderiv
+            self.tderiv = tderiv
+            self.sort_key = (0 if base == "Phi" else 1, axis, sderiv, tderiv)
+        return self
+
+    def __reduce__(self):
+        # copies and unpickled atoms go through __new__, so stay interned
+        return FieldAtom, (self.base, self.axis, self.sderiv, self.tderiv)
+
+    def __repr__(self):
+        return (f"FieldAtom(base={self.base!r}, axis={self.axis!r}, "
+                f"sderiv={self.sderiv!r}, tderiv={self.tderiv!r})")
 
     def d_spatial(self, axis: int) -> "FieldAtom":
         return FieldAtom(self.base, self.axis,
@@ -246,7 +263,7 @@ class FieldTerm:
     @property
     def sort_key(self):
         return (self.mass_power, self.e_power, self.hbar_power, self.c_power, self.unit,
-                tuple(f.sort_key() for f in self.fields), self.pis, self.t_power)
+                tuple(f.sort_key for f in self.fields), self.pis, self.t_power)
 
     def with_coeff(self, coeff: GaussRat) -> "FieldTerm":
         return FieldTerm(coeff, self.e_power, self.hbar_power, self.c_power,
@@ -291,7 +308,7 @@ def _commute(x, y):
             # pi_i pi_j = pi_j pi_i + i hbar (e/c) (d_i A_j - d_j A_i)
             return [(I, 1, 1, -1, a_atom(y.axis, (x.axis,))),
                     (MINUS_I, 1, 1, -1, a_atom(x.axis, (y.axis,)))]
-    elif ty is FieldAtom and x.sort_key() > y.sort_key():
+    elif ty is FieldAtom and x.sort_key > y.sort_key:
         return []
     return None
 

@@ -20,11 +20,12 @@ up to a few thousand, not claims from any analytic source.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .fwtransform import eriksen_series
 from .gaussrat import binom_coeff
@@ -47,22 +48,53 @@ class InvalidBeta(NumericError):
     """The model's beta is not a diagonal matrix of +1 and -1 entries."""
 
 
-_ALPHA1 = np.array([[0, 0, 0, 1],
-                    [0, 0, 1, 0],
-                    [0, 1, 0, 0],
-                    [1, 0, 0, 0]], dtype=complex)
-_ALPHA2 = np.array([[0, 0, 0, -1j],
-                    [0, 0, 1j, 0],
-                    [0, -1j, 0, 0],
-                    [1j, 0, 0, 0]], dtype=complex)
-_ALPHA3 = np.array([[0, 0, 1, 0],
-                    [0, 0, 0, -1],
-                    [1, 0, 0, 0],
-                    [0, -1, 0, 0]], dtype=complex)
-_BETA4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+def _lazy_numpy():
+    """numpy as loaded, or a module that loads it on first attribute access.
 
-ALPHAS = (_ALPHA1, _ALPHA2, _ALPHA3)
-BETA4 = _BETA4
+    The exact engine never builds a matrix, so importing numlab (which the
+    package does) loads no numpy; ``fw transform`` starts without it.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
+
+
+@functools.cache
+def _dirac_matrices():
+    """(alpha_1, alpha_2, alpha_3), beta: the 4x4 Dirac matrices, built on first use."""
+    alpha1 = np.array([[0, 0, 0, 1],
+                       [0, 0, 1, 0],
+                       [0, 1, 0, 0],
+                       [1, 0, 0, 0]], dtype=complex)
+    alpha2 = np.array([[0, 0, 0, -1j],
+                       [0, 0, 1j, 0],
+                       [0, -1j, 0, 0],
+                       [1j, 0, 0, 0]], dtype=complex)
+    alpha3 = np.array([[0, 0, 1, 0],
+                       [0, 0, 0, -1],
+                       [1, 0, 0, 0],
+                       [0, -1, 0, 0]], dtype=complex)
+    beta = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    return (alpha1, alpha2, alpha3), beta
+
+
+def __getattr__(name):
+    # ALPHAS and BETA4 are numpy arrays, so they too are made on first use.
+    if name == "ALPHAS":
+        return _dirac_matrices()[0]
+    if name == "BETA4":
+        return _dirac_matrices()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -118,10 +150,11 @@ def free_model(p_over_mc, mass: float = 1.0, c: float = 1.0) -> MatrixModel:
     p = np.atleast_1d(np.asarray(p_over_mc, dtype=float))
     if p.size == 1:
         p = np.array([float(p[0]), 0.0, 0.0])
-    h = mass * c ** 2 * _BETA4
-    for comp, alpha in zip(p, ALPHAS):
+    alphas, beta = _dirac_matrices()
+    h = mass * c ** 2 * beta
+    for comp, alpha in zip(p, alphas):
         h = h + c * (comp * mass * c) * alpha
-    return MatrixModel(kind="free_momentum", hamiltonian=h, beta=_BETA4.copy(),
+    return MatrixModel(kind="free_momentum", hamiltonian=h, beta=beta.copy(),
                        mass=mass, c=c,
                        params={"p_over_mc": math.hypot(*p)})
 
@@ -146,14 +179,15 @@ def lattice_model(n_sites: int = 256, spacing: float = 0.1,
         v = np.array([float(potential(xi)) for xi in x])
     else:
         v = np.asarray(potential, dtype=float)
-    signs = np.tile(np.diag(_BETA4), n)
+    (alpha1, _, _), beta = _dirac_matrices()
+    signs = np.tile(np.diag(beta), n)
     # c p alpha1 couples site j to j + 1 and j - 1 only: with p[j, j + 1] =
     # -i hbar / 2a and p[j + 1, j] = +i hbar / 2a, fill those 4x4 blocks.
     h = np.zeros((4 * n, 4 * n), dtype=complex)
     blocks = h.reshape(n, 4, n, 4)  # blocks[j, :, k, :] is the block of sites j, k
     j = np.arange(n)
-    blocks[j, :, (j + 1) % n, :] = c * ((-1j * hbar / (2 * spacing)) * _ALPHA1)
-    blocks[(j + 1) % n, :, j, :] = c * ((1j * hbar / (2 * spacing)) * _ALPHA1)
+    blocks[j, :, (j + 1) % n, :] = c * ((-1j * hbar / (2 * spacing)) * alpha1)
+    blocks[(j + 1) % n, :, j, :] = c * ((1j * hbar / (2 * spacing)) * alpha1)
     h[np.diag_indices(4 * n)] += mass * c ** 2 * signs + np.repeat(v, 4)
     return MatrixModel(kind="lattice1d", hamiltonian=h, beta=np.diag(signs),
                        mass=mass, c=c, hbar=hbar,
@@ -309,20 +343,24 @@ def evaluate_symbolic(expr: OperatorExpr, model: MatrixModel) -> np.ndarray:
     walked in lexicographic order, so a prefix shared with the next word is
     multiplied out once: a stack keeps only the prefix products that the
     next word still needs, at most one per factor of the longest word.
+    A generator whose matrix is diagonal (beta always, the even potential on
+    a lattice) is held as its diagonal, and a product with it is a row or
+    column scaling, not a matrix product.
     """
     n = model.beta.shape[0]
+    even = _diagonal_or_dense(model.even_potential)
     lookup = {
-        BETA.name: model.beta,
-        O.name: model.odd_part,
-        E.name: model.even_potential,
-        F.name: model.even_potential,
+        BETA.name: _diagonal_or_dense(model.beta),
+        O.name: _diagonal_or_dense(model.odd_part),
+        E.name: even,
+        F.name: even,
     }
     total = np.zeros((n, n), dtype=complex)
     rest = model.rest_energy
     terms = sorted(expr.terms, key=lambda t: t.sort_key[3])
     # stack[i] is the product of the first i factors of the last word; the
-    # empty product is None, so no identity is ever multiplied in
-    stack = [None]
+    # empty product is the identity, held as its diagonal
+    stack = [np.ones(n)]
     for term, after in zip(terms, terms[1:] + [None]):
         names = term.sort_key[3]
         keep = _shared_prefix(names, after.sort_key[3]) if after else 0
@@ -331,14 +369,32 @@ def evaluate_symbolic(expr: OperatorExpr, model: MatrixModel) -> np.ndarray:
             factor = lookup.get(names[j])
             if factor is None:
                 raise UnboundSymbol(f"generator {names[j]!r} has no matrix realization")
-            mat = factor if mat is None else mat @ factor
+            mat = _times(mat, factor)
             if j < keep:
                 stack.append(mat)
         del stack[keep + 1:]
         coeff = complex(term.coeff.re) + 1j * complex(term.coeff.im)
         coeff *= rest ** (-term.mass_power) * model.hbar ** term.hbar_power
-        total = total + coeff * (np.eye(n, dtype=complex) if mat is None else mat)
+        if mat.ndim == 1:
+            total[np.diag_indices(n)] += coeff * mat
+        else:
+            total += coeff * mat
     return total
+
+
+def _diagonal_or_dense(mat: np.ndarray) -> np.ndarray:
+    """mat's diagonal if mat is diagonal, else mat itself."""
+    diag = np.diagonal(mat)
+    return diag.copy() if np.count_nonzero(mat) == np.count_nonzero(diag) else mat
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, where a 1-D operand stands for the diagonal matrix it holds."""
+    if b.ndim == 1:
+        return a * b  # scales a's columns, or multiplies two diagonals
+    if a.ndim == 1:
+        return a[:, None] * b
+    return a @ b
 
 
 def _shared_prefix(a: tuple, b: tuple) -> int:

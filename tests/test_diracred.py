@@ -253,7 +253,7 @@ def _reduce_word(atoms):
                     changed = True
                     break
                 if (isinstance(x, FieldAtom) and isinstance(y, FieldAtom)
-                        and x.sort_key() > y.sort_key()):
+                        and x.sort_key > y.sort_key):
                     seq[idx], seq[idx + 1] = y, x
                     changed = True
                     break

@@ -300,8 +300,14 @@ def _term_by_term(expr, model):
 def test_evaluate_symbolic_shared_prefixes_match_term_by_term():
     # the order slices of the closed form share long prefixes (beta O ..., O O ...)
     closed_form = ref.build(ref.ERIKSEN_24).subs_symbol(F, E)
+    # the third model's even potential is dense, so E is no diagonal scaling there
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+    dense_even = MatrixModel(kind="dense", hamiltonian=h + h.conj().T,
+                             beta=np.diag(np.tile([1.0, -1.0], 64)))
     for model in (fine_lattice(), lattice_model(n_sites=32, spacing=2.0,
-                                                potential=regularized_well(0.2, 4.0))):
+                                                potential=regularized_well(0.2, 4.0)),
+                  dense_even):
         assert model.beta.shape == (128, 128)
         for k in (0, 2, 4, 6, 8):
             part = closed_form.order_slice(VELOCITY, k)

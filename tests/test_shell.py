@@ -363,6 +363,35 @@ def test_cli_runs_as_module_with_quiet_stderr(module):
     assert proc.stdout.strip().endswith("8/8 checks passed")
 
 
+_COLD_START = """
+import contextlib, io, sys
+import fwalg, fwalg.shell
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fwalg.shell.main(["transform", sys.argv[1]]) == 0
+assert "numpy.linalg" not in sys.modules, "fw transform loaded numpy"
+assert "fwalg.numlab" in sys.modules and "fwalg.diracred" in sys.modules
+from fwalg import numlab
+from fwalg.numlab import ALPHAS, BETA4
+h = numlab.free_model(0.5).hamiltonian
+assert (h == BETA4 + 0.5 * ALPHAS[0]).all()
+assert "numpy.linalg" in sys.modules
+"""
+
+
+def test_cli_transform_starts_without_numpy():
+    # A fresh process, since this one has numpy loaded already: the exact
+    # engine builds no matrix, while the package still imports numlab and
+    # diracred (the benchmark's tracer finds them in sys.modules).
+    src = Path(__file__).resolve().parent.parent / "src"
+    spec = src.parent / "specs" / "vc6.fw"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(spec)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def _cli(argv) -> int:
     try:
         return main(argv)
@@ -574,3 +603,43 @@ def test_cli_transform_fuzzed_specs_exit_0_or_one_error_line(tmp_path_factory, t
         assert len(errors) == 1 and errors[0].startswith("error:"), (text, errors)
     else:
         assert errors == [], (text, errors)
+
+
+# -- probe argument fuzzer ----------------------------------------------------------
+#
+# Mostly well formed: small even orders, and now and then the largest order
+# taken, one past it, an odd, negative or repeated order or a token that is
+# no integer; momenta that are finite, overflow a double's norms, or are no
+# finite number at all.
+
+_PROBE_P = st.one_of(
+    st.floats(0, 3).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(("1e100", "1e308", "1e400", "nan", "inf", "-inf", "", "x", "1_0",
+                     " 0.5", "0x1")),
+)
+_PROBE_ORDER = st.one_of(
+    st.integers(0, 12).map(lambda k: str(2 * k)),
+    st.sampled_from((numlab.PROBE_MAX_ORDER, numlab.PROBE_MAX_ORDER + 2, 3, -2)).map(str),
+    st.sampled_from(("", "x", "2.0", " 4", "+6")),
+)
+_PROBE_ORDERS = st.lists(_PROBE_ORDER, max_size=5).map(",".join)
+
+
+@given(_PROBE_P, st.one_of(st.none(), _PROBE_ORDERS))
+@settings(max_examples=150, deadline=None)
+def test_cli_probe_fuzzed_arguments_exit_0_or_one_error_line(p_over_mc, orders):
+    argv = ["probe", f"--p-over-mc={p_over_mc}"]
+    if orders is not None:
+        argv.append(f"--orders={orders}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = _cli(argv)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert status in (0, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if status == 2:
+        assert len(errors) == 1, (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", (argv, err.getvalue())
+        assert out.getvalue().splitlines()[-1].startswith("classification "), argv
