@@ -9,8 +9,12 @@ same spectral calculus. Each matrix function is evaluated blockwise over the
 connected components of the matrix's exact nonzero pattern: a Hermitian
 matrix that is block-diagonal up to a permutation has the direct sum of its
 blocks' eigendecompositions as its own, so the blockwise result is f(H)
-itself. The checks on a unitary u form U H U^dag and its residuals in the
-same way, over the components of the joint pattern of H and u. Symbolic
+itself. Blocks that are equal entry for entry are decomposed once, and the
+result is written into each of their index sets; on the lattice, alpha_1
+makes spinor pairs 1-4 and 2-3 two equal copies of one chain. A spectral
+norm is the largest over the distinct blocks in the same way. The checks on
+a unitary u form U H U^dag and its residuals blockwise too, over the
+components of the joint pattern of H and u. Symbolic
 expressions are evaluated into matrices by direct substitution, which makes
 the symbolic layer checkable against exact linear algebra.
 
@@ -146,10 +150,14 @@ def _sandwich(signs: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def free_model(p_over_mc, mass: float = 1.0, c: float = 1.0) -> MatrixModel:
-    """4x4 free-particle model; momentum given in units of mc."""
+    """4x4 free-particle model; momentum given in units of mc.
+
+    A scalar is the momentum along x; a sequence holds one to three
+    Cartesian components, the missing ones zero.
+    """
     p = np.atleast_1d(np.asarray(p_over_mc, dtype=float))
-    if p.size == 1:
-        p = np.array([float(p[0]), 0.0, 0.0])
+    if p.ndim != 1 or not 1 <= p.size <= 3:
+        raise NumericError(f"momentum needs one to three components, got shape {p.shape}")
     alphas, beta = _dirac_matrices()
     h = mass * c ** 2 * beta
     for comp, alpha in zip(p, alphas):
@@ -179,6 +187,9 @@ def lattice_model(n_sites: int = 256, spacing: float = 0.1,
         v = np.array([float(potential(xi)) for xi in x])
     else:
         v = np.asarray(potential, dtype=float)
+        if v.shape != (n,):
+            raise NumericError(f"potential needs one value per site (n_sites = {n}), "
+                               f"got shape {v.shape}")
     (alpha1, _, _), beta = _dirac_matrices()
     signs = np.tile(np.diag(beta), n)
     # c p alpha1 couples site j to j + 1 and j - 1 only: with p[j, j + 1] =
@@ -208,18 +219,24 @@ def _components(mat: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of mat's exact nonzero pattern.
 
     The pattern is read as an undirected graph, so no entry of mat, in
-    either triangle, couples two components. Min-label propagation over the
-    nonzeros with pointer jumping: every label is an index of the same
-    component and never grows, and at the fixed point both ends of every
-    nonzero share one label.
+    either triangle, couples two components. Min-label propagation with
+    pointer jumping: each round, every index takes the least label among
+    itself and its neighbours (one ``minimum.reduceat`` over the row-sorted
+    nonzeros of the symmetrized pattern), then the label of its label.
+    Every label is an index of the same component and never grows, and at
+    the fixed point both ends of every nonzero share one label.
     """
-    rows, cols = np.nonzero(mat)
-    label = np.arange(mat.shape[0])
+    n = mat.shape[0]
+    pattern = mat != 0
+    pattern |= pattern.T
+    counts = np.count_nonzero(pattern, axis=1)
+    present = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[present]
+    cols = np.flatnonzero(pattern) % n
+    label = np.arange(n)
     while True:
-        low = np.minimum(label[rows], label[cols])
         new = label.copy()
-        np.minimum.at(new, rows, low)
-        np.minimum.at(new, cols, low)
+        new[present] = np.minimum(label[present], np.minimum.reduceat(label[cols], starts))
         new = new[new]
         if np.array_equal(new, label):
             break
@@ -228,23 +245,40 @@ def _components(mat: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _eigh_blocks(mat: np.ndarray, check) -> list:
-    """(idx, evals, vecs) of one eigh per component of mat's pattern.
+def _distinct_blocks(mat: np.ndarray, tags=None) -> list:
+    """(blk, idxs): each distinct block of mat's pattern, with its index sets.
 
-    ``check`` sees every eigenvalue at once, and raises if the spectrum is
-    outside the domain of the function about to be applied.
+    Components whose submatrices are equal entry for entry, bytes and shape
+    (so -0.0 and 0.0 differ), share one entry, listed where the first of
+    them occurs. ``tags``, a vector over mat's indices, must be equal on the
+    index sets of one entry too.
     """
-    blocks = [(idx, *np.linalg.eigh(mat[np.ix_(idx, idx)]))
-              for idx in _components(mat)]
-    check(np.concatenate([evals for _, evals, _ in blocks]))
+    groups = {}
+    for idx in _components(mat):
+        blk = mat[np.ix_(idx, idx)]
+        key = (blk.shape, blk.tobytes(), None if tags is None else tags[idx].tobytes())
+        groups.setdefault(key, (blk, []))[1].append(idx)
+    return list(groups.values())
+
+
+def _eigh_blocks(mat: np.ndarray, check, tags=None) -> list:
+    """(idxs, evals, vecs): one eigh per distinct block of mat's pattern.
+
+    ``check`` sees every eigenvalue of mat at once, and raises if the
+    spectrum is outside the domain of the function about to be applied.
+    """
+    blocks = [(idxs, *np.linalg.eigh(blk)) for blk, idxs in _distinct_blocks(mat, tags)]
+    check(np.concatenate([evals for idxs, evals, _ in blocks for _ in idxs]))
     return blocks
 
 
 def _hermitian_function(mat: np.ndarray, fn, check) -> np.ndarray:
-    """fn(mat) for Hermitian mat, with one eigh per component of its pattern."""
+    """fn(mat) for Hermitian mat, with one eigh per distinct block of its pattern."""
     out = np.zeros_like(mat)
-    for idx, evals, vecs in _eigh_blocks(mat, check):
-        out[np.ix_(idx, idx)] = (vecs * fn(evals)) @ vecs.conj().T
+    for idxs, evals, vecs in _eigh_blocks(mat, check):
+        blk = (vecs * fn(evals)) @ vecs.conj().T
+        for idx in idxs:
+            out[np.ix_(idx, idx)] = blk
     return out
 
 
@@ -267,23 +301,27 @@ def eriksen_unitary(model: MatrixModel) -> np.ndarray:
     """U = (1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2).
 
     lambda is a function of H, so it and U vanish between the components of
-    H's pattern, and U is built one component at a time. The sign check
-    still sees H's whole spectrum. beta is applied elementwise, so the
-    entries of each core block that couple the two beta sectors cancel
-    exactly and the core splits along them too.
+    H's pattern, and U is built one distinct block of H at a time: blocks of
+    H that are equal, with equal beta signs, have equal cores and equal U
+    blocks. The sign check still sees H's whole spectrum. beta is applied
+    elementwise, so the entries of each core block that couple the two beta
+    sectors cancel exactly and the core splits along them too.
     """
     def check(evals):
         if np.min(evals) < SIGN_THRESHOLD:
             raise SingularSign("2 + beta lambda + lambda beta is numerically singular")
     signs = model.beta_signs
     u = np.zeros_like(model.hamiltonian)
-    for idx, evals, vecs in _eigh_blocks(model.hamiltonian, _sign_check):
+    for idxs, evals, vecs in _eigh_blocks(model.hamiltonian, _sign_check, signs):
+        s = signs[idxs[0]]
         lam = (vecs * np.sign(evals)) @ vecs.conj().T
-        beta_lam = signs[idx, None] * lam
-        eye = np.eye(idx.size)
-        core = 2.0 * eye + beta_lam + lam * signs[idx]
+        beta_lam = s[:, None] * lam
+        eye = np.eye(s.size)
+        core = 2.0 * eye + beta_lam + lam * s
         inv_sqrt = _hermitian_function(core, lambda ev: 1.0 / np.sqrt(ev), check)
-        u[np.ix_(idx, idx)] = (eye + beta_lam) @ inv_sqrt
+        blk = (eye + beta_lam) @ inv_sqrt
+        for idx in idxs:
+            u[np.ix_(idx, idx)] = blk
     return u
 
 
@@ -459,10 +497,15 @@ def _classify(norms: list[float]) -> str:
 
 
 def _order_norm(expr: OperatorExpr, model: MatrixModel, order: int) -> float:
-    """Spectral norm of expr's matrix; ValueError if it overflows a double."""
+    """Spectral norm of expr's matrix; ValueError if it overflows a double.
+
+    The matrix is block-diagonal up to a permutation along the components of
+    its pattern, so its norm is the largest over its distinct blocks.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         mat = evaluate_symbolic(expr, model)
-        norm = float(np.linalg.norm(mat, 2)) if np.isfinite(mat).all() else math.inf
+        norm = (max(float(np.linalg.norm(blk, 2)) for blk, _ in _distinct_blocks(mat))
+                if np.isfinite(mat).all() else math.inf)
     if not math.isfinite(norm):
         raise ValueError(f"norm at order {order} is not finite in double precision")
     return norm

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwalg.opalg import (
     BETA, E, F, O, VELOCITY, SymbolRegistry, commutator, sym, word,
@@ -7,7 +8,8 @@ from fwalg.opalg import (
 from fwalg import numlab, reference as ref
 from fwalg.numlab import (
     ALPHAS, BETA4, PROBE_MAX_LATTICE_ORDER, PROBE_MAX_ORDER, InvalidBeta, MatrixModel,
-    NumericError, SingularSign, UnboundSymbol, _components, block_diag_residual, convergence_probe,
+    NumericError, SingularSign, UnboundSymbol, _components, _order_norm, block_diag_residual,
+    convergence_probe,
     eriksen_condition_residual, eriksen_unitary, evaluate_symbolic,
     free_model, free_series_term, lattice_model, positive_block_spectrum,
     regularized_well, sign_operator, unitarity_defect,
@@ -32,6 +34,30 @@ def test_free_model_vector_momentum():
     evals = np.linalg.eigvalsh(m.hamiltonian)
     eps = np.sqrt(1 + 0.25)
     assert np.allclose(np.sort(evals), [-eps, -eps, eps, eps])
+
+
+@pytest.mark.parametrize("p", [[], [0.1, 0.2, 0.3, 0.4], [[0.1]]],
+                         ids=["empty", "four", "nested"])
+def test_free_model_rejects_bad_momentum(p):
+    # a fourth component used to be dropped from H but kept in p_over_mc
+    with pytest.raises(NumericError, match="one to three components") as info:
+        free_model(p)
+    assert "\n" not in str(info.value)
+
+
+def test_free_model_partial_momentum():
+    assert free_model([0.3, 0.4]).params["p_over_mc"] == 0.5
+    assert np.array_equal(free_model([0.3, 0.4]).hamiltonian,
+                          free_model([0.3, 0.4, 0.0]).hamiltonian)
+    assert np.array_equal(free_model(0.5).hamiltonian, free_model([0.5]).hamiltonian)
+
+
+@pytest.mark.parametrize("potential", [[0.1] * 3, [0.1] * 9, 0.1, [[0.1] * 8]],
+                         ids=["short", "long", "scalar", "nested"])
+def test_lattice_model_rejects_potential_of_wrong_length(potential):
+    with pytest.raises(NumericError, match="n_sites = 8") as info:
+        lattice_model(8, potential=potential)
+    assert "\n" not in str(info.value)
 
 
 def test_lattice_model_structure():
@@ -200,6 +226,141 @@ def test_components_partition_and_decouple(name):
     signs = m.beta_signs
     for idx in _components(core):
         assert np.all(signs[idx] == signs[idx[0]])
+
+
+def _components_min_at(mat):
+    """The components by min-label propagation scattered with np.minimum.at.
+
+    Each round lowers both ends of every nonzero to the least of their two
+    labels, one unbuffered scatter per end, then jumps each label to its
+    label's label.
+    """
+    rows, cols = np.nonzero(mat)
+    label = np.arange(mat.shape[0])
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _assert_same_components(mat):
+    got, want = _components(mat), _components_min_at(mat)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@st.composite
+def _patterns(draw):
+    n = draw(st.integers(1, 24))
+    density = draw(st.sampled_from([0.0, 0.03, 0.1, 0.3, 1.0]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    gen = np.random.default_rng(seed)
+    mat = np.where(gen.random((n, n)) < density, gen.normal(size=(n, n)), 0.0)
+    if draw(st.booleans()):
+        mat = mat + mat.T  # symmetric; otherwise each triangle is drawn alone
+    perm = gen.permutation(n) if draw(st.booleans()) else np.arange(n)
+    return mat[np.ix_(perm, perm)]
+
+
+@given(_patterns())
+@settings(max_examples=300, deadline=None)
+def test_components_match_min_at_oracle(mat):
+    _assert_same_components(mat)
+
+
+@pytest.mark.parametrize("mat", [
+    np.eye(200, dtype=complex),
+    np.eye(200, k=1) + np.eye(200),
+    np.eye(200, k=-1),
+    np.eye(200) + np.roll(np.eye(200), 1, axis=1),
+    np.ones((120, 120)),
+    np.kron(np.eye(5), np.ones((24, 24))),
+    np.kron(np.ones((24, 24)), np.eye(5)),
+    np.zeros((7, 7)),
+    np.ones((1, 1)),
+    np.zeros((1, 1)),
+], ids=["diagonal", "path", "subdiagonal", "ring", "dense", "dense-blocks",
+        "interleaved-blocks", "zero", "one", "one-zero"])
+def test_components_match_min_at_oracle_on_shapes(mat):
+    _assert_same_components(mat)
+
+
+@pytest.mark.parametrize("name", BLOCK_MODELS)
+def test_components_match_min_at_oracle_on_models(name):
+    m = BLOCK_MODELS[name][0]()
+    _assert_same_components(m.hamiltonian)
+    _assert_same_components(eriksen_unitary(m))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(mat):
+        calls.append(mat.shape[0])
+        return eigh(mat)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_equal_blocks_share_one_eigh(eigh_calls):
+    # alpha_1 alone makes spinor pairs 1-4 and 2-3 two equal copies of one
+    # chain, so H's four blocks of 64 are two distinct ones, each with a
+    # core of two blocks of 32
+    m = small_well()
+    want = _dense_reference(m)[1]
+    eigh_calls.clear()
+    u = eriksen_unitary(m)
+    assert sorted(eigh_calls) == [32] * 4 + [64] * 2
+    assert np.max(np.abs(u - want)) <= 1e-12
+
+
+def test_only_equal_blocks_share(eigh_calls):
+    m = small_well()
+    m.hamiltonian[0, 0] += 1e-3
+    want = _dense_reference(m)[1]
+    eigh_calls.clear()
+    u = eriksen_unitary(m)
+    assert sorted(eigh_calls) == [32] * 6 + [64] * 3
+    assert np.max(np.abs(u - want)) <= 1e-12
+
+
+def test_equal_blocks_with_different_beta_signs_do_not_share():
+    # two equal blocks of H whose beta signs are swapped: their U blocks differ
+    m = MatrixModel(kind="pair", hamiltonian=np.kron(np.eye(2), [[0.3, 1.0], [1.0, -0.2]]),
+                    beta=np.diag([1.0, -1.0, -1.0, 1.0]))
+    u = eriksen_unitary(m)
+    assert np.max(np.abs(u - _dense_reference(m)[1])) <= 1e-12
+    assert not np.allclose(u[:2, :2], u[2:, 2:])
+
+
+def test_singular_sign_raised_in_shared_block(eigh_calls):
+    # shift both copies of one block so that they stay equal and have a zero
+    # eigenvalue: the check sees it before any core is built
+    m = small_well()
+    h = m.hamiltonian
+    comps = _components(h)
+    blk = h[np.ix_(comps[0], comps[0])]
+    twins = [idx for idx in comps if np.array_equal(h[np.ix_(idx, idx)], blk)]
+    assert len(twins) == 2
+    evals = np.linalg.eigvalsh(blk)
+    shift = evals[np.argmin(np.abs(evals))]
+    for idx in twins:
+        h[idx, idx] -= shift
+    with pytest.raises(SingularSign):
+        eriksen_unitary(m)
+    assert eigh_calls == [64, 64]
+    with pytest.raises(SingularSign):
+        sign_operator(m)
 
 
 def _dense_checks(model, u):
@@ -389,10 +550,25 @@ def test_probe_lattice_matches_closed_form_slices():
     model = fine_lattice()
     closed_form = ref.build(ref.ERIKSEN_24).subs_symbol(F, E)
     rep = convergence_probe(model, orders=(2, 4, 6, 8))
-    expected = [float(np.linalg.norm(
-        evaluate_symbolic(closed_form.order_slice(VELOCITY, k), model), 2))
-        for k in (2, 4, 6, 8)]
-    assert rep.norms == expected
+    parts = {k: closed_form.order_slice(VELOCITY, k) for k in (2, 4, 6, 8)}
+    assert rep.norms == [_order_norm(part, model, k) for k, part in parts.items()]
+    # the blockwise norm against one dense SVD per order
+    dense = [np.linalg.norm(evaluate_symbolic(part, model), 2) for part in parts.values()]
+    assert np.allclose(rep.norms, dense, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["lattice64", "lattice63", "free1d", "free3d"])
+def test_order_norm_matches_dense_norm(name):
+    # the slices of the closed form, and products that are not Hermitian
+    model = BLOCK_MODELS[name][0]()
+    closed_form = ref.build(ref.ERIKSEN_24).subs_symbol(F, E)
+    parts = [closed_form.order_slice(VELOCITY, k) for k in (0, 2, 4, 6, 8)]
+    parts += [sym(O) * sym(E), sym(BETA) * sym(O) * sym(O) * sym(E) + sym(E), free_series_term(3)]
+    for part in parts:
+        mat = evaluate_symbolic(part, model)
+        dense = np.linalg.norm(mat, 2)
+        assert abs(_order_norm(part, model, 0) - dense) <= 1e-12 * dense
+    assert len(_components(evaluate_symbolic(parts[4], model))) > 1
 
 
 def test_probe_lattice_past_the_closed_form():
