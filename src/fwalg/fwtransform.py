@@ -4,9 +4,10 @@ Three routes are provided:
 
 * the classic iterative method: repeated conjugation with exp(iS),
   S = -(i/2mc^2) beta O, until the retained odd part is gone;
-* its correction: the step exponents are recombined into one exponent with
-  the Baker-Campbell-Hausdorff (Dynkin) series, the even part of that
-  exponent is eliminated order by order, and the resulting even unitary
+* its correction: the step unitaries are multiplied into one truncated
+  product U = ... exp(iS') exp(iS), whose exponent is read as
+  iR = log U; the even part of R is eliminated order by order with the
+  Baker-Campbell-Hausdorff (Dynkin) series, and the resulting even unitary
   fixes the Hamiltonian so that the total transformation has an odd
   Hermitian exponent (the Eriksen condition beta U = U^dag beta);
 * the direct square-root route: the sign operator lambda = H (H^2)^(-1/2)
@@ -19,15 +20,17 @@ symbol F. Commutators with F therefore generate all time-derivative terms
 implicitly, and the lone bare F left at the end (coefficient preserved from
 the input) is rewritten back to E on finalization.
 
-The Dynkin series is summed by bracket word: one coefficient per word
-(Goldberg's, K. Goldberg, Duke Math. J. 23, 13 (1956)) from a memoized
-table, each bracket formed once, every term added into one accumulator.
-The table is read from the engine's own exp and log series of two free
-generators.
+The step product U is built once per record and kept on it, so the
+Eriksen condition check reads the same U. The Dynkin series is summed by
+bracket word: one coefficient per word (Goldberg's, K. Goldberg, Duke
+Math. J. 23, 13 (1956)) from a memoized table, each bracket formed once,
+every term added into one accumulator. The table is read from the
+engine's own exp and log series of two free generators, the same log
+series that gives R.
 Words that differ only in the order of the innermost pair share one
-bracket, up to sign. The correction eliminates the even part of the
-recombined exponent one order slice at a time, folding each slice into the
-running exponent instead of recombining from scratch.
+bracket, up to sign. The correction eliminates the even part of R one
+order slice at a time, folding each slice into the running exponent
+instead of recombining from scratch.
 
 Brackets, nested commutators and series powers stay in the product
 kernel's graded form (integer numerators over one denominator, sorted by
@@ -45,8 +48,8 @@ from functools import lru_cache
 from .gaussrat import GaussRat, I, ONE
 from .opalg import (
     BETA, E, EVEN, F, VELOCITY, OperatorExpr, OperatorSymbol, WeightScheme,
-    ad_exp_conjugate, commutator, exp_series, mul_trunc, one, require_order_at_least_one,
-    scale, series_sum, sym, word, zero,
+    ad_exp_conjugate, commutator, exp_series, log_series, mul_trunc, one,
+    require_order_at_least_one, scale, series_sum, sym, word, zero,
 )
 
 
@@ -91,9 +94,11 @@ class TransformRecord:
 
     ``steps`` holds the exponents S, S', S'', ... of the per-step unitaries
     exp(iS); ``intermediates`` the conjugated operators after each step, with
-    the bare even symbol still F. ``combined_exponent`` R satisfies
-    U = exp(iR) for the folded product of the step unitaries;
-    ``correction_exponent`` C is even and anti-Hermitian with
+    the bare even symbol still F. ``unitary`` U = ... exp(iS') exp(iS) is
+    the product of the step unitaries' exponential series, truncated at
+    ``max_order``; it is built once, by ``combine_steps``, and read again by
+    ``eriksen_condition_check``. ``combined_exponent`` R is its exponent,
+    iR = log U; ``correction_exponent`` C is even and anti-Hermitian with
     U_corr = exp(C).
     """
 
@@ -103,6 +108,7 @@ class TransformRecord:
     intermediates: list[OperatorExpr] = field(default_factory=list)
     h_orig: OperatorExpr | None = None
     h_corrected: OperatorExpr | None = None
+    unitary: OperatorExpr | None = None
     combined_exponent: OperatorExpr | None = None
     correction_exponent: OperatorExpr | None = None
     k_final: OperatorExpr | None = None
@@ -223,20 +229,18 @@ def _bch_word_table(budget: int, a_min: int, b_min: int) -> tuple[tuple[str, Gau
     (K. Goldberg, Duke Math. J. 23, 13 (1956)). That log is read from the
     engine's own series on two free even generators of velocity weights
     ``a_min`` and ``b_min``, capped at ``budget``: X = exp(a) exp(b) - 1,
-    then log(1 + X) = sum_n (-1)^(n-1) X^n / n. Words ending in two equal
-    letters are left out: their innermost bracket [x, x] vanishes. A word
-    ending ``ab`` brackets to minus the same word ending ``ba``, so its
-    coefficient is folded, negated, into that word's and only ``...ba``
-    words are kept; sums that cancel are dropped.
+    then log(1 + X) = sum_n (-1)^(n-1) X^n / n by ``log_series``. Words
+    ending in two equal letters are left out: their innermost bracket
+    [x, x] vanishes. A word ending ``ab`` brackets to minus the same word
+    ending ``ba``, so its coefficient is folded, negated, into that word's
+    and only ``...ba`` words are kept; sums that cancel are dropped.
     """
     a = sym(OperatorSymbol("a", EVEN, a_min))
     b = sym(OperatorSymbol("b", EVEN, b_min))
     x = mul_trunc(exp_series(a, VELOCITY, budget), exp_series(b, VELOCITY, budget),
                   VELOCITY, budget) - one()
-    log = series_sum(x, lambda power: mul_trunc(power, x, VELOCITY, budget),
-                     lambda n: Fraction(-n, n + 1))
     folded: dict[str, GaussRat] = {}
-    for t in log:
+    for t in log_series(x, VELOCITY, budget):
         w, c = "".join(s.name for s in t.word), t.coeff
         if len(w) >= 2:
             if w[-1] == w[-2]:
@@ -284,11 +288,18 @@ def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
 
 
 def combine_steps(record: TransformRecord) -> OperatorExpr:
-    """Fold the step unitaries into one exponent: U = ... exp(iS') exp(iS) = exp(iR)."""
-    z = zero()  # no steps: the Hamiltonian was block-diagonal already
+    """R with exp(iR) = U = ... exp(iS') exp(iS), read as iR = log U.
+
+    U, the truncated product of the steps' exponential series, is stored on
+    the record; with no steps (the Hamiltonian was block-diagonal already)
+    it is 1 and R is 0.
+    """
+    scheme, max_order = record.scheme, record.max_order
+    u = one()
     for s in record.steps:
-        z = bch_combine(scale(I, s), z, record.scheme, record.max_order)
-    record.combined_exponent = scale(-I, z)
+        u = mul_trunc(exp_series(scale(I, s), scheme, max_order), u, scheme, max_order)
+    record.unitary = u
+    record.combined_exponent = scale(-I, log_series(u - one(), scheme, max_order))
     return record.combined_exponent
 
 
@@ -429,15 +440,18 @@ class ConditionReport:
 
 
 def eriksen_condition_check(record: TransformRecord) -> ConditionReport:
-    """Expand the step product as a power series and test beta U = U^dag beta.
+    """Test beta U = U^dag beta on the step product and on exp(C) U.
 
-    The check is independent of the BCH machinery: U is the truncated
-    product of the exponential series of the recorded steps.
+    U is the record's ``unitary``, the truncated product of the exponential
+    series of the recorded steps that ``combine_steps`` built; it is built
+    here only if the record has none yet. The residuals read U and C, not
+    R, so the uncorrected one is independent of the log series and of the
+    BCH elimination.
     """
     scheme, max_order = record.scheme, record.max_order
-    u = one()
-    for s in record.steps:
-        u = mul_trunc(exp_series(scale(I, s), scheme, max_order), u, scheme, max_order)
+    if record.unitary is None:
+        combine_steps(record)
+    u = record.unitary
     if record.correction_exponent is None:
         apply_correction(record)
     c = record.correction_exponent

@@ -797,3 +797,11 @@ def exp_series(x: OperatorExpr, scheme: WeightScheme, max_order: int) -> Operato
     x = x.truncate(scheme, max_order)
     return series_sum(one(), lambda power: mul_trunc(power, x, scheme, max_order),
                       lambda n: Fraction(1, n))
+
+
+def log_series(x: OperatorExpr, scheme: WeightScheme, max_order: int) -> OperatorExpr:
+    """Power series of log(1 + x) truncated at max_order; requires min order >= 1."""
+    require_order_at_least_one(x, scheme, "log argument")
+    x = x.truncate(scheme, max_order)
+    return series_sum(x, lambda power: mul_trunc(power, x, scheme, max_order),
+                      lambda n: Fraction(-n, n + 1))

@@ -817,6 +817,9 @@ def main(argv=None) -> int:
         except (SpecError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except UnicodeDecodeError as exc:
+            print(f"error: {args.spec_file}: not UTF-8 text: {exc}", file=sys.stderr)
+            return 2
         except (AlgebraError, TransformError) as exc:
             print(f"error: {args.spec_file}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)

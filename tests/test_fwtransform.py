@@ -6,7 +6,7 @@ import pytest
 from fwalg.gaussrat import ONE, GaussRat, I, binom_coeff
 from fwalg.opalg import (
     BETA, E, F, MASS, O, VELOCITY, NonIncreasingOrder, OperatorExpr, ad_exp_conjugate,
-    commutator, exp_series, mul_trunc, one, scale, sym, word, zero,
+    commutator, exp_series, log_series, mul_trunc, one, scale, sym, word, zero,
 )
 from fwalg.fwtransform import (
     BareFAnomaly, MissingMassTerm, NoConvergence, NotStationary,
@@ -318,6 +318,36 @@ def test_combine_single_step():
     assert r == rec.steps[0]
 
 
+def _combine_steps_bch(record):
+    """R by folding the step exponents through ``bch_combine``, one step at a
+    time: the route ``combine_steps`` took before it read iR = log U. Kept as
+    the log series' oracle."""
+    z = zero()
+    for s in record.steps:
+        z = bch_combine(scale(I, s), z, record.scheme, record.max_order)
+    return scale(-I, z)
+
+
+_HAMILTONIANS = {"even": lambda: ref.mass_term() + e, "free": lambda: ref.mass_term() + o,
+                 "dirac": dirac_h}
+
+
+@pytest.mark.parametrize("h, scheme, order, n_steps", [
+    ("even", VELOCITY, 4, 0), ("free", VELOCITY, 2, 1),
+    ("dirac", VELOCITY, 6, 3), ("dirac", VELOCITY, 8, 4), ("dirac", VELOCITY, 10, 5),
+    ("dirac", VELOCITY, 12, 6), ("dirac", MASS, 4, 4), ("dirac", MASS, 6, 6),
+    ("dirac", MASS, 8, 8),
+], ids=["no-steps", "one-step", "vc6", "vc8", "vc10", "vc12", "m4", "m6", "m8"])
+def test_combined_exponent_log_of_step_product_equals_bch_fold(h, scheme, order, n_steps):
+    rec = fw_pipeline(_HAMILTONIANS[h](), scheme, order)
+    assert len(rec.steps) == n_steps
+    r = combine_steps(rec)
+    assert r == _combine_steps_bch(rec)
+    assert exp_series(scale(I, r), scheme, order) == rec.unitary
+    if n_steps < 2:
+        assert r == (rec.steps[0] if rec.steps else zero())
+
+
 @pytest.mark.parametrize("scheme, order", [(VELOCITY, 4), (MASS, 2)])
 def test_block_diagonal_input_transforms_unchanged(scheme, order):
     # no odd part, so no steps: the combined exponent and the correction are zero
@@ -590,6 +620,9 @@ def test_series_equal_uncapped_sums_then_truncate(rng, scheme):
             assert _binomial_series(x, alpha, scheme, order) == OperatorExpr.combine(
                 (binom_coeff(alpha, n), p) for n, p in enumerate(powers)
             ).truncate(scheme, order)
+        assert log_series(x, scheme, order) == OperatorExpr.combine(
+            (Fraction((-1) ** (n - 1), n), p) for n, p in enumerate(powers) if n
+        ).truncate(scheme, order)
         nested = [k]
         for _ in range(k_order - k.min_order(scheme)):
             nested.append(commutator(s, nested[-1]))
@@ -599,6 +632,8 @@ def test_series_equal_uncapped_sums_then_truncate(rng, scheme):
         ).truncate(scheme, k_order)
     with pytest.raises(NonIncreasingOrder):
         _binomial_series(one(), Fraction(-1, 2), scheme, 4)
+    with pytest.raises(NonIncreasingOrder):
+        log_series(one(), scheme, 4)
 
 
 def _per_term_sum(pairs):
@@ -670,6 +705,64 @@ def test_condition_check_single_step_trivial():
     assert len(rec.steps) == 1
     rep = eriksen_condition_check(rec)
     assert rep.uncorrected.is_zero and rep.corrected.is_zero
+
+
+def test_condition_check_reads_the_records_step_product(monkeypatch):
+    # The corrected run builds U = ... exp(iS') exp(iS) once; the check
+    # multiplies with that same object instead of expanding the steps again.
+    import fwalg.fwtransform as fwt
+    exp_args, mul_args = [], []
+    real_exp, real_mul = fwt.exp_series, fwt.mul_trunc
+
+    def counting_exp(x, scheme, max_order):
+        exp_args.append(x)
+        return real_exp(x, scheme, max_order)
+
+    def spying_mul(a, b, scheme, max_order):
+        mul_args.extend((a, b))
+        return real_mul(a, b, scheme, max_order)
+
+    monkeypatch.setattr(fwt, "exp_series", counting_exp)
+    rec = corrected_pipeline(dirac_h(), VELOCITY, 8)
+    step_exponents = [scale(I, s) for s in rec.steps]
+
+    def step_expansions():
+        return sum(x in step_exponents for x in exp_args)
+
+    assert step_expansions() == len(rec.steps) == 4
+    u = rec.unitary
+    monkeypatch.setattr(fwt, "mul_trunc", spying_mul)
+    rep = eriksen_condition_check(rec)
+    assert rep.corrected_ok
+    assert step_expansions() == len(rec.steps)
+    assert rec.unitary is u
+    assert any(x is u for x in mul_args)
+    # A record of the plain iteration has no U yet: the check builds it.
+    bare = fw_pipeline(dirac_h(), VELOCITY, 8)
+    assert eriksen_condition_check(bare).corrected_ok
+    assert bare.unitary == u and bare.combined_exponent == rec.combined_exponent
+
+
+@pytest.mark.parametrize("scheme, order", [
+    (VELOCITY, 6), (VELOCITY, 8), (VELOCITY, 12), (MASS, 4), (MASS, 6), (MASS, 8),
+], ids=["vc6", "vc8", "vc12", "m4", "m6", "m8"])
+def test_correction_exponent_equals_log_of_polar_factor(scheme, order):
+    """C from Eriksen's condition alone (E. Eriksen, Phys. Rev. 111, 1011 (1958)).
+
+    U_corr = exp(C) U with C even, so exp(C) commutes with beta, and
+    beta U_corr = U_corr^dag beta gives U_corr^2 = beta U^dag beta U. Hence
+    U_corr = (beta U^dag beta U)^(1/2), a binomial series, and
+    C = log(U_corr U^dag). Truncating at the working order is exact in the
+    mass scheme too: U, beta and C have no term of negative order.
+    """
+    rec = corrected_pipeline(dirac_h(), scheme, order)
+    u, u_dag = rec.unitary, rec.unitary.adjoint()
+    u_corr_sq = mul_trunc(mul_trunc(b, u_dag, scheme, order), mul_trunc(b, u, scheme, order),
+                          scheme, order)
+    u_corr = _binomial_series(u_corr_sq - one(), Fraction(1, 2), scheme, order)
+    c = log_series(mul_trunc(u_corr, u_dag, scheme, order) - one(), scheme, order)
+    assert not c.is_zero
+    assert c == rec.correction_exponent
 
 
 def test_combined_exponent_conjugation_matches_step_product():

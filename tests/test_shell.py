@@ -431,6 +431,12 @@ def test_cli_transform_missing_file_exit_2(tmp_path, capsys):
     assert main(["transform", str(tmp_path / "nope.fw")]) == 2
 
 
+def test_cli_transform_non_utf8_file_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.fw"
+    bad.write_bytes(b"\xff\xfe H = beta*m + O;\n")
+    assert_one_line_error(capsys, ["transform", str(bad)], "bad.fw: not UTF-8 text")
+
+
 @pytest.mark.parametrize("text, fragment", [
     # valid syntax, but the engine rejects the Hamiltonian or the scheme
     ("H = E + O;", "MissingMassTerm"),
