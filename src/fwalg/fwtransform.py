@@ -11,8 +11,14 @@ Three routes are provided:
   fixes the Hamiltonian so that the total transformation has an odd
   Hermitian exponent (the Eriksen condition beta U = U^dag beta);
 * the direct square-root route: the sign operator lambda = H (H^2)^(-1/2)
-  is expanded as a binomial series and U = (1 + beta lambda)
-  (2 + beta lambda + lambda beta)^(-1/2) is applied in one step.
+  is expanded as a binomial series, which defines Eriksen's one-step
+  unitary U = (1 + beta lambda) g with g = (2 + beta lambda + lambda
+  beta)^(-1/2). H' = U H U^dag is formed without U: g is even, Hermitian
+  and commutes with beta and lambda; lambda H = H lambda = |H|;
+  lambda^2 = 1; and beta X beta = even(X) - odd(X). Together these give
+  U H U^dag = g (1 + beta lambda) H (1 + lambda beta) g
+  = 2 g (even(H) + beta even(|H|)) g, two products of even operands.
+  The identity needs a Hermitian H (so that lambda and g are Hermitian).
 
 Nonstationary convention: pipelines conjugate K = H - i hbar d/dt where the
 even potential and the time derivative travel together as the single atomic
@@ -83,6 +89,10 @@ class NotStationary(TransformError):
 
 class UnsupportedScheme(TransformError):
     """The square-root route counts orders in the velocity scheme only."""
+
+
+class NotHermitian(TransformError):
+    """The square-root route needs a Hermitian Hamiltonian."""
 
 
 _MASS_TERM = word(1, [BETA], mass_power=-1)
@@ -371,24 +381,48 @@ def corrected_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
 
 def eriksen_series(h: OperatorExpr, max_order: int,
                    scheme: WeightScheme = VELOCITY) -> OperatorExpr:
-    """One-step transformation via the sign operator, as a binomial series.
+    """Eriksen's H' = U H U^dag to max_order, as 2g (even(H) + beta even(|H|)) g.
 
-    Stationary input only: H = beta mc^2 + E + O. No commutativity between
-    O and E is assumed anywhere.
+    Stationary, Hermitian input only: H = beta mc^2 + E + O. No
+    commutativity between O and E is assumed anywhere. With lambda the
+    sign operator and g = (2 + beta lambda + lambda beta)^(-1/2), four
+    facts turn U H U^dag into two products of even operands, without U:
+
+    * g is even and Hermitian, and commutes with beta and with lambda;
+    * lambda H = H lambda = |H|;
+    * lambda^2 = 1;
+    * beta X beta = even(X) - odd(X) for any X.
+
+    Then (1 + beta lambda) H (1 + lambda beta) = H + beta H beta
+    + beta |H| + |H| beta = 2 (even(H) + beta even(|H|)), and
+    U H U^dag = 2 g (even(H) + beta even(|H|)) g. Velocity orders are
+    nonnegative, so every capped product is exact.
     """
     if scheme != VELOCITY:
         raise UnsupportedScheme("the square-root series is defined for the velocity scheme")
-    u_e = eriksen_unitary_series(h, max_order)
-    h = h.truncate(VELOCITY, max_order)
-    # Velocity orders are nonnegative, so capping the inner product is exact.
-    return mul_trunc(mul_trunc(u_e, h, VELOCITY, max_order), u_e.adjoint(),
-                     VELOCITY, max_order)
+    beta_lam, g2 = _eriksen_factors(h, max_order)
+    h_even, h_odd = h.truncate(VELOCITY, max_order).parity_split()
+    bl_even, bl_odd = beta_lam.parity_split()
+    # x = (even(H) + beta even(|H|))/2, so that 2g x 2g = 2 g (2x) g; beta
+    # even(|H|) is the even part of beta lambda H = beta |H|, the pairs of
+    # equal parity.
+    half = Fraction(1, 2)
+    x = OperatorExpr.combine(((half, h_even),
+                              (half, mul_trunc(bl_even, h_even, VELOCITY, max_order)),
+                              (half, mul_trunc(bl_odd, h_odd, VELOCITY, max_order))))
+    return mul_trunc(mul_trunc(g2, x, VELOCITY, max_order), g2, VELOCITY, max_order)
 
 
 def sign_operator_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
-    """lambda = H (H^2)^(-1/2) as a truncated binomial series (stationary input)."""
+    """lambda = H (H^2)^(-1/2) as a truncated binomial series.
+
+    Stationary, Hermitian input only: the sign operator of a non-Hermitian
+    H is not Hermitian, and Eriksen's U built from it is not unitary.
+    """
     if h.contains_symbol(F):
         raise NotStationary("input contains the nonstationary symbol F")
+    if h.adjoint() != h:
+        raise NotHermitian("input Hamiltonian is not Hermitian")
     split_hamiltonian(h)
     scheme = VELOCITY
     h = h.truncate(scheme, max_order)
@@ -402,19 +436,23 @@ def sign_operator_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
 
 
 def eriksen_unitary_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
-    """(1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2), truncated.
+    """(1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2), truncated."""
+    beta_lam, g2 = _eriksen_factors(h, max_order)
+    return mul_trunc(one() + beta_lam, scale(Fraction(1, 2), g2), VELOCITY, max_order)
 
-    The scalar square root is expanded around 2 + ... = 4 + w with w of
-    minimum order 2, which keeps every coefficient rational.
+
+def _eriksen_factors(h: OperatorExpr, max_order: int) -> tuple[OperatorExpr, OperatorExpr]:
+    """beta lambda and 2g = 2 (2 + beta lambda + lambda beta)^(-1/2), truncated.
+
+    lambda beta = beta (beta lambda) beta, so beta lambda + lambda beta is
+    2 even(beta lambda) = 2 beta even(lambda), and 2g is the binomial series
+    (1 + w)^(-1/2) with w = (even(beta lambda) - 1)/2 of minimum order 2,
+    which keeps every coefficient rational.
     """
-    scheme = VELOCITY
-    lam = sign_operator_series(h, max_order)
-    beta_lam = mul_trunc(sym(BETA), lam, scheme, max_order)
-    lam_beta = mul_trunc(lam, sym(BETA), scheme, max_order)
-    w = beta_lam + lam_beta - 2 * one()
-    g = scale(Fraction(1, 2),
-              _binomial_series(scale(Fraction(1, 4), w), Fraction(-1, 2), scheme, max_order))
-    return mul_trunc(one() + beta_lam, g, scheme, max_order)
+    beta_lam = mul_trunc(sym(BETA), sign_operator_series(h, max_order), VELOCITY, max_order)
+    w = OperatorExpr.combine(((Fraction(1, 2), beta_lam.parity_split()[0]),
+                              (Fraction(-1, 2), one())))
+    return beta_lam, _binomial_series(w, Fraction(-1, 2), VELOCITY, max_order)
 
 
 def _binomial_series(x: OperatorExpr, alpha: Fraction, scheme: WeightScheme,

@@ -2,21 +2,24 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwalg.gaussrat import ONE, GaussRat, I, binom_coeff
 from fwalg.opalg import (
-    BETA, E, F, MASS, O, VELOCITY, NonIncreasingOrder, OperatorExpr, ad_exp_conjugate,
-    commutator, exp_series, log_series, mul_trunc, one, scale, sym, word, zero,
+    BETA, E, F, MASS, O, VELOCITY, AlgebraError, NonIncreasingOrder, OperatorExpr,
+    ad_exp_conjugate, commutator, exp_series, log_series, mul_trunc, one, scale, sym, word, zero,
 )
 from fwalg.fwtransform import (
-    BareFAnomaly, MissingMassTerm, NoConvergence, NotStationary,
-    UnsupportedScheme, _bch_word_table, _binomial_series, bch_combine, combine_steps,
+    BareFAnomaly, MissingMassTerm, NoConvergence, NotHermitian, NotStationary,
+    TransformError, UnsupportedScheme, _bch_word_table, _binomial_series, bch_combine,
+    combine_steps,
     corrected_pipeline, correction_exponent, eriksen_condition_check, eriksen_series,
     eriksen_unitary_series, finalize_bare_f, fw_pipeline, fw_step,
     sign_operator_series, split_hamiltonian,
 )
 from fwalg import reference as ref
 from fwalg.opalg import SymbolRegistry
+from fwalg.shell import main as fw_main
 
 from conftest import rand_expr, rand_expr_min_weight
 
@@ -492,6 +495,102 @@ def test_eriksen_unitary_series_unitary_and_condition():
     u = eriksen_unitary_series(dirac_h(), 6)
     assert (u * u.adjoint()).truncate(VELOCITY, 6) == one()
     assert (b * u - u.adjoint() * b).truncate(VELOCITY, 6).is_zero
+
+
+def _eriksen_unitary_by_symmetrized_sum(h, max_order):
+    """The former U: w = beta lambda + lambda beta - 2 from two products."""
+    lam = sign_operator_series(h, max_order)
+    beta_lam = mul_trunc(b, lam, VELOCITY, max_order)
+    lam_beta = mul_trunc(lam, b, VELOCITY, max_order)
+    w = beta_lam + lam_beta - 2 * one()
+    g = scale(Fraction(1, 2), _binomial_series(scale(Fraction(1, 4), w), Fraction(-1, 2),
+                                               VELOCITY, max_order))
+    return mul_trunc(one() + beta_lam, g, VELOCITY, max_order)
+
+
+def _eriksen_series_by_conjugation(h, max_order):
+    """The former H': the full U, then U H U^dag as two products."""
+    u_e = _eriksen_unitary_by_symmetrized_sum(h, max_order)
+    h = h.truncate(VELOCITY, max_order)
+    return mul_trunc(mul_trunc(u_e, h, VELOCITY, max_order), u_e.adjoint(),
+                     VELOCITY, max_order)
+
+
+@pytest.mark.parametrize("h", [dirac_h(), ref.mass_term() + o, ref.mass_term() + e],
+                         ids=["dirac", "free", "no-odd"])
+def test_eriksen_series_equals_conjugation_by_u(h):
+    for order in range(15):
+        assert eriksen_series(h, order) == _eriksen_series_by_conjugation(h, order), order
+
+
+def test_eriksen_unitary_series_equals_symmetrized_sum_formula():
+    for h in (dirac_h(), ref.mass_term() + o):
+        for order in range(13):
+            assert eriksen_unitary_series(h, order) == _eriksen_unitary_by_symmetrized_sum(
+                h, order), order
+
+
+_DECLARED = SymbolRegistry()
+_WORD_SYMBOLS = (BETA, O, E) + tuple(
+    _DECLARED.register(f"K{parity[0]}{weight}", parity, weight)
+    for parity in ("odd", "even") for weight in (1, 2, 3))
+
+
+@st.composite
+def hermitian_hamiltonians(draw):
+    """beta mc^2 + A + A^dag, A a sum of one to three random words.
+
+    The first word starts with an odd symbol, so that H usually has an odd
+    part for the transformation to remove.
+    """
+    odd_first = st.sampled_from([s for s in _WORD_SYMBOLS if s.is_odd])
+    raw = []
+    for n in range(draw(st.integers(1, 3))):
+        coeff = GaussRat(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+                         Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2))))
+        syms = draw(st.lists(st.sampled_from(_WORD_SYMBOLS), min_size=1,
+                             max_size=2 if n else 3))
+        if not n:
+            syms[0] = draw(odd_first)
+        raw.append((coeff, draw(st.integers(-1, 1)), 0, tuple(syms)))
+    a = OperatorExpr(raw)
+    return ref.mass_term() + a + a.adjoint()
+
+
+def _outcome(route, h, order):
+    try:
+        return route(h, order)
+    except (TransformError, AlgebraError) as exc:
+        return type(exc)
+
+
+@given(hermitian_hamiltonians(), st.integers(2, 6))
+@settings(max_examples=60, deadline=None)
+def test_eriksen_series_equals_conjugation_by_u_on_random_hermitian_h(h, order):
+    assert h.adjoint() == h
+    assert _outcome(eriksen_series, h, order) == _outcome(_eriksen_series_by_conjugation,
+                                                          h, order)
+
+
+_NOT_HERMITIAN = {"i*O": scale(I, o), "beta*O": b * o, "i*E": scale(I, e)}
+
+
+@pytest.mark.parametrize("extra", list(_NOT_HERMITIAN))
+def test_square_root_route_rejects_non_hermitian_h(extra):
+    h = dirac_h() + _NOT_HERMITIAN[extra]
+    for route in (sign_operator_series, eriksen_unitary_series, eriksen_series):
+        with pytest.raises(NotHermitian):
+            route(h, 4)
+
+
+@pytest.mark.parametrize("extra", list(_NOT_HERMITIAN))
+def test_cli_transform_non_hermitian_h_exit_2(tmp_path, capsys, extra):
+    spec = tmp_path / "h.fw"
+    spec.write_text(f"H = beta*m + E + O + {extra}; scheme vc; order 4; method eriksen;\n")
+    assert fw_main(["transform", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "NotHermitian" in err, err
 
 
 def test_method_equivalence_stationary():
