@@ -92,7 +92,7 @@ class UnsupportedScheme(TransformError):
 
 
 class NotHermitian(TransformError):
-    """The square-root route needs a Hermitian Hamiltonian."""
+    """Every route needs a Hermitian Hamiltonian."""
 
 
 _MASS_TERM = word(1, [BETA], mass_power=-1)
@@ -140,6 +140,12 @@ def split_hamiltonian(h: OperatorExpr) -> tuple[OperatorExpr, OperatorExpr, Oper
     return _MASS_TERM, even, odd
 
 
+def _require_hermitian(h: OperatorExpr) -> None:
+    """NotHermitian unless H equals its adjoint."""
+    if h.adjoint() != h:
+        raise NotHermitian("input Hamiltonian is not Hermitian")
+
+
 def fw_step(k: OperatorExpr, scheme: WeightScheme,
             max_order: int) -> tuple[OperatorExpr, OperatorExpr]:
     """One iteration: S = -(i/2mc^2) beta * odd(K), K' = exp(iS) K exp(-iS)."""
@@ -174,11 +180,16 @@ def _effective_odd(k: OperatorExpr, scheme: WeightScheme, max_order: int) -> Ope
 
 def fw_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
                 max_steps: int | None = None) -> TransformRecord:
-    """Run the iterative method until the retained odd part vanishes."""
+    """Run the iterative method until the retained odd part vanishes.
+
+    H must be Hermitian (``NotHermitian`` otherwise): the step exponents of
+    a non-Hermitian H are not Hermitian, so its steps are not unitary.
+    """
     if max_steps is None:
         max_steps = max_order + 1
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    _require_hermitian(h)
     k = h.subs_symbol(E, F).truncate(scheme, max_order)
     # Read after truncation: an order below F's own leaves no bare F to carry.
     bare = k.coefficient((F,))
@@ -421,8 +432,7 @@ def sign_operator_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
     """
     if h.contains_symbol(F):
         raise NotStationary("input contains the nonstationary symbol F")
-    if h.adjoint() != h:
-        raise NotHermitian("input Hamiltonian is not Hermitian")
+    _require_hermitian(h)
     split_hamiltonian(h)
     scheme = VELOCITY
     h = h.truncate(scheme, max_order)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -308,21 +309,13 @@ class SparseSum:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        acc = {t.key: t for t in self._terms}
-        for t in other._terms:
-            key = t.key
-            prev = acc.get(key)
-            acc[key] = t if prev is None else prev.with_coeff(prev.coeff + t.coeff)
-        terms = [t for t in acc.values() if not t.coeff.is_zero]
-        terms.sort(key=_term_sort_key)
-        return self._new(tuple(terms))
+        return self._new(_merged([(t.coeff, t) for t in chain(self._terms, other._terms)]))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._new(_merged(chain(((t.coeff, t) for t in self._terms),
+                                       ((-t.coeff, t) for t in other._terms))))
 
     def __neg__(self):
         return self._new(tuple(t.with_coeff(-t.coeff) for t in self._terms))
@@ -381,8 +374,8 @@ class OperatorExpr(SparseSum):
     keeps the operand form of the product kernel per order (``_graded``); it
     takes no part in equality, hashing, pickling or copying. A kernel result
     starts with its graded form only: its terms are built from it when first
-    read (``__getattr__``), so a bracket or a series term that only feeds
-    another product or a sum never builds them.
+    read (``__getattr__``), so a bracket, a series term or a sum
+    (``combine``) that only feeds another product or sum never builds them.
     """
 
     __slots__ = ("_grades",)
@@ -395,7 +388,7 @@ class OperatorExpr(SparseSum):
         # Reached for an unset slot only: the terms of a kernel result.
         if name != "_terms":
             raise AttributeError(name)
-        terms = self._terms = _terms_of(*_any_form(self)[:2])
+        terms = self._terms = _terms_of(*_any_form(self)[1][:2])
         return terms
 
     def __reduce__(self):
@@ -403,20 +396,22 @@ class OperatorExpr(SparseSum):
 
     @property
     def is_zero(self) -> bool:
-        return not (_any_form(self)[1] if self._grades else self._terms)
+        return not (_any_form(self)[1][1] if self._grades else self._terms)
 
     @classmethod
     def combine(cls, pairs: Iterable) -> "OperatorExpr":
         """The sum of ``coeff * x`` over ``(coeff, x)`` pairs, in integers.
 
         Every graded form enters one accumulator over the lcm of the
-        ``coeff`` and form denominators, and each output term is reduced
-        once; no ``GaussRat`` is formed per input term.
+        ``coeff`` and form denominators, with an empty second grading, and
+        leaves through ``_collect`` like a product, its terms built when
+        first read. It is graded under the last operand's kind: in a series,
+        the scheme of the last step. No ``GaussRat`` is formed per input term.
         """
-        forms = [(GaussRat.coerce(c), _any_form(x)) for c, x in pairs]
-        big = lcm(*(c._d * form[0] for c, form in forms))
+        forms = [(GaussRat.coerce(c), *_any_form(x)) for c, x in pairs]
+        big = lcm(*(c._d * form[0] for c, _, form in forms))
         acc: dict = {}
-        for c, (d, entries, _, _) in forms:
+        for c, _, (d, entries, _, _) in forms:
             lift = big // (c._d * d)
             p, q = c._a * lift, c._b * lift
             for _, rest, beta, a, b, m, h, grading in entries:
@@ -424,13 +419,11 @@ class OperatorExpr(SparseSum):
                 re, im = p * a - q * b, p * b + q * a
                 prev = acc.get(key)
                 if prev is None:
-                    acc[key] = [re, im, grading]
+                    acc[key] = [re, im, grading, _UNGRADED]
                 else:
                     prev[0] += re
                     prev[1] += im
-        return cls._new(_terms_of(big, [
-            (0, rest, beta, a, b, m, h, grading)
-            for (rest, beta, m, h), (a, b, grading) in acc.items() if a or b]))
+        return _collect(acc, big, forms[-1][1] if forms else VELOCITY.kind)
 
     # Bound on the class itself, because bench/tracing.py wraps
     # OperatorExpr's own __add__ to count additions.
@@ -465,7 +458,7 @@ class OperatorExpr(SparseSum):
     def __mul__(self, other):
         if not isinstance(other, OperatorExpr):
             return self._times_scalar(other)
-        return _product(self, other, VELOCITY, _NO_CAP)
+        return mul_trunc(self, other, VELOCITY, _NO_CAP)
 
     def __pow__(self, n: int) -> "OperatorExpr":
         if not isinstance(n, int) or n < 0:
@@ -520,9 +513,9 @@ _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, (), 0, False, ()),), _normalized=True)
 # grading is read from its two factors, not from its word. ``_collect`` hands
 # the product on in the same graded form, reduced by one content gcd, so a
 # bracket or a series power that feeds the next product is never turned into
-# terms and graded again; ``OperatorExpr.combine`` sums graded forms in one
-# integer accumulator. Terms and ``GaussRat``s are built only for what is
-# read: a sum's output, or a kernel result whose terms are asked for.
+# terms and graded again. ``OperatorExpr.combine`` sums graded forms in one
+# integer accumulator and hands the sum on the same way, so terms and
+# ``GaussRat``s are built only for a kernel result whose terms are read.
 #
 # The order of a graded form is its scheme's: velocity reads ``vc_order``,
 # mass ``mass_power``. An uncapped product is the velocity product under a
@@ -530,6 +523,8 @@ _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, (), 0, False, ()),), _normalized=True)
 
 _NO_CAP = sys.maxsize
 _entry_order = itemgetter(0)
+#: The grading of the empty word: a sum's entries pair with it in ``_collect``.
+_UNGRADED = (0, False, ())
 
 
 def _form(d: int, entries: list) -> tuple:
@@ -571,9 +566,13 @@ def _graded(x: OperatorExpr, scheme: WeightScheme) -> tuple:
 
 
 def _any_form(x: OperatorExpr) -> tuple:
-    """A graded form of x under any order (a sum does not read the order)."""
+    """``(kind, form)``: a graded form of x and its scheme's kind.
+
+    A sum does not read the order, so any kept form serves; x is graded
+    under velocity only if it has none.
+    """
     grades = x._grades
-    return next(iter(grades.values())) if grades else _graded(x, VELOCITY)
+    return next(iter(grades.items())) if grades else (VELOCITY.kind, _graded(x, VELOCITY))
 
 
 def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
@@ -616,13 +615,13 @@ def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
     return acc
 
 
-def _collect(acc: dict, d: int, scheme: WeightScheme) -> OperatorExpr:
+def _collect(acc: dict, d: int, kind: str) -> OperatorExpr:
     """The kernel result of an ``_accumulate`` dict whose numerators are over d.
 
     Terms whose sums cancel are dropped. The others become the graded form
-    under ``scheme``: numerators and d divided by their one content gcd, so d
-    is the lcm of the reduced denominators, as ``_graded`` of the terms
-    would give; order, parity and names are the sum, XOR and concatenation
+    under the scheme of ``kind``: numerators and d divided by their one
+    content gcd, so d is the lcm of the reduced denominators, as ``_graded``
+    of the terms would give; order, parity and names are the sum, XOR and concatenation
     of the factors'. The result holds that form only; its terms are built
     when first read.
     """
@@ -631,7 +630,7 @@ def _collect(acc: dict, d: int, scheme: WeightScheme) -> OperatorExpr:
         g = gcd(g, v[0], v[1])
         if g == 1:
             break
-    mass = scheme.kind == "mass"
+    mass = kind == "mass"
     entries = []
     for (rest, beta, m, h), (a, b, ga, gb) in acc.items():
         if a or b:
@@ -640,7 +639,7 @@ def _collect(acc: dict, d: int, scheme: WeightScheme) -> OperatorExpr:
                             m, h, (vc, ga[1] ^ gb[1], ga[2] + gb[2])))
     entries.sort(key=_entry_order)
     out = object.__new__(OperatorExpr)
-    out._grades = {scheme.kind: _form(d // g, entries)}
+    out._grades = {kind: _form(d // g, entries)}
     return out
 
 
@@ -668,11 +667,6 @@ def _terms_of(d: int, entries: list) -> tuple:
     return tuple(terms)
 
 
-def _product(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme, cap: int) -> OperatorExpr:
-    left, right = _graded(a, scheme), _graded(b, scheme)
-    return _collect(_accumulate({}, left, right, cap), left[0] * right[0], scheme)
-
-
 def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
               max_order: int) -> OperatorExpr:
     """``(a * b).truncate(scheme, max_order)``, without forming the dropped terms.
@@ -680,7 +674,8 @@ def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
     Both weight schemes are additive, so a pair's order is the sum of its
     factors' orders, each computed once per operand.
     """
-    return _product(a, b, scheme, max_order)
+    left, right = _graded(a, scheme), _graded(b, scheme)
+    return _collect(_accumulate({}, left, right, max_order), left[0] * right[0], scheme.kind)
 
 
 # -- construction helpers ----------------------------------------------------
@@ -734,7 +729,7 @@ def commutator(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme | None = N
     left, right = _graded(a, scheme), _graded(b, scheme)
     acc = _accumulate(_accumulate({}, left, right, max_order), right, left, max_order,
                       negate=True)
-    return _collect(acc, left[0] * right[0], scheme)
+    return _collect(acc, left[0] * right[0], scheme.kind)
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -762,7 +757,7 @@ def series_sum(start: OperatorExpr, step: Callable[[OperatorExpr], OperatorExpr]
     ``require_order_at_least_one``, so some power is zero. Each ``step``
     result is a kernel result: it is graded once, handed to the next step
     as it is, and never turned into terms; every term meets the others in
-    one integer sum, ``OperatorExpr.combine``, which builds the output terms.
+    one integer sum, ``OperatorExpr.combine``, itself a kernel result.
     """
     pairs = []
     c = ONE

@@ -748,14 +748,12 @@ def verify(suite: str) -> list[CheckResult]:
 
 # -- CLI ----------------------------------------------------------------------------
 
-def _write_outputs(outputs: dict, fmt: str, stream) -> None:
+def _rendered_outputs(outputs: dict, fmt: str) -> str:
     rendered = {name: render(expr, fmt) for name, expr in outputs.items()
                 if isinstance(expr, OperatorExpr)}
     if fmt == "record":
-        stream.write(json.dumps(rendered, indent=2) + "\n")
-        return
-    for name, text in rendered.items():
-        stream.write(f"{name} = {text}\n")
+        return json.dumps(rendered, indent=2) + "\n"
+    return "".join(f"{name} = {text}\n" for name, text in rendered.items())
 
 
 def _orders(text: str) -> tuple[int, ...]:
@@ -805,15 +803,16 @@ def main(argv=None) -> int:
         try:
             with open(args.spec_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            result = run(parse_spec(text))
-            _write_outputs(result.outputs, args.out, sys.stdout)
+            output = _rendered_outputs(run(parse_spec(text)).outputs, args.out)
+            # The file first, so that an unwritable directory prints nothing.
             out_dir = os.environ.get("FW_OUTPUT_DIR")
             if out_dir:
                 os.makedirs(out_dir, exist_ok=True)
                 base = os.path.splitext(os.path.basename(args.spec_file))[0]
                 path = os.path.join(out_dir, f"{base}.{args.out}.txt")
                 with open(path, "w", encoding="utf-8") as fh:
-                    _write_outputs(result.outputs, args.out, fh)
+                    fh.write(output)
+            sys.stdout.write(output)
         except (SpecError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from fwalg.fwtransform import _binomial_series
 from fwalg.gaussrat import GaussRat
-from fwalg.opalg import BETA, E, F, MC2, O, OperatorExpr
+from fwalg.opalg import BETA, E, F, MC2, O, OperatorExpr, log_series, mul_trunc, one, sym
 
 
 WORD_SYMBOLS = (BETA, O, F, E)
@@ -40,6 +41,23 @@ def rand_expr_min_weight(rng: random.Random, scheme, min_order: int = 1,
         kept = tuple(t for t in x.terms if t.order(scheme) >= min_order)
         if kept:
             return OperatorExpr(kept, _normalized=True)
+
+
+def polar_correction_exponent(rec) -> OperatorExpr:
+    """C from Eriksen's condition alone (E. Eriksen, Phys. Rev. 111, 1011 (1958)).
+
+    U_corr = exp(C) U with C even, so exp(C) commutes with beta, and
+    beta U_corr = U_corr^dag beta gives U_corr^2 = beta U^dag beta U. Hence
+    U_corr = (beta U^dag beta U)^(1/2), a binomial series, and
+    C = log(U_corr U^dag). Truncating at the record's order is exact in the
+    mass scheme too: U, beta and C have no term of negative order.
+    """
+    scheme, order = rec.scheme, rec.max_order
+    b, u, u_dag = sym(BETA), rec.unitary, rec.unitary.adjoint()
+    u_corr_sq = mul_trunc(mul_trunc(b, u_dag, scheme, order), mul_trunc(b, u, scheme, order),
+                          scheme, order)
+    u_corr = _binomial_series(u_corr_sq - one(), Fraction(1, 2), scheme, order)
+    return log_series(mul_trunc(u_corr, u_dag, scheme, order) - one(), scheme, order)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from fwalg import reference as ref
 from fwalg.opalg import SymbolRegistry
 from fwalg.shell import main as fw_main
 
-from conftest import rand_expr, rand_expr_min_weight
+from conftest import polar_correction_exponent, rand_expr, rand_expr_min_weight
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
 
@@ -583,10 +583,30 @@ def test_square_root_route_rejects_non_hermitian_h(extra):
             route(h, 4)
 
 
-@pytest.mark.parametrize("extra", list(_NOT_HERMITIAN))
-def test_cli_transform_non_hermitian_h_exit_2(tmp_path, capsys, extra):
+@pytest.mark.parametrize("h, order", [
+    (ref.mass_term() + o + scale(I, e), 2),
+    (ref.mass_term() + o + scale(I, e), 4),
+    (ref.mass_term() + o + scale(GaussRat(0, 2), b), 4),
+], ids=["i*E-order2", "i*E-order4", "2i*beta-order4"])
+def test_iterative_routes_reject_non_hermitian_h(h, order):
+    # Each once passed, or failed with an untyped step check or NoConvergence.
+    for route in (fw_pipeline, corrected_pipeline):
+        with pytest.raises(NotHermitian):
+            route(h, VELOCITY, order)
+
+
+_NOT_HERMITIAN_SPECS = {
+    **{extra: f"H = beta*m + E + O + {extra}; scheme vc; order 4; method eriksen;"
+       for extra in _NOT_HERMITIAN},
+    **{f"i*E-{method}": f"H = beta*m + O + i*E; order 2; method {method};"
+       for method in ("fw", "fw-corrected")},
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_HERMITIAN_SPECS))
+def test_cli_transform_non_hermitian_h_exit_2(tmp_path, capsys, case):
     spec = tmp_path / "h.fw"
-    spec.write_text(f"H = beta*m + E + O + {extra}; scheme vc; order 4; method eriksen;\n")
+    spec.write_text(_NOT_HERMITIAN_SPECS[case] + "\n")
     assert fw_main(["transform", str(spec)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -846,20 +866,8 @@ def test_condition_check_reads_the_records_step_product(monkeypatch):
     (VELOCITY, 6), (VELOCITY, 8), (VELOCITY, 12), (MASS, 4), (MASS, 6), (MASS, 8),
 ], ids=["vc6", "vc8", "vc12", "m4", "m6", "m8"])
 def test_correction_exponent_equals_log_of_polar_factor(scheme, order):
-    """C from Eriksen's condition alone (E. Eriksen, Phys. Rev. 111, 1011 (1958)).
-
-    U_corr = exp(C) U with C even, so exp(C) commutes with beta, and
-    beta U_corr = U_corr^dag beta gives U_corr^2 = beta U^dag beta U. Hence
-    U_corr = (beta U^dag beta U)^(1/2), a binomial series, and
-    C = log(U_corr U^dag). Truncating at the working order is exact in the
-    mass scheme too: U, beta and C have no term of negative order.
-    """
     rec = corrected_pipeline(dirac_h(), scheme, order)
-    u, u_dag = rec.unitary, rec.unitary.adjoint()
-    u_corr_sq = mul_trunc(mul_trunc(b, u_dag, scheme, order), mul_trunc(b, u, scheme, order),
-                          scheme, order)
-    u_corr = _binomial_series(u_corr_sq - one(), Fraction(1, 2), scheme, order)
-    c = log_series(mul_trunc(u_corr, u_dag, scheme, order) - one(), scheme, order)
+    c = polar_correction_exponent(rec)
     assert not c.is_zero
     assert c == rec.correction_exponent
 

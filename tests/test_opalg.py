@@ -12,10 +12,10 @@ from fwalg.opalg import (
     commutator, exp_series, mul_trunc, normalize, one, scale, sym, word, zero,
     _graded, _normalize_raw, _term_sort_key,
 )
-
+from fwalg.diracred import BETA_ATOM, FieldExpr, PiAtom, a_atom, field_term, phi_atom, sigma_atom
 from fwalg.shell import parse_record, parse_spec, serialize_record
 
-from conftest import RAW_SYMBOLS, rand_expr, rand_raw_term
+from conftest import RAW_SYMBOLS, rand_coeff, rand_expr, rand_raw_term
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
 
@@ -438,6 +438,97 @@ def test_kernel_results_hand_on_the_graded_form_of_their_terms(rng):
                 assert list(r._grades) == [scheme.kind]
                 handed = _graded_by_key(r._grades[scheme.kind])
                 assert handed == _graded_by_key(_graded(OperatorExpr(r.terms, True), scheme))
+
+
+def _built(x):
+    """Whether x's terms exist yet (a kernel result builds them when read)."""
+    try:
+        object.__getattribute__(x, "_terms")
+    except AttributeError:
+        return False
+    return True
+
+
+def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
+    # operands in term form and in velocity and mass kernel forms, mixed; the
+    # oracle normalizes the scaled terms of every operand together
+    kinds = set()
+    for _ in range(120):
+        x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        y = scale(Fraction(1, rng.choice((2, 3, 6))), rand_expr(rng, max_terms=4))
+        k = rng.randint(-1, 5)
+        operands = [x, y, mul_trunc(x, y, MASS, k), commutator(y, x, VELOCITY, k), x * y]
+        rng.shuffle(operands)
+        pairs = [(rand_coeff(rng), z) for z in operands[:rng.randint(1, 5)]]
+        lazy = [z for _, z in pairs if not _built(z)]
+        out = OperatorExpr.combine(pairs)
+        assert not _built(out) and not any(_built(z) for z in lazy)
+        [kind] = out._grades
+        kinds.add(kind)
+        oracle = normalize([(c * t.coeff, t.mass_power, t.hbar_power, t.word)
+                            for c, z in pairs for t in z])
+        assert out == oracle
+        _assert_grading_fresh(out)
+        scheme = MASS if kind == "mass" else VELOCITY
+        assert _graded_by_key(out._grades[kind]) == _graded_by_key(
+            _graded(OperatorExpr(out.terms, True), scheme))
+        again = OperatorExpr.combine([(1, out), (-1, oracle)])
+        assert again.is_zero and not _built(again) and again.terms == ()
+    assert kinds == {"velocity", "mass"}
+    assert OperatorExpr.combine([]) == zero()
+
+
+_FIELD_PIECES = [field_term(1, atoms) for atoms in (
+    (), (BETA_ATOM,), (sigma_atom(1),), (PiAtom(2),), (phi_atom(),), (a_atom(3), sigma_atom(3)))]
+
+
+def _rand_field(rng):
+    return FieldExpr.combine((rand_coeff(rng), rng.choice(_FIELD_PIECES))
+                             for _ in range(rng.randint(0, 4)))
+
+
+def _dict_merge(x, y):
+    """x + y by the dict merge ``SparseSum.__add__`` ran before ``_merged``."""
+    if not y.terms:
+        return x
+    if not x.terms:
+        return y
+    acc = {t.key: t for t in x.terms}
+    for t in y.terms:
+        prev = acc.get(t.key)
+        acc[t.key] = t if prev is None else prev.with_coeff(prev.coeff + t.coeff)
+    terms = sorted((t for t in acc.values() if not t.coeff.is_zero), key=_term_sort_key)
+    return type(x)(tuple(terms), _normalized=True)
+
+
+@pytest.mark.parametrize("algebra", ["operator", "field"])
+def test_add_and_sub_equal_the_dict_merge(rng, algebra):
+    # equality compares the terms in order, so the sort is checked too
+    draw = (lambda: rand_expr(rng, max_terms=4)) if algebra == "operator" else (
+        lambda: _rand_field(rng))
+    empty = type(draw()).zero()
+    cancelled = 0
+    for _ in range(200):
+        x, y = draw(), draw()
+        for a, b in ((x, y), (x, empty), (empty, y), (x, x), (x, -x), (x, x + y)):
+            total, difference = a + b, a - b
+            assert total == _dict_merge(a, b)
+            assert difference == _dict_merge(a, -b)
+            cancelled += total.is_zero + difference.is_zero
+    assert cancelled >= 400
+
+
+def test_unmerged_left_terms_come_back_as_the_same_objects(rng):
+    for _ in range(100):
+        x, y = rand_expr(rng, max_terms=4), rand_expr(rng, max_terms=4)
+        right = {t.key for t in y}
+        for out in (x + y, x - y):
+            by_key = {t.key: t for t in out}
+            for t in x:
+                if t.key not in right:
+                    assert by_key[t.key] is t
+        for t, u in zip(y, zero() + y):
+            assert t is u
 
 
 def test_mass_order_of_rest_term():

@@ -338,6 +338,17 @@ def test_cli_transform_record_and_output_dir(tmp_path, capsys, monkeypatch):
     assert (out_dir / "toy.record.txt").exists()
 
 
+@pytest.mark.parametrize("fmt", ["text", "latex", "record"])
+def test_cli_transform_output_file_equals_stdout(tmp_path, capsys, monkeypatch, fmt):
+    spec_file = tmp_path / "toy.fw"
+    spec_file.write_text("H = beta*m + E + O; order 4; method fw-corrected;\n")
+    monkeypatch.setenv("FW_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["transform", str(spec_file), "--out", fmt]) == 0
+    out = capsys.readouterr().out
+    assert "H_corrected" in out
+    assert (tmp_path / "out" / f"toy.{fmt}.txt").read_bytes() == out.encode("utf-8")
+
+
 def test_cli_transform_unwritable_output_dir_exit_2(tmp_path, capsys, monkeypatch):
     spec_file = tmp_path / "toy.fw"
     spec_file.write_text("H = beta*m + O; order 4; method fw;\n")
@@ -401,7 +412,8 @@ def _cli(argv) -> int:
 
 def assert_one_line_error(capsys, argv, fragment):
     assert _cli(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert fragment in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
