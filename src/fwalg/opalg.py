@@ -24,6 +24,7 @@ Printers reinstate the paired ``m^k c^(2k)`` factors textually.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -341,7 +342,12 @@ class SparseSum:
     # -- selection -----------------------------------------------------------
 
     def filter(self, keep):
-        """The sum of the terms for which ``keep(term)`` holds."""
+        """The sum of the terms for which ``keep(term)`` holds.
+
+        This is the term path of every selection. ``OperatorExpr`` selects,
+        scales and negates a kernel result whose terms are unread on its
+        graded form instead (``_unread_form``), and comes here for the rest.
+        """
         kept = tuple(t for t in self._terms if keep(t))
         return self if len(kept) == len(self._terms) else self._new(kept)
 
@@ -439,19 +445,72 @@ class OperatorExpr(SparseSum):
                 return t.coeff
         return ZERO
 
-    def min_order(self, scheme: WeightScheme):
-        if not self._terms:
-            return None
-        return min(t.order(scheme) for t in self._terms)
-
-    def truncate(self, scheme: WeightScheme, max_order: int) -> "OperatorExpr":
-        return self.filter(lambda t: t.order(scheme) <= max_order)
-
-    def order_slice(self, scheme: WeightScheme, order: int) -> "OperatorExpr":
-        return self.filter(lambda t: t.order(scheme) == order)
-
     def contains_symbol(self, s: OperatorSymbol) -> bool:
         return any(s in t.word for t in self._terms)
+
+    # -- selection and scaling, on the graded form while the terms are unread --
+
+    def min_order(self, scheme: WeightScheme):
+        unread = _unread_form(self, scheme.kind)
+        if unread is None:
+            return min((t.order(scheme) for t in self._terms), default=None)
+        kind, (_, entries, _, _) = unread
+        if not entries:
+            return None
+        if kind == scheme.kind:
+            return entries[0][0]
+        return min(map(_ENTRY_ORDERS[scheme.kind], entries))
+
+    def truncate(self, scheme: WeightScheme, max_order: int) -> "OperatorExpr":
+        return self._window(scheme, -_NO_CAP, max_order)
+
+    def order_slice(self, scheme: WeightScheme, order: int) -> "OperatorExpr":
+        return self._window(scheme, order, order)
+
+    def _window(self, scheme: WeightScheme, low: int, high: int) -> "OperatorExpr":
+        """The terms of order low..high under scheme.
+
+        A form under the scheme's kind is sorted by that order, so the
+        window is one slice of its entries.
+        """
+        unread = _unread_form(self, scheme.kind)
+        if unread is None:
+            return self.filter(lambda t: low <= t.order(scheme) <= high)
+        kind, form = unread
+        entries = form[1]
+        if kind == scheme.kind:
+            kept = entries[bisect_left(entries, low, key=_entry_order):
+                           bisect_right(entries, high, key=_entry_order)]
+        else:
+            order = _ENTRY_ORDERS[scheme.kind]
+            kept = [e for e in entries if low <= order(e) <= high]
+        return _kept(self, kind, form, kept)
+
+    def parity_split(self):
+        unread = _unread_form(self)
+        if unread is None:
+            return super().parity_split()
+        kind, form = unread
+        even, odd = [], []
+        for e in form[1]:
+            (odd if e[7][1] else even).append(e)
+        return _kept(self, kind, form, even), _kept(self, kind, form, odd)
+
+    def __neg__(self):
+        return super().__neg__() if _unread_form(self) is None else self._scaled(-1)
+
+    def _scaled(self, c):
+        unread = _unread_form(self)
+        if unread is None:
+            return super()._scaled(c)
+        c = GaussRat.coerce(c)
+        if c.is_zero:
+            return self._new(())
+        p, q = c._a, c._b
+        kind, (d, entries, _, _) = unread
+        return _reduced_result(kind, d * c._d, [
+            (o, rest, beta, p * a - q * b, p * b + q * a, m, h, grading)
+            for o, rest, beta, a, b, m, h, grading in entries])
 
     # -- word products -------------------------------------------------------
 
@@ -516,6 +575,11 @@ _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, (), 0, False, ()),), _normalized=True)
 # terms and graded again. ``OperatorExpr.combine`` sums graded forms in one
 # integer accumulator and hands the sum on the same way, so terms and
 # ``GaussRat``s are built only for a kernel result whose terms are read.
+# Selection, scaling and negation stay on the graded form as well: while a
+# result's terms are unread, ``parity_split``, ``truncate``, ``order_slice``
+# and ``min_order`` read its entries, ``-x`` and ``_scaled`` multiply its
+# numerators, and each hands on a kernel result under the same kind,
+# reduced by its content gcd (``_reduced_result``).
 #
 # The order of a graded form is its scheme's: velocity reads ``vc_order``,
 # mass ``mass_power``. An uncapped product is the velocity product under a
@@ -573,6 +637,56 @@ def _any_form(x: OperatorExpr) -> tuple:
     """
     grades = x._grades
     return next(iter(grades.items())) if grades else (VELOCITY.kind, _graded(x, VELOCITY))
+
+
+#: An entry's order under each scheme, whatever the kind of its form.
+_ENTRY_ORDERS = {VELOCITY.kind: lambda e: e[7][0], MASS.kind: itemgetter(5)}
+
+
+def _unread_form(x: OperatorExpr, kind: str | None = None) -> tuple | None:
+    """``(kind, form)`` of a kernel result whose terms are unread, else None.
+
+    The form under ``kind`` is preferred when x keeps one; any kept form
+    serves otherwise.
+    """
+    grades = x._grades
+    if not grades:
+        return None
+    try:
+        object.__getattribute__(x, "_terms")
+    except AttributeError:
+        form = grades.get(kind)
+        return (kind, form) if form is not None else next(iter(grades.items()))
+    return None
+
+
+def _kept(x: OperatorExpr, kind: str, form: tuple, kept: list) -> OperatorExpr:
+    """x if ``kept`` holds all of the entries of x's ``form``, else their kernel result."""
+    return x if len(kept) == len(form[1]) else _reduced_result(kind, form[0], kept)
+
+
+def _reduced_result(kind: str, d: int, entries: list) -> OperatorExpr:
+    """The kernel result of entries over d, already sorted by the order of ``kind``.
+
+    d and the numerators are divided by their content gcd, so d is the lcm
+    of the reduced denominators, as ``_graded`` of the terms would give.
+    """
+    g = d
+    for e in entries:
+        g = gcd(g, e[3], e[4])
+        if g == 1:
+            break
+    if g != 1:
+        entries = [(o, rest, beta, a // g, b // g, m, h, grading)
+                   for o, rest, beta, a, b, m, h, grading in entries]
+    return _held(kind, d // g, entries)
+
+
+def _held(kind: str, d: int, entries: list) -> OperatorExpr:
+    """A kernel result holding the graded form of entries over d and no terms."""
+    out = object.__new__(OperatorExpr)
+    out._grades = {kind: _form(d, entries)}
+    return out
 
 
 def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
@@ -638,9 +752,7 @@ def _collect(acc: dict, d: int, kind: str) -> OperatorExpr:
             entries.append((m if mass else vc, rest, beta, a // g, b // g,
                             m, h, (vc, ga[1] ^ gb[1], ga[2] + gb[2])))
     entries.sort(key=_entry_order)
-    out = object.__new__(OperatorExpr)
-    out._grades = {kind: _form(d // g, entries)}
-    return out
+    return _held(kind, d // g, entries)
 
 
 def _terms_of(d: int, entries: list) -> tuple:

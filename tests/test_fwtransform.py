@@ -862,6 +862,31 @@ def test_condition_check_reads_the_records_step_product(monkeypatch):
     assert bare.unitary == u and bare.combined_exponent == rec.combined_exponent
 
 
+def test_eriksen_series_builds_no_intermediate_terms(monkeypatch):
+    # Every intermediate of the square-root route stays a graded form, its
+    # selections and sums too: terms are built (by opalg._terms_of) only when
+    # the output is read. The code before graded selection built 376 terms
+    # during the call, and 837 in the corrected run below.
+    import fwalg.opalg as opalg
+    built = []
+    real = opalg._terms_of
+
+    def counting(d, entries):
+        built.append(len(entries))
+        return real(d, entries)
+
+    monkeypatch.setattr(opalg, "_terms_of", counting)
+    h = eriksen_series(dirac_h(), 10)
+    assert sum(built) == 0
+    assert len(h.terms) == 130 and sum(built) == 130
+    # the corrected route builds terms where it reads them: coefficients,
+    # adjoints and the BCH word table, counted here as in a fresh process
+    _bch_word_table.cache_clear()
+    built.clear()
+    eriksen_condition_check(corrected_pipeline(dirac_h(), VELOCITY, 8))
+    assert sum(built) == 554
+
+
 @pytest.mark.parametrize("scheme, order", [
     (VELOCITY, 6), (VELOCITY, 8), (VELOCITY, 12), (MASS, 4), (MASS, 6), (MASS, 8),
 ], ids=["vc6", "vc8", "vc12", "m4", "m6", "m8"])

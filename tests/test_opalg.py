@@ -478,6 +478,53 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
     assert OperatorExpr.combine([]) == zero()
 
 
+def test_selection_on_the_graded_form_equals_term_selection(rng):
+    # velocity and mass kernel results of products, brackets and sums, each
+    # selected, scaled and negated under both schemes while its terms are
+    # unread; the oracle is the term path on the same terms
+    schemes = {"velocity": VELOCITY, "mass": MASS}
+    seen = set()
+    for _ in range(40):
+        x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        y = scale(Fraction(1, rng.choice((2, 3, 6))), rand_expr(rng, max_terms=4))
+        k = rng.randint(0, 6)
+        makers = (
+            lambda: mul_trunc(x, y, VELOCITY, k), lambda: mul_trunc(y, x, MASS, k - 2),
+            lambda: commutator(x, y, VELOCITY, k), lambda: commutator(y, x, MASS, k - 2),
+            lambda: OperatorExpr.combine([(I, mul_trunc(y, x, MASS, k)), (2, x * y)]),
+            lambda: OperatorExpr.combine([(2, x * y), (-1, mul_trunc(y, x, MASS, k))]))
+        for make in makers:
+            oracle_in = OperatorExpr(make().terms, True)
+            for scheme in (VELOCITY, MASS):
+                orders = sorted({t.order(scheme) for t in oracle_in}) or [0]
+                cuts = [orders[0] - 1, *orders, orders[-1] + 1]
+                c = rng.choice((3, -6, Fraction(2, 3), GaussRat(0, Fraction(1, 3)),
+                                GaussRat(Fraction(3, 2), 3)))
+                ops = [lambda z: z.min_order(scheme), OperatorExpr.parity_split,
+                       lambda z: -z, lambda z: scale(c, z)]
+                ops += [lambda z, n=n: z.truncate(scheme, n) for n in cuts]
+                ops += [lambda z, n=n: z.order_slice(scheme, n) for n in cuts]
+                for op in ops:
+                    r = make()
+                    [kind] = r._grades
+                    out = op(r)
+                    assert not _built(r)
+                    results = out if isinstance(out, tuple) else (out,)
+                    results = [z for z in results if isinstance(z, OperatorExpr)]
+                    assert not any(_built(z) for z in results)
+                    assert out == op(oracle_in)
+                    for z in results:
+                        assert list(z._grades) == [kind]
+                        _assert_grading_fresh(z)
+                        assert _graded_by_key(z._grades[kind]) == _graded_by_key(
+                            _graded(OperatorExpr(z.terms, True), schemes[kind]))
+                        seen.add("nothing" if z.is_zero else
+                                 "everything" if z is r else "some")
+                    seen.add((kind, scheme.kind))
+    assert seen == {"nothing", "everything", "some", *(
+        (a, b) for a in schemes for b in schemes)}
+
+
 _FIELD_PIECES = [field_term(1, atoms) for atoms in (
     (), (BETA_ATOM,), (sigma_atom(1),), (PiAtom(2),), (phi_atom(),), (a_atom(3), sigma_atom(3)))]
 
