@@ -41,11 +41,11 @@ instead of recombining from scratch.
 Brackets, nested commutators and series powers stay in the product
 kernel's graded form (integer numerators over one denominator, sorted by
 order) from one commutator or capped product to the next, and into the
-integer sum that combines them (``OperatorExpr.combine``); their parity
-splits, truncations, order slices and scalings stay graded too. A sum of
-a kernel result and a constant lists the kernel result last, so the sum
-takes its kind. Terms are built only where a stage reads them: its
-output, a coefficient or an adjoint.
+integer sum that combines them (``OperatorExpr.combine``, ``+`` and
+``-``); their parity splits, truncations, order slices, scalings,
+adjoints and coefficients read the graded form too. Terms are built only
+where they are read: a stage's output, the words of the BCH table's log
+series and the input of ``subs_symbol``.
 """
 
 from __future__ import annotations
@@ -261,8 +261,8 @@ def _bch_word_table(budget: int, a_min: int, b_min: int) -> tuple[tuple[str, Gau
     """
     a = sym(OperatorSymbol("a", EVEN, a_min))
     b = sym(OperatorSymbol("b", EVEN, b_min))
-    x = OperatorExpr.combine(((-1, one()), (1, mul_trunc(
-        exp_series(a, VELOCITY, budget), exp_series(b, VELOCITY, budget), VELOCITY, budget))))
+    x = mul_trunc(exp_series(a, VELOCITY, budget), exp_series(b, VELOCITY, budget),
+                  VELOCITY, budget) - one()
     folded: dict[str, GaussRat] = {}
     for t in log_series(x, VELOCITY, budget):
         w, c = "".join(s.name for s in t.word), t.coeff
@@ -323,8 +323,7 @@ def combine_steps(record: TransformRecord) -> OperatorExpr:
     for s in record.steps:
         u = mul_trunc(exp_series(scale(I, s), scheme, max_order), u, scheme, max_order)
     record.unitary = u
-    record.combined_exponent = scale(-I, log_series(
-        OperatorExpr.combine(((-1, one()), (1, u))), scheme, max_order))
+    record.combined_exponent = scale(-I, log_series(u - one(), scheme, max_order))
     return record.combined_exponent
 
 
@@ -442,8 +441,7 @@ def sign_operator_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
     h = h.truncate(scheme, max_order)
     u2 = word(1, [], mass_power=2)
     # X = (H^2 - m^2 c^4)/(m^2 c^4) has minimum order 2.
-    x = mul_trunc(u2, OperatorExpr.combine(((-1, word(1, [], mass_power=-2)),
-                                            (1, mul_trunc(h, h, scheme, max_order)))),
+    x = mul_trunc(u2, mul_trunc(h, h, scheme, max_order) - word(1, [], mass_power=-2),
                   scheme, max_order)
     inv_sqrt = _binomial_series(x, Fraction(-1, 2), scheme, max_order)
     return mul_trunc(mul_trunc(word(1, [], mass_power=1), h, scheme, max_order), inv_sqrt,
@@ -453,8 +451,7 @@ def sign_operator_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
 def eriksen_unitary_series(h: OperatorExpr, max_order: int) -> OperatorExpr:
     """(1 + beta lambda)(2 + beta lambda + lambda beta)^(-1/2), truncated."""
     beta_lam, g2 = _eriksen_factors(h, max_order)
-    return mul_trunc(OperatorExpr.combine(((1, one()), (1, beta_lam))),
-                     scale(Fraction(1, 2), g2), VELOCITY, max_order)
+    return mul_trunc(one() + beta_lam, scale(Fraction(1, 2), g2), VELOCITY, max_order)
 
 
 def _eriksen_factors(h: OperatorExpr, max_order: int) -> tuple[OperatorExpr, OperatorExpr]:
@@ -513,7 +510,7 @@ def eriksen_condition_check(record: TransformRecord) -> ConditionReport:
     beta_e = sym(BETA)
 
     def residual(mat: OperatorExpr) -> OperatorExpr:
-        return OperatorExpr.combine(((1, mul_trunc(beta_e, mat, scheme, max_order)),
-                                     (-1, mul_trunc(mat.adjoint(), beta_e, scheme, max_order))))
+        return (mul_trunc(beta_e, mat, scheme, max_order)
+                - mul_trunc(mat.adjoint(), beta_e, scheme, max_order))
 
     return ConditionReport(uncorrected=residual(u), corrected=residual(u_corr))

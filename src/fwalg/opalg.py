@@ -254,19 +254,21 @@ _term_sort_key = attrgetter("sort_key")
 
 
 _SCALARS = (int, Fraction, GaussRat)
+_MINUS_ONE = -ONE
 
 
 class SparseSum:
     """Immutable canonical sum of terms: one term per ``term.key``, sorted.
 
     The core shared by both term algebras, this module's words and the
-    Dirac field terms of ``diracred``. It holds every operation that needs
-    nothing but term keys and coefficients; a sum of two normal forms is a
-    merge of their terms, never a second normalization. A subclass
-    normalizes raw input in its constructor (``_normalized=True`` accepts
-    terms that are already normal) and forms products. Its terms provide
-    ``key``, ``coeff``, ``is_odd``, ``sort_key`` (the canonical term order)
-    and ``with_coeff``.
+    Dirac field terms of ``diracred``: the term view, scalar dispatch and
+    printing. Its linear, selection and comparison operations work on the
+    terms and serve ``FieldExpr``; a sum of two normal forms is a merge of
+    their terms, never a second normalization. ``OperatorExpr`` does each
+    of them on its graded form instead. A subclass normalizes raw input in
+    its constructor (``_normalized=True`` accepts terms that are already
+    normal) and forms products. Its terms provide ``key``, ``coeff``,
+    ``is_odd``, ``sort_key`` (the canonical term order) and ``with_coeff``.
     """
 
     __slots__ = ("_terms",)
@@ -284,7 +286,6 @@ class SparseSum:
         """The sum of ``coeff * x`` over ``(coeff, x)`` pairs, merged and sorted once.
 
         A chain of ``+`` would rebuild the running sum for every pair.
-        ``OperatorExpr`` overrides this with one integer sum over its graded forms.
         """
         scaled = ((GaussRat.coerce(c), x) for c, x in pairs)
         return cls._new(_merged((c * t.coeff, t) for c, x in scaled for t in x._terms))
@@ -319,7 +320,7 @@ class SparseSum:
                                        ((-t.coeff, t) for t in other._terms))))
 
     def __neg__(self):
-        return self._new(tuple(t.with_coeff(-t.coeff) for t in self._terms))
+        return self._scaled(_MINUS_ONE)
 
     def _scaled(self, c):
         c = GaussRat.coerce(c)
@@ -344,9 +345,8 @@ class SparseSum:
     def filter(self, keep):
         """The sum of the terms for which ``keep(term)`` holds.
 
-        This is the term path of every selection. ``OperatorExpr`` selects,
-        scales and negates a kernel result whose terms are unread on its
-        graded form instead (``_unread_form``), and comes here for the rest.
+        A predicate on terms reads the terms; ``OperatorExpr``'s parity
+        split and order windows select its graded entries instead.
         """
         kept = tuple(t for t in self._terms if keep(t))
         return self if len(kept) == len(self._terms) else self._new(kept)
@@ -375,13 +375,15 @@ class SparseSum:
 class OperatorExpr(SparseSum):
     """Normalized sum of terms; the universal currency of the engine.
 
-    Immutable after construction. All arithmetic returns new normalized
-    expressions, so results are independent of evaluation order. ``_grades``
-    keeps the operand form of the product kernel per order (``_graded``); it
-    takes no part in equality, hashing, pickling or copying. A kernel result
-    starts with its graded form only: its terms are built from it when first
-    read (``__getattr__``), so a bracket, a series term or a sum
-    (``combine``) that only feeds another product or sum never builds them.
+    Immutable after construction. Its operations read the product kernel's
+    graded form (``_graded``, ``_any_form``), kept per order in
+    ``_grades``: sums, products, selections, scaling, the adjoint, word
+    queries and equality; only ``subs_symbol`` and a term predicate
+    (``filter``) read terms. The others hand on a kernel result, which
+    holds its graded form only: ``.terms``, a read-only view, is built from
+    it when first read (``__getattr__``). An expression built from terms is
+    graded on its first operation. The forms take no part in pickling or
+    copying.
     """
 
     __slots__ = ("_grades",)
@@ -410,9 +412,8 @@ class OperatorExpr(SparseSum):
 
         Every graded form enters one accumulator over the lcm of the
         ``coeff`` and form denominators, with an empty second grading, and
-        leaves through ``_collect`` like a product, its terms built when
-        first read. It is graded under the last operand's kind: in a series,
-        the scheme of the last step. No ``GaussRat`` is formed per input term.
+        leaves through ``_collect`` like a product, graded under the first
+        operand's kind. No ``GaussRat`` is formed per input term.
         """
         forms = [(GaussRat.coerce(c), *_any_form(x)) for c, x in pairs]
         big = lcm(*(c._d * form[0] for c, _, form in forms))
@@ -429,37 +430,61 @@ class OperatorExpr(SparseSum):
                 else:
                     prev[0] += re
                     prev[1] += im
-        return _collect(acc, big, forms[-1][1] if forms else VELOCITY.kind)
+        return _collect(acc, big, forms[0][1] if forms else VELOCITY.kind)
 
-    # Bound on the class itself, because bench/tracing.py wraps
-    # OperatorExpr's own __add__ to count additions.
-    __add__ = SparseSum.__add__
+    def __add__(self, other):
+        if not isinstance(other, OperatorExpr):
+            return NotImplemented
+        return OperatorExpr.combine(((ONE, self), (ONE, other)))
+
+    def __sub__(self, other):
+        if not isinstance(other, OperatorExpr):
+            return NotImplemented
+        return OperatorExpr.combine(((ONE, self), (_MINUS_ONE, other)))
+
+    def _scaled(self, c):
+        c = GaussRat.coerce(c)
+        if c.is_zero:
+            return self._new(())
+        p, q = c._a, c._b
+        kind, (d, entries, _, _) = _any_form(self)
+        return _reduced_result(kind, d * c._d, [
+            (o, rest, beta, p * a - q * b, p * b + q * a, m, h, grading)
+            for o, rest, beta, a, b, m, h, grading in entries])
+
+    # -- comparison: D and the numerators by word key ------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, OperatorExpr):
+            return NotImplemented
+        return _keyed(self) == _keyed(other)
+
+    def __hash__(self):
+        d, nums = _keyed(self)
+        return hash((d, frozenset(nums.items())))
 
     # -- word queries --------------------------------------------------------
 
     def coefficient(self, word_syms: Sequence[OperatorSymbol],
                     mass_power: int = 0, hbar_power: int = 0) -> GaussRat:
-        key = (tuple(word_syms), mass_power, hbar_power)
-        for t in self._terms:
-            if t.key == key:
-                return t.coeff
+        w = tuple(word_syms)
+        beta = w[:1] == (BETA,)
+        key = (w[1:] if beta else w, mass_power, hbar_power)
+        d, _, plain, crossed = _any_form(self)[1]
+        for _, rest, _, a, b, m, h, _ in crossed if beta else plain:
+            if (rest, m, h) == key:
+                return _reduced(a, b, d)
         return ZERO
 
     def contains_symbol(self, s: OperatorSymbol) -> bool:
-        return any(s in t.word for t in self._terms)
+        _, entries, _, crossed = _any_form(self)[1]
+        return bool(crossed) if s is BETA else any(s in e[1] for e in entries)
 
-    # -- selection and scaling, on the graded form while the terms are unread --
+    # -- selection -----------------------------------------------------------
 
     def min_order(self, scheme: WeightScheme):
-        unread = _unread_form(self, scheme.kind)
-        if unread is None:
-            return min((t.order(scheme) for t in self._terms), default=None)
-        kind, (_, entries, _, _) = unread
-        if not entries:
-            return None
-        if kind == scheme.kind:
-            return entries[0][0]
-        return min(map(_ENTRY_ORDERS[scheme.kind], entries))
+        entries = _graded(self, scheme)[1]
+        return entries[0][0] if entries else None
 
     def truncate(self, scheme: WeightScheme, max_order: int) -> "OperatorExpr":
         return self._window(scheme, -_NO_CAP, max_order)
@@ -468,49 +493,20 @@ class OperatorExpr(SparseSum):
         return self._window(scheme, order, order)
 
     def _window(self, scheme: WeightScheme, low: int, high: int) -> "OperatorExpr":
-        """The terms of order low..high under scheme.
-
-        A form under the scheme's kind is sorted by that order, so the
-        window is one slice of its entries.
-        """
-        unread = _unread_form(self, scheme.kind)
-        if unread is None:
-            return self.filter(lambda t: low <= t.order(scheme) <= high)
-        kind, form = unread
+        """The terms of order low..high under scheme: one slice of its sorted form."""
+        form = _graded(self, scheme)
         entries = form[1]
-        if kind == scheme.kind:
-            kept = entries[bisect_left(entries, low, key=_entry_order):
-                           bisect_right(entries, high, key=_entry_order)]
-        else:
-            order = _ENTRY_ORDERS[scheme.kind]
-            kept = [e for e in entries if low <= order(e) <= high]
-        return _kept(self, kind, form, kept)
+        return _kept(self, scheme.kind, form,
+                     entries[bisect_left(entries, low, key=_entry_order):
+                             bisect_right(entries, high, key=_entry_order)])
 
     def parity_split(self):
-        unread = _unread_form(self)
-        if unread is None:
-            return super().parity_split()
-        kind, form = unread
+        """(even part, odd part) with respect to beta."""
+        kind, form = _any_form(self)
         even, odd = [], []
         for e in form[1]:
             (odd if e[7][1] else even).append(e)
         return _kept(self, kind, form, even), _kept(self, kind, form, odd)
-
-    def __neg__(self):
-        return super().__neg__() if _unread_form(self) is None else self._scaled(-1)
-
-    def _scaled(self, c):
-        unread = _unread_form(self)
-        if unread is None:
-            return super()._scaled(c)
-        c = GaussRat.coerce(c)
-        if c.is_zero:
-            return self._new(())
-        p, q = c._a, c._b
-        kind, (d, entries, _, _) = unread
-        return _reduced_result(kind, d * c._d, [
-            (o, rest, beta, p * a - q * b, p * b + q * a, m, h, grading)
-            for o, rest, beta, a, b, m, h, grading in entries])
 
     # -- word products -------------------------------------------------------
 
@@ -532,22 +528,15 @@ class OperatorExpr(SparseSum):
 
         A normal word ``beta r`` reverses to ``r' beta``, and beta moves back
         to the front past every factor of ``r``: one sign when r holds an odd
-        number of odd factors, which is the term's parity. The map is a
-        bijection on normal words, so nothing merges; one sort restores the
-        canonical order.
+        number of odd factors, which is the entry's parity. The map is a
+        bijection on normal words that keeps every order, so nothing merges
+        and the entries stay sorted.
         """
-        terms = []
-        for t in self._terms:
-            w, names, c = t.word, t.sort_key[3], t.coeff.conjugate()
-            if w and w[0] is BETA:
-                w, names = (BETA,) + w[:0:-1], ("beta",) + names[:0:-1]
-                if t.is_odd:
-                    c = -c
-            else:
-                w, names = w[::-1], names[::-1]
-            terms.append(Term(c, t.mass_power, t.hbar_power, w, t.vc_order, t.is_odd, names))
-        terms.sort(key=_term_sort_key)
-        return OperatorExpr._new(tuple(terms))
+        kind, (d, entries, _, _) = _any_form(self)
+        return _held(kind, d, [
+            (o, rest[::-1], beta, -a, b, m, h, (vc, odd, names[::-1])) if beta and odd else
+            (o, rest[::-1], beta, a, -b, m, h, (vc, odd, names[::-1]))
+            for o, rest, beta, a, b, m, h, (vc, odd, names) in entries])
 
     def subs_symbol(self, old: OperatorSymbol, new: OperatorSymbol) -> "OperatorExpr":
         if old.parity != new.parity:
@@ -572,18 +561,20 @@ _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, (), 0, False, ()),), _normalized=True)
 # grading is read from its two factors, not from its word. ``_collect`` hands
 # the product on in the same graded form, reduced by one content gcd, so a
 # bracket or a series power that feeds the next product is never turned into
-# terms and graded again. ``OperatorExpr.combine`` sums graded forms in one
-# integer accumulator and hands the sum on the same way, so terms and
-# ``GaussRat``s are built only for a kernel result whose terms are read.
-# Selection, scaling and negation stay on the graded form as well: while a
-# result's terms are unread, ``parity_split``, ``truncate``, ``order_slice``
-# and ``min_order`` read its entries, ``-x`` and ``_scaled`` multiply its
-# numerators, and each hands on a kernel result under the same kind,
-# reduced by its content gcd (``_reduced_result``).
+# terms and graded again. Every other operation reads the graded form too:
+# ``OperatorExpr.combine`` (so ``+`` and ``-``) sums graded forms in one
+# integer accumulator and hands the sum on the same way; ``parity_split``,
+# ``truncate``, ``order_slice`` and ``min_order`` select entries, ``-x`` and
+# ``_scaled`` multiply numerators, each reduced by its content gcd
+# (``_reduced_result``); the adjoint maps each entry in place; a coefficient
+# is one key match and equality compares D and the numerators by key. So
+# terms and ``GaussRat``s are built only for an expression whose terms are
+# read.
 #
 # The order of a graded form is its scheme's: velocity reads ``vc_order``,
-# mass ``mass_power``. An uncapped product is the velocity product under a
-# cap that no pair reaches, so an operand multiplied both ways is graded once.
+# mass ``mass_power``; a form asked for under the other scheme is re-sorted.
+# An uncapped product is the velocity product under a cap that no pair
+# reaches, so an operand multiplied both ways is graded once.
 
 _NO_CAP = sys.maxsize
 _entry_order = itemgetter(0)
@@ -609,22 +600,30 @@ def _graded(x: OperatorExpr, scheme: WeightScheme) -> tuple:
     the word without its leading beta and ``grading`` the rest's
     ``(vc_order, is_odd, names)``; beta is even and of weight zero, so the
     rest's order and parity are the term's. ``x._grades`` keys the forms by
-    the scheme's kind.
+    the scheme's kind. A form under the other kind is re-sorted by this
+    one's order (``_ENTRY_ORDERS``); the terms are read only when x has no
+    form yet.
     """
     grades = x._grades
     if grades is None:
         grades = x._grades = {}
     out = grades.get(scheme.kind)
     if out is None:
-        order = scheme.order_of
-        terms = sorted(x._terms, key=order)
-        d, nums = _over_common_denominator([t.coeff for t in terms])
-        entries = []
-        for t, (a, b) in zip(terms, nums):
-            w, names = t.word, t.sort_key[3]
-            beta = bool(w) and w[0] is BETA
-            entries.append((order(t), w[1:] if beta else w, beta, a, b, t.mass_power,
-                            t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names)))
+        if grades:
+            d, held = next(iter(grades.values()))[:2]
+            order = _ENTRY_ORDERS[scheme.kind]
+            entries = [(order(e),) + e[1:] for e in held]
+            entries.sort(key=_entry_order)
+        else:
+            order = scheme.order_of
+            terms = sorted(x._terms, key=order)
+            d, nums = _over_common_denominator([t.coeff for t in terms])
+            entries = []
+            for t, (a, b) in zip(terms, nums):
+                w, names = t.word, t.sort_key[3]
+                beta = bool(w) and w[0] is BETA
+                entries.append((order(t), w[1:] if beta else w, beta, a, b, t.mass_power,
+                                t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names)))
         out = grades[scheme.kind] = _form(d, entries)
     return out
 
@@ -643,21 +642,14 @@ def _any_form(x: OperatorExpr) -> tuple:
 _ENTRY_ORDERS = {VELOCITY.kind: lambda e: e[7][0], MASS.kind: itemgetter(5)}
 
 
-def _unread_form(x: OperatorExpr, kind: str | None = None) -> tuple | None:
-    """``(kind, form)`` of a kernel result whose terms are unread, else None.
+def _keyed(x: OperatorExpr) -> tuple:
+    """``(D, {(rest, has beta, mass, hbar): (a, b)})``: x's value, read from any form.
 
-    The form under ``kind`` is preferred when x keeps one; any kept form
-    serves otherwise.
+    D is the lcm of the reduced denominators in every form, so equal
+    expressions give equal pairs whatever their forms' kinds.
     """
-    grades = x._grades
-    if not grades:
-        return None
-    try:
-        object.__getattribute__(x, "_terms")
-    except AttributeError:
-        form = grades.get(kind)
-        return (kind, form) if form is not None else next(iter(grades.items()))
-    return None
+    d, entries = _any_form(x)[1][:2]
+    return d, {(rest, beta, m, h): (a, b) for _, rest, beta, a, b, m, h, _ in entries}
 
 
 def _kept(x: OperatorExpr, kind: str, form: tuple, kept: list) -> OperatorExpr:

@@ -530,6 +530,23 @@ def test_eriksen_unitary_series_equals_symmetrized_sum_formula():
                 h, order), order
 
 
+@pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
+def test_corrected_unitary_is_eriksens(order):
+    # The paper's uniqueness property at operator level: a unitary with
+    # beta U = U^dag beta is unique, so after F -> E the corrected exp(C) U
+    # equals Eriksen's U term for term, while the step product U does not.
+    # Stronger than equal Hamiltonians, which a wrong unitary commuting with
+    # H' would leave equal.
+    h = dirac_h()
+    rec = corrected_pipeline(h, VELOCITY, order)
+    u_e = eriksen_unitary_series(h, order)
+    u_corr = mul_trunc(exp_series(rec.correction_exponent, VELOCITY, order), rec.unitary,
+                       VELOCITY, order)
+    assert u_corr.subs_symbol(F, E) == u_e
+    assert rec.unitary.subs_symbol(F, E) != u_e
+    assert order != 12 or len(u_e) == 603
+
+
 _DECLARED = SymbolRegistry()
 _WORD_SYMBOLS = (BETA, O, E) + tuple(
     _DECLARED.register(f"K{parity[0]}{weight}", parity, weight)
@@ -879,12 +896,14 @@ def test_eriksen_series_builds_no_intermediate_terms(monkeypatch):
     h = eriksen_series(dirac_h(), 10)
     assert sum(built) == 0
     assert len(h.terms) == 130 and sum(built) == 130
-    # the corrected route builds terms where it reads them: coefficients,
-    # adjoints and the BCH word table, counted here as in a fresh process
+    # the corrected route reads coefficients and adjoints on the graded form
+    # too; what still builds terms is subs_symbol on the input (3) and the
+    # BCH word table's read of its log series (25), counted here as in a
+    # fresh process
     _bch_word_table.cache_clear()
     built.clear()
     eriksen_condition_check(corrected_pipeline(dirac_h(), VELOCITY, 8))
-    assert sum(built) == 554
+    assert sum(built) == 28
 
 
 @pytest.mark.parametrize("scheme, order", [

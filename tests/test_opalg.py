@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from fwalg.opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, NonIncreasingOrder, OperatorExpr,
     OperatorSymbol, SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
     commutator, exp_series, mul_trunc, normalize, one, scale, sym, word, zero,
-    _graded, _normalize_raw, _term_sort_key,
+    Term, _graded, _normalize_raw, _term_sort_key, _terms_of,
 )
 from fwalg.diracred import BETA_ATOM, FieldExpr, PiAtom, a_atom, field_term, phi_atom, sigma_atom
 from fwalg.shell import parse_record, parse_spec, serialize_record
@@ -478,51 +479,180 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
     assert OperatorExpr.combine([]) == zero()
 
 
+# -- the term path of each operation, kept as the graded operations' oracle ---------
+
+def _from_terms(terms):
+    return OperatorExpr(tuple(terms), _normalized=True)
+
+
+def _term_filter(x, keep):
+    return _from_terms(t for t in x.terms if keep(t))
+
+
+def _term_scaled(x, c):
+    c = GaussRat.coerce(c)
+    return _from_terms(() if c.is_zero else (t.with_coeff(c * t.coeff) for t in x.terms))
+
+
+def _term_min_order(x, scheme):
+    return min((t.order(scheme) for t in x.terms), default=None)
+
+
+def _term_adjoint(x):
+    terms = []
+    for t in x.terms:
+        w, names, c = t.word, t.sort_key[3], t.coeff.conjugate()
+        if w and w[0] is BETA:
+            w, names = (BETA,) + w[:0:-1], ("beta",) + names[:0:-1]
+            if t.is_odd:
+                c = -c
+        else:
+            w, names = w[::-1], names[::-1]
+        terms.append(Term(c, t.mass_power, t.hbar_power, w, t.vc_order, t.is_odd, names))
+    terms.sort(key=_term_sort_key)
+    return _from_terms(terms)
+
+
+def _term_coefficient(x, word_syms, mass_power=0, hbar_power=0):
+    key = (tuple(word_syms), mass_power, hbar_power)
+    for t in x.terms:
+        if t.key == key:
+            return t.coeff
+    return GaussRat(0)
+
+
+def _term_contains_symbol(x, s):
+    return any(s in t.word for t in x.terms)
+
+
+def _term_equal(x, y):
+    return len(x.terms) == len(y.terms) and all(
+        a.key == b.key and a.coeff == b.coeff for a, b in zip(x.terms, y.terms))
+
+
+def _term_hash_key(x):
+    return tuple((t.key, t.coeff) for t in x.terms)
+
+
+def _kernel_results(x, y, k):
+    """Makers of velocity and mass kernel results: products, brackets and sums."""
+    return (
+        lambda: mul_trunc(x, y, VELOCITY, k), lambda: mul_trunc(y, x, MASS, k - 2),
+        lambda: commutator(x, y, VELOCITY, k), lambda: commutator(y, x, MASS, k - 2),
+        lambda: OperatorExpr.combine([(I, mul_trunc(y, x, MASS, k)), (2, x * y)]),
+        lambda: OperatorExpr.combine([(2, x * y), (-1, mul_trunc(y, x, MASS, k))]))
+
+
 def test_selection_on_the_graded_form_equals_term_selection(rng):
     # velocity and mass kernel results of products, brackets and sums, each
     # selected, scaled and negated under both schemes while its terms are
-    # unread; the oracle is the term path on the same terms
+    # unread; the oracle is the term path on the same terms. A window under
+    # the scheme a result is not graded by re-sorts its form, kept beside it.
     schemes = {"velocity": VELOCITY, "mass": MASS}
     seen = set()
     for _ in range(40):
         x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
         y = scale(Fraction(1, rng.choice((2, 3, 6))), rand_expr(rng, max_terms=4))
         k = rng.randint(0, 6)
-        makers = (
-            lambda: mul_trunc(x, y, VELOCITY, k), lambda: mul_trunc(y, x, MASS, k - 2),
-            lambda: commutator(x, y, VELOCITY, k), lambda: commutator(y, x, MASS, k - 2),
-            lambda: OperatorExpr.combine([(I, mul_trunc(y, x, MASS, k)), (2, x * y)]),
-            lambda: OperatorExpr.combine([(2, x * y), (-1, mul_trunc(y, x, MASS, k))]))
-        for make in makers:
-            oracle_in = OperatorExpr(make().terms, True)
+        for make in _kernel_results(x, y, k):
+            oracle_in = _from_terms(make().terms)
             for scheme in (VELOCITY, MASS):
                 orders = sorted({t.order(scheme) for t in oracle_in}) or [0]
                 cuts = [orders[0] - 1, *orders, orders[-1] + 1]
                 c = rng.choice((3, -6, Fraction(2, 3), GaussRat(0, Fraction(1, 3)),
                                 GaussRat(Fraction(3, 2), 3)))
-                ops = [lambda z: z.min_order(scheme), OperatorExpr.parity_split,
-                       lambda z: -z, lambda z: scale(c, z)]
-                ops += [lambda z, n=n: z.truncate(scheme, n) for n in cuts]
-                ops += [lambda z, n=n: z.order_slice(scheme, n) for n in cuts]
-                for op in ops:
+
+                def window(lo, hi):
+                    return lambda z: _term_filter(z, lambda t: lo <= t.order(scheme) <= hi)
+
+                ops = [(lambda z: z.min_order(scheme), lambda z: _term_min_order(z, scheme)),
+                       (OperatorExpr.parity_split,
+                        lambda z: (_term_filter(z, lambda t: not t.is_odd),
+                                   _term_filter(z, lambda t: t.is_odd))),
+                       (lambda z: -z, lambda z: _term_scaled(z, -1)),
+                       (lambda z: scale(c, z), lambda z: _term_scaled(z, c))]
+                ops += [(lambda z, n=n: z.truncate(scheme, n), window(-10 ** 9, n))
+                        for n in cuts]
+                ops += [(lambda z, n=n: z.order_slice(scheme, n), window(n, n)) for n in cuts]
+                for op, term_op in ops:
                     r = make()
                     [kind] = r._grades
-                    out = op(r)
+                    out, expected = op(r), term_op(oracle_in)
                     assert not _built(r)
                     results = out if isinstance(out, tuple) else (out,)
                     results = [z for z in results if isinstance(z, OperatorExpr)]
                     assert not any(_built(z) for z in results)
-                    assert out == op(oracle_in)
+                    if results:
+                        expected = expected if isinstance(expected, tuple) else (expected,)
+                        assert all(map(_term_equal, results, expected))
+                    else:
+                        assert out == expected
                     for z in results:
-                        assert list(z._grades) == [kind]
+                        assert z._grades and set(z._grades) <= {kind, scheme.kind}
                         _assert_grading_fresh(z)
-                        assert _graded_by_key(z._grades[kind]) == _graded_by_key(
-                            _graded(OperatorExpr(z.terms, True), schemes[kind]))
+                        for held in z._grades:
+                            assert _graded_by_key(z._grades[held]) == _graded_by_key(
+                                _graded(_from_terms(z.terms), schemes[held]))
                         seen.add("nothing" if z.is_zero else
                                  "everything" if z is r else "some")
                     seen.add((kind, scheme.kind))
     assert seen == {"nothing", "everything", "some", *(
         (a, b) for a in schemes for b in schemes)}
+
+
+def test_graded_queries_equal_the_term_path(rng):
+    # adjoint, coefficient, contains_symbol, == and hash on operands built
+    # from terms and on velocity and mass kernel results, against the term
+    # path each replaced; a kernel result's terms stay unbuilt throughout
+    q = OperatorSymbol("Q", "odd", 3)
+    symbols = (BETA, O, F, E, MC2, q)
+    schemes = {"velocity": VELOCITY, "mass": MASS}
+    pool, kinds = [], set()
+    for _ in range(40):
+        x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS + (q,))
+        y = scale(Fraction(1, rng.choice((2, 3, 6))), rand_expr(rng, max_terms=4))
+        k = rng.randint(0, 6)
+        operands = [x, y, *(make() for make in _kernel_results(x, y, k))]
+        for z in operands:
+            lazy = not _built(z)
+            oracle = _from_terms(z.terms) if not lazy else _from_terms(
+                _terms_of(*next(iter(z._grades.values()))[:2]))
+            if lazy:
+                kinds.add(next(iter(z._grades)))
+            adj = z.adjoint()
+            assert not _built(adj) and _term_equal(adj, _term_adjoint(oracle))
+            _assert_grading_fresh(adj)
+            [held] = adj._grades
+            assert _graded_by_key(adj._grades[held]) == _graded_by_key(
+                _graded(_from_terms(adj.terms), schemes[held]))
+            assert _term_equal(adj.adjoint(), oracle)
+            keys = [t.key for t in oracle.terms]
+            keys += [(w, m + 1, h) for w, m, h in keys]  # absent: mass shifted
+            keys += [(w[::-1], m, h) for w, m, h in keys]  # beta last unless alone
+            keys += [((), 0, 0), ((BETA,), -1, 0), ((BETA, BETA), 0, 0), ((MC2,), 0, 0)]
+            for w, m, h in keys:
+                assert z.coefficient(w, m, h) == _term_coefficient(oracle, w, m, h)
+            for s in symbols:
+                assert z.contains_symbol(s) == _term_contains_symbol(oracle, s)
+            assert _built(z) != lazy
+            pool += [z, oracle, adj]
+    # equal values in different forms (re-graded, scaled back, summed with
+    # zero) and near misses (same keys, other numerators; one more term)
+    pairs = list(zip(pool, pool[1:]))
+    for z in pool[::5]:
+        pairs += [(z, z + zero()), (z, scale(2, z) / 2), (z, -(-z)),
+                  (z, mul_trunc(z, one(), MASS, 10 ** 6)), (scale(2, z), z),
+                  (z, z + word(1, [F], 7)), (z.adjoint(), z)]
+    for a, b in pairs:
+        assert (a == b) == (not a != b) == _term_equal(a, b)
+    buckets = {}
+    for z in chain.from_iterable(pairs):
+        buckets.setdefault(_term_hash_key(z), set()).add(hash(z))
+    assert all(len(hashes) == 1 for hashes in buckets.values())
+    # distinct values hash apart but for rare clashes (CPython hashes -1 as -2)
+    assert len(set().union(*buckets.values())) >= 0.99 * len(buckets)
+    assert sum(map(_term_equal, *zip(*pairs))) > len(pool) // 2
+    assert kinds == set(schemes)
 
 
 _FIELD_PIECES = [field_term(1, atoms) for atoms in (
@@ -550,7 +680,7 @@ def _dict_merge(x, y):
 
 @pytest.mark.parametrize("algebra", ["operator", "field"])
 def test_add_and_sub_equal_the_dict_merge(rng, algebra):
-    # equality compares the terms in order, so the sort is checked too
+    # the terms are compared in order, so the sort is checked too
     draw = (lambda: rand_expr(rng, max_terms=4)) if algebra == "operator" else (
         lambda: _rand_field(rng))
     empty = type(draw()).zero()
@@ -559,22 +689,26 @@ def test_add_and_sub_equal_the_dict_merge(rng, algebra):
         x, y = draw(), draw()
         for a, b in ((x, y), (x, empty), (empty, y), (x, x), (x, -x), (x, x + y)):
             total, difference = a + b, a - b
-            assert total == _dict_merge(a, b)
-            assert difference == _dict_merge(a, -b)
+            for out, oracle in ((total, _dict_merge(a, b)), (difference, _dict_merge(a, -b))):
+                assert out == oracle
+                assert [(t.key, t.coeff) for t in out.terms] == [
+                    (t.key, t.coeff) for t in oracle.terms]
             cancelled += total.is_zero + difference.is_zero
     assert cancelled >= 400
 
 
 def test_unmerged_left_terms_come_back_as_the_same_objects(rng):
+    # the term merge of FieldExpr; OperatorExpr's sums build their terms anew
+    # from the graded form
     for _ in range(100):
-        x, y = rand_expr(rng, max_terms=4), rand_expr(rng, max_terms=4)
+        x, y = _rand_field(rng), _rand_field(rng)
         right = {t.key for t in y}
         for out in (x + y, x - y):
             by_key = {t.key: t for t in out}
             for t in x:
                 if t.key not in right:
                     assert by_key[t.key] is t
-        for t, u in zip(y, zero() + y):
+        for t, u in zip(y, FieldExpr.zero() + y):
             assert t is u
 
 
