@@ -43,9 +43,10 @@ kernel's graded form (integer numerators over one denominator, sorted by
 order) from one commutator or capped product to the next, and into the
 integer sum that combines them (``OperatorExpr.combine``, ``+`` and
 ``-``); their parity splits, truncations, order slices, scalings,
-adjoints and coefficients read the graded form too. Terms are built only
-where they are read: a stage's output, the words of the BCH table's log
-series and the input of ``subs_symbol``.
+adjoints, coefficients and substitutions read the graded form too, and
+the input is normalized straight into it. Terms are built only where
+they are read: a stage's output and the words of the BCH table's log
+series.
 """
 
 from __future__ import annotations

@@ -159,12 +159,12 @@ MASS = WeightScheme("mass")
 class Term:
     """coeff * (1/(mc^2))^mass_power * hbar^hbar_power * word.
 
-    Never mutated. The one constructor stores the grading its caller has
-    read: ``vc_order``, the summed v/c weight; ``is_odd``, whether the word
-    has an odd number of odd factors; and the word's ``names``, which go into
-    ``sort_key``, the canonical term order (exponents, word length, names).
-    ``_normalize_raw`` grades a word in the pass that normalizes it, the
-    product kernel adds the factors' gradings up and ``with_coeff`` copies.
+    A read-only view of one graded entry, built by ``_terms_of`` when an
+    expression's ``.terms`` is first read, and never mutated. It keeps the
+    entry's grading: ``vc_order``, the summed v/c weight; ``is_odd``, whether
+    the word has an odd number of odd factors; and the word's ``names``,
+    which go into ``sort_key``, the canonical term order (exponents, word
+    length, names).
     """
 
     __slots__ = ("coeff", "mass_power", "hbar_power", "word",
@@ -184,35 +184,29 @@ class Term:
     def order(self, scheme: WeightScheme) -> int:
         return scheme.order_of(self)
 
-    def with_coeff(self, coeff: GaussRat) -> "Term":
-        t = object.__new__(Term)
-        t.coeff = coeff
-        t.mass_power, t.hbar_power, t.word = self.mass_power, self.hbar_power, self.word
-        t.vc_order, t.is_odd, t.sort_key = self.vc_order, self.is_odd, self.sort_key
-        return t
-
     def __repr__(self):
         names = " ".join(s.name for s in self.word) or "1"
         return f"Term({self.coeff} * {names}, u^{self.mass_power}, hbar^{self.hbar_power})"
 
 
-def _normalize_raw(raw: Iterable) -> tuple[Term, ...]:
-    """The canonical terms of raw ``(coeff, mass, hbar, word)`` tuples or terms.
+def _normalize_raw(raw: Sequence) -> "OperatorExpr":
+    """The kernel result of raw ``(coeff, mass, hbar, word)`` tuples or terms.
 
     One pass over each word moves beta to the front (a sign per odd factor
-    it crosses), folds m into the mass power and grades the rest.
+    it crosses), folds m into the mass power and grades the rest. The
+    coefficients, lifted over one D, are summed by word key in the integer
+    accumulator that ``OperatorExpr.combine`` fills, and leave through
+    ``_collect`` graded under velocity.
     """
-    pairs = []
+    coeffs, keyed = [], []
     for item in raw:
         if isinstance(item, Term):
             coeff, mass, hbar, word = item.coeff, item.mass_power, item.hbar_power, item.word
         else:
             coeff, mass, hbar, word = item
-        if coeff.is_zero:
-            continue
         beta = odd = flip = False
         vc = 0
-        out, names = [], []
+        rest, names = [], []
         for s in word:
             if s is BETA:
                 flip ^= odd
@@ -222,15 +216,20 @@ def _normalize_raw(raw: Iterable) -> tuple[Term, ...]:
             else:
                 vc += s.weight_vc
                 odd ^= s.is_odd
-                out.append(s)
+                rest.append(s)
                 names.append(s.name)
-        if beta:
-            out.insert(0, BETA)
-            names.insert(0, "beta")
-        if flip:
-            coeff = -coeff
-        pairs.append((coeff, Term(coeff, mass, hbar, tuple(out), vc, odd, tuple(names))))
-    return _merged(pairs)
+        coeffs.append(-coeff if flip else coeff)
+        keyed.append(((tuple(rest), beta, mass, hbar), (vc, odd, tuple(names))))
+    d, nums = _over_common_denominator(coeffs)
+    acc: dict = {}
+    for (key, grading), (a, b) in zip(keyed, nums):
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = [a, b, grading, _UNGRADED]
+        else:
+            prev[0] += a
+            prev[1] += b
+    return _collect(acc, d, VELOCITY.kind)
 
 
 def _merged(pairs: Iterable) -> tuple:
@@ -266,9 +265,11 @@ class SparseSum:
     terms and serve ``FieldExpr``; a sum of two normal forms is a merge of
     their terms, never a second normalization. ``OperatorExpr`` does each
     of them on its graded form instead. A subclass normalizes raw input in
-    its constructor (``_normalized=True`` accepts terms that are already
-    normal) and forms products. Its terms provide ``key``, ``coeff``,
-    ``is_odd``, ``sort_key`` (the canonical term order) and ``with_coeff``.
+    its constructor and forms products; ``_new`` makes one from terms that
+    are already normal (``FieldExpr`` takes them as they are, under
+    ``_normalized=True``). Terms provide ``key``, ``coeff``, ``is_odd`` and
+    ``sort_key`` (the canonical term order); the term paths also read
+    ``FieldTerm.with_coeff``.
     """
 
     __slots__ = ("_terms",)
@@ -375,36 +376,40 @@ class SparseSum:
 class OperatorExpr(SparseSum):
     """Normalized sum of terms; the universal currency of the engine.
 
-    Immutable after construction. Its operations read the product kernel's
-    graded form (``_graded``, ``_any_form``), kept per order in
-    ``_grades``: sums, products, selections, scaling, the adjoint, word
-    queries and equality; only ``subs_symbol`` and a term predicate
-    (``filter``) read terms. The others hand on a kernel result, which
-    holds its graded form only: ``.terms``, a read-only view, is built from
-    it when first read (``__getattr__``). An expression built from terms is
-    graded on its first operation. The forms take no part in pickling or
-    copying.
+    Immutable. Every expression is a kernel result: it holds the product
+    kernel's graded form (``_graded``, ``_any_form``), kept per order in
+    ``_grades``, and nothing else. The constructor, ``word``, ``sym``,
+    ``one``, ``zero``, records and unpickling normalize raw words straight
+    into it (``_normalize_raw``). Its operations read that form: sums,
+    products, selections, scaling, the adjoint, substitution, word queries
+    and equality; only a term predicate (``filter``) reads terms.
+    ``.terms``, a read-only view, is built from the form when first read
+    (``__getattr__``). Pickles and copies hold the terms and normalize them
+    again, so a form under the mass order is not kept.
     """
 
     __slots__ = ("_grades",)
 
-    def __init__(self, terms: Sequence = (), _normalized: bool = False):
-        self._terms = terms if _normalized else _normalize_raw(terms)
-        self._grades = None
+    def __new__(cls, raw: Sequence = ()):
+        return _normalize_raw(raw)
+
+    @classmethod
+    def _new(cls, terms: tuple):
+        return _normalize_raw(terms)
 
     def __getattr__(self, name):
-        # Reached for an unset slot only: the terms of a kernel result.
+        # Reached for an unset slot only: the terms, before they are read.
         if name != "_terms":
             raise AttributeError(name)
         terms = self._terms = _terms_of(*_any_form(self)[1][:2])
         return terms
 
     def __reduce__(self):
-        return type(self), (self._terms, True)
+        return type(self), (self.terms,)
 
     @property
     def is_zero(self) -> bool:
-        return not (_any_form(self)[1][1] if self._grades else self._terms)
+        return not _any_form(self)[1][1]
 
     @classmethod
     def combine(cls, pairs: Iterable) -> "OperatorExpr":
@@ -539,16 +544,18 @@ class OperatorExpr(SparseSum):
             for o, rest, beta, a, b, m, h, (vc, odd, names) in entries])
 
     def subs_symbol(self, old: OperatorSymbol, new: OperatorSymbol) -> "OperatorExpr":
+        """Every ``old`` in the words replaced by ``new`` of the same parity.
+
+        Each entry's word, its rest with beta put back in front, is renamed
+        and normalized again, so the grading follows ``new``'s weight and
+        words that become equal merge.
+        """
         if old.parity != new.parity:
             raise AlgebraError("substitution must preserve parity")
-        raw = []
-        for t in self._terms:
-            w = tuple(new if s == old else s for s in t.word)
-            raw.append((t.coeff, t.mass_power, t.hbar_power, w))
-        return OperatorExpr(raw)
-
-
-_ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, (), 0, False, ()),), _normalized=True)
+        d, entries = _any_form(self)[1][:2]
+        return _normalize_raw([
+            (_reduced(a, b, d), m, h, tuple(new if s is old else s for s in (BETA,) * beta + rest))
+            for _, rest, beta, a, b, m, h, _ in entries])
 
 
 # -- the product kernel --------------------------------------------------------
@@ -567,9 +574,11 @@ _ONE_EXPR = OperatorExpr((Term(ONE, 0, 0, (), 0, False, ()),), _normalized=True)
 # ``truncate``, ``order_slice`` and ``min_order`` select entries, ``-x`` and
 # ``_scaled`` multiply numerators, each reduced by its content gcd
 # (``_reduced_result``); the adjoint maps each entry in place; a coefficient
-# is one key match and equality compares D and the numerators by key. So
-# terms and ``GaussRat``s are built only for an expression whose terms are
-# read.
+# is one key match and equality compares D and the numerators by key. Raw
+# words enter the same way: ``_normalize_raw`` sums them in the accumulator
+# that ``combine`` fills and hands them on through ``_collect``. So every
+# expression holds a graded form from the start, and terms and ``GaussRat``s
+# are built only for an expression whose terms are read.
 #
 # The order of a graded form is its scheme's: velocity reads ``vc_order``,
 # mass ``mass_power``; a form asked for under the other scheme is re-sorted.
@@ -595,47 +604,31 @@ def _graded(x: OperatorExpr, scheme: WeightScheme) -> tuple:
     """x's graded form under the order of ``scheme``, built once and kept on x.
 
     Each coefficient is ``(a + b*i)/D`` with D the lcm of the terms'
-    denominators. ``entries`` holds one tuple per term, sorted by order:
-    ``(order, rest, has beta, a, b, mass, hbar, grading)``, where ``rest`` is
-    the word without its leading beta and ``grading`` the rest's
+    reduced denominators. ``entries`` holds one tuple per term, sorted by
+    order: ``(order, rest, has beta, a, b, mass, hbar, grading)``, where
+    ``rest`` is the word without its leading beta and ``grading`` the rest's
     ``(vc_order, is_odd, names)``; beta is even and of weight zero, so the
     rest's order and parity are the term's. ``x._grades`` keys the forms by
-    the scheme's kind. A form under the other kind is re-sorted by this
-    one's order (``_ENTRY_ORDERS``); the terms are read only when x has no
-    form yet.
+    the scheme's kind; a form under the other kind is the kept one re-sorted
+    by this one's order (``_ENTRY_ORDERS``).
     """
     grades = x._grades
-    if grades is None:
-        grades = x._grades = {}
     out = grades.get(scheme.kind)
     if out is None:
-        if grades:
-            d, held = next(iter(grades.values()))[:2]
-            order = _ENTRY_ORDERS[scheme.kind]
-            entries = [(order(e),) + e[1:] for e in held]
-            entries.sort(key=_entry_order)
-        else:
-            order = scheme.order_of
-            terms = sorted(x._terms, key=order)
-            d, nums = _over_common_denominator([t.coeff for t in terms])
-            entries = []
-            for t, (a, b) in zip(terms, nums):
-                w, names = t.word, t.sort_key[3]
-                beta = bool(w) and w[0] is BETA
-                entries.append((order(t), w[1:] if beta else w, beta, a, b, t.mass_power,
-                                t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names)))
+        d, held = next(iter(grades.values()))[:2]
+        order = _ENTRY_ORDERS[scheme.kind]
+        entries = [(order(e),) + e[1:] for e in held]
+        entries.sort(key=_entry_order)
         out = grades[scheme.kind] = _form(d, entries)
     return out
 
 
 def _any_form(x: OperatorExpr) -> tuple:
-    """``(kind, form)``: a graded form of x and its scheme's kind.
+    """``(kind, form)``: the first graded form x holds and its scheme's kind.
 
-    A sum does not read the order, so any kept form serves; x is graded
-    under velocity only if it has none.
+    A sum does not read the order, so any kept form serves.
     """
-    grades = x._grades
-    return next(iter(grades.items())) if grades else (VELOCITY.kind, _graded(x, VELOCITY))
+    return next(iter(x._grades.items()))
 
 
 #: An entry's order under each scheme, whatever the kind of its form.
@@ -661,7 +654,7 @@ def _reduced_result(kind: str, d: int, entries: list) -> OperatorExpr:
     """The kernel result of entries over d, already sorted by the order of ``kind``.
 
     d and the numerators are divided by their content gcd, so d is the lcm
-    of the reduced denominators, as ``_graded`` of the terms would give.
+    of the reduced denominators.
     """
     g = d
     for e in entries:
@@ -726,10 +719,9 @@ def _collect(acc: dict, d: int, kind: str) -> OperatorExpr:
 
     Terms whose sums cancel are dropped. The others become the graded form
     under the scheme of ``kind``: numerators and d divided by their one
-    content gcd, so d is the lcm of the reduced denominators, as ``_graded``
-    of the terms would give; order, parity and names are the sum, XOR and concatenation
-    of the factors'. The result holds that form only; its terms are built
-    when first read.
+    content gcd, so d is the lcm of the reduced denominators; order, parity
+    and names are the sum, XOR and concatenation of the factors'. The
+    result holds that form only; its terms are built when first read.
     """
     g = d
     for v in acc.values():
@@ -794,6 +786,9 @@ def sym(s: OperatorSymbol) -> OperatorExpr:
     return word(1, [s])
 
 
+_ONE_EXPR = OperatorExpr([(ONE, 0, 0, ())])
+
+
 def one() -> OperatorExpr:
     return _ONE_EXPR
 
@@ -805,13 +800,14 @@ def zero() -> OperatorExpr:
 # -- operations (module-level contract surface) ------------------------------
 
 def normalize(raw) -> OperatorExpr:
-    """Normalize an expression or an iterable of raw/Term entries.
+    """The normal form of an iterable of raw/Term entries; an expression as it is.
 
-    Raw entries are ``(coeff, mass_power, hbar_power, word)`` tuples whose
-    word may contain beta and m generators in arbitrary positions.
+    An ``OperatorExpr`` is normal already. Raw entries are ``(coeff,
+    mass_power, hbar_power, word)`` tuples whose word may contain beta and
+    m generators in arbitrary positions.
     """
     if isinstance(raw, OperatorExpr):
-        return OperatorExpr(raw.terms)
+        return raw
     return OperatorExpr(list(raw))
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .gaussrat import GaussRat
 from .opalg import (
     BUILTIN_SYMBOLS, E, F, MASS, O, VELOCITY, DuplicateSymbol, OperatorExpr,
-    SymbolRegistry, Term, WeightScheme, word,
+    SymbolRegistry, WeightScheme, word,
 )
 from . import fwtransform, numlab, reference
 from .fwtransform import TransformRecord
@@ -467,51 +467,26 @@ def _int_field(entry: dict, key: str) -> int:
 
 
 def _word_field(entry: dict, symbols: dict) -> tuple:
-    """The entry's word with its grading, read in one pass over its names.
-
-    Returns ``(word, vc_order, is_odd, names)``, the grading ``Term`` stores.
-    """
+    """The entry's word: its names, each looked up among the record's symbols."""
     names = entry.get("word")
     if not isinstance(names, (list, tuple)):
         raise ValueError(f"word must be a list of symbol names, got {names!r}")
-    word, vc, odd = [], 0, False
     try:
-        for name in names:
-            s = symbols[name]
-            word.append(s)
-            vc += s.weight_vc
-            odd ^= s.is_odd
+        return tuple(map(symbols.__getitem__, names))
     except (KeyError, TypeError):  # an unregistered or unhashable name
         bad = next(name for name in names if not isinstance(name, str) or name not in symbols)
         raise ValueError(f"word has an unknown symbol {bad!r}") from None
-    return tuple(word), vc, odd, tuple(names)
-
-
-def _is_canonical(terms: list) -> bool:
-    """Whether parsed terms are already the normal form of their sum.
-
-    That holds when the sort keys strictly increase (so no key repeats),
-    beta is at most the first factor, no word holds the m generator and no
-    coefficient is zero; the coefficients are canonical as parsed.
-    """
-    prev = None
-    for t in terms:
-        names = t.sort_key[3]
-        if (t.coeff.is_zero or "m" in names or "beta" in names[1:]
-                or (prev is not None and not prev < t.sort_key)):
-            return False
-        prev = t.sort_key
-    return True
 
 
 def parse_record(data) -> OperatorExpr:
     """The expression of a ``serialize_record`` dict or its JSON text.
 
-    A record that ``serialize_record`` wrote is already in normal form and
-    is taken as it is. Any other goes through the normal form, so a record
-    whose terms are unsorted, repeated or not in lowest terms parses to the
-    same expression as its canonical form. A malformed record, symbol,
-    coefficient, exponent or word raises ``ValueError`` naming the field.
+    Each term is validated and read into a raw ``(coeff, mass, hbar, word)``
+    entry in one pass, and the entries go through the one normal form, so a
+    record whose terms are unsorted, repeated or not in lowest terms parses
+    to the same expression as its canonical form. A malformed record,
+    symbol, coefficient, exponent or word raises ``ValueError`` naming the
+    field.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -534,17 +509,14 @@ def parse_record(data) -> OperatorExpr:
     entries = data.get("terms")
     if not isinstance(entries, (list, tuple)) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"terms must be a list of term objects, got {entries!r}")
-    terms = []
+    raw = []
     for entry in entries:
         re_num, re_den = _int_pair(entry, "coeff_re")
         im_num, im_den = _int_pair(entry, "coeff_im")
-        word, vc, odd, names = _word_field(entry, symbols)
-        terms.append(Term(GaussRat.from_pairs(re_num, re_den, im_num, im_den),
-                          _int_field(entry, "mass_power"),
-                          _int_field(entry, "hbar_power"), word, vc, odd, names))
-    if _is_canonical(terms):
-        return OperatorExpr(tuple(terms), _normalized=True)
-    return OperatorExpr(terms)
+        word = _word_field(entry, symbols)
+        raw.append((GaussRat.from_pairs(re_num, re_den, im_num, im_den),
+                    _int_field(entry, "mass_power"), _int_field(entry, "hbar_power"), word))
+    return OperatorExpr(raw)
 
 
 def render(expr: OperatorExpr, fmt: str = "text"):

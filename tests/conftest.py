@@ -40,7 +40,24 @@ def rand_expr_min_weight(rng: random.Random, scheme, min_order: int = 1,
         x = rand_expr(rng, max_terms, max_len)
         kept = tuple(t for t in x.terms if t.order(scheme) >= min_order)
         if kept:
-            return OperatorExpr(kept, _normalized=True)
+            return OperatorExpr(kept)
+
+
+def is_canonical(terms) -> bool:
+    """Whether terms are already the normal form of their sum.
+
+    That holds when the sort keys strictly increase (so no key repeats),
+    beta is at most the first factor, no word holds the m generator and no
+    coefficient is zero.
+    """
+    prev = None
+    for t in terms:
+        names = t.sort_key[3]
+        if (t.coeff.is_zero or "m" in names or "beta" in names[1:]
+                or (prev is not None and not prev < t.sort_key)):
+            return False
+        prev = t.sort_key
+    return True
 
 
 def polar_correction_exponent(rec) -> OperatorExpr:

@@ -896,14 +896,13 @@ def test_eriksen_series_builds_no_intermediate_terms(monkeypatch):
     h = eriksen_series(dirac_h(), 10)
     assert sum(built) == 0
     assert len(h.terms) == 130 and sum(built) == 130
-    # the corrected route reads coefficients and adjoints on the graded form
-    # too; what still builds terms is subs_symbol on the input (3) and the
-    # BCH word table's read of its log series (25), counted here as in a
-    # fresh process
+    # the corrected route reads coefficients, adjoints and substitutions on
+    # the graded form too; the only builder left is the BCH word table's
+    # read of its log series (25), counted here as in a fresh process
     _bch_word_table.cache_clear()
     built.clear()
     eriksen_condition_check(corrected_pipeline(dirac_h(), VELOCITY, 8))
-    assert sum(built) == 28
+    assert sum(built) == 25
 
 
 @pytest.mark.parametrize("scheme, order", [

@@ -6,7 +6,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwalg.gaussrat import GaussRat, I, binom_coeff
+from fwalg.gaussrat import GaussRat, I, _over_common_denominator, binom_coeff
 from fwalg.opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, NonIncreasingOrder, OperatorExpr,
     OperatorSymbol, SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
@@ -16,7 +16,7 @@ from fwalg.opalg import (
 from fwalg.diracred import BETA_ATOM, FieldExpr, PiAtom, a_atom, field_term, phi_atom, sigma_atom
 from fwalg.shell import parse_record, parse_spec, serialize_record
 
-from conftest import RAW_SYMBOLS, rand_coeff, rand_expr, rand_raw_term
+from conftest import RAW_SYMBOLS, is_canonical, rand_coeff, rand_expr, rand_raw_term
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
 
@@ -53,6 +53,7 @@ def test_normalize_accepts_raw_terms():
 def test_normalize_idempotent_on_expressions():
     x = b * o * f + e * o - word(Fraction(2, 3), [BETA, F])
     assert normalize(normalize(x)) == normalize(x)
+    assert normalize(x) is x  # an expression is normal already
 
 
 # -- ring operations --------------------------------------------------------------
@@ -173,17 +174,19 @@ def test_operand_graded_once_for_uncapped_and_velocity_products(rng):
 
 
 def test_grade_cache_ignored_by_equality_hash_pickle_and_copy(rng):
+    # a pickle or copy holds the terms; what it gives back holds the one
+    # velocity form of a fresh expression, not the mass form x took on
     for _ in range(30):
         x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
-        fresh = OperatorExpr(x.terms, _normalized=True)
+        fresh = OperatorExpr(x.terms)
         plain_pickle = pickle.dumps(fresh)
         x * x, mul_trunc(x, x, VELOCITY, 3), commutator(x, x, MASS, 2)
-        assert x._grades and fresh._grades is None
+        assert list(x._grades) == ["velocity", "mass"] and list(fresh._grades) == ["velocity"]
         assert x == fresh and hash(x) == hash(fresh)
         assert pickle.dumps(x) == plain_pickle
         for back in (pickle.loads(plain_pickle), pickle.loads(pickle.dumps(x)),
                      copy.deepcopy(x), copy.copy(x)):
-            assert back._grades is None
+            assert list(back._grades) == ["velocity"]
             assert back == x and hash(back) == hash(x)
             assert back * back == x * x
 
@@ -379,9 +382,8 @@ def test_term_caches_match_recomputation(rng):
             x.filter(lambda t: t.is_odd), y.truncate(VELOCITY, k),
             commutator(x, y, VELOCITY, k), commutator(x, y), commutator(y, x, MASS, k - 2),
             commutator(x, x + y), commutator(x + y, x, VELOCITY, k), *x.parity_split(),
-            OperatorExpr(tuple(t.with_coeff(2 * t.coeff) for t in x.terms), _normalized=True),
-            OperatorExpr(_normalize_raw([rand_raw_term(rng) for _ in range(5)]),
-                         _normalized=True),
+            OperatorExpr(tuple(_recoeff(t, 2 * t.coeff) for t in x.terms)),
+            _normalize_raw([rand_raw_term(rng) for _ in range(5)]),
             OperatorExpr.combine([(2, x), (I, y), (-1, x * y)]),
             pickle.loads(pickle.dumps(x)), copy.deepcopy(y),
         ]
@@ -390,28 +392,40 @@ def test_term_caches_match_recomputation(rng):
             _assert_grading_fresh(z + x)
 
 
+_Q = OperatorSymbol("Q", "odd", 3)
+
+
+def _raw_anywhere(rng, max_len=5):
+    """Raw terms with beta and m put anywhere in their words, Q among the others."""
+    raw = []
+    for _ in range(rng.randint(1, 4)):
+        c, mass, hbar, w = rand_raw_term(rng, max_len=max_len, symbols=RAW_SYMBOLS + (_Q,))
+        w = list(w)
+        for s in (BETA, MC2, BETA):
+            w.insert(rng.randint(0, len(w)), s)
+        raw.append((c, mass, hbar, tuple(w)))
+    return raw
+
+
+def _by_products(raw):
+    """The sum of raw terms, each word multiplied out factor by factor."""
+    expected = zero()
+    for c, mass, hbar, w in raw:
+        product = word(c, [], mass, hbar)
+        for s in w:
+            product = product * sym(s)
+        expected = expected + product
+    return expected
+
+
 def test_normalize_raw_grades_words_with_beta_and_m_anywhere(rng):
-    # beta and m put anywhere in raw words, custom symbols among the others;
     # the oracle multiplies each word out factor by factor in the product kernel
-    q = OperatorSymbol("Q", "odd", 3)
     for _ in range(200):
-        raw = []
-        for _ in range(rng.randint(1, 4)):
-            c, mass, hbar, w = rand_raw_term(rng, max_len=5, symbols=RAW_SYMBOLS + (q,))
-            w = list(w)
-            for s in (BETA, MC2, BETA):
-                w.insert(rng.randint(0, len(w)), s)
-            raw.append((c, mass, hbar, tuple(w)))
-        x = OperatorExpr(_normalize_raw(raw), _normalized=True)
+        raw = _raw_anywhere(rng)
+        x = _normalize_raw(raw)
         _assert_grading_fresh(x)
         assert all(MC2 not in t.word and BETA not in t.word[1:] for t in x)
-        expected = zero()
-        for c, mass, hbar, w in raw:
-            product = word(c, [], mass, hbar)
-            for s in w:
-                product = product * sym(s)
-            expected = expected + product
-        assert x == expected
+        assert x == _by_products(raw)
 
 
 def _graded_by_key(form):
@@ -438,7 +452,7 @@ def test_kernel_results_hand_on_the_graded_form_of_their_terms(rng):
             for r in results:
                 assert list(r._grades) == [scheme.kind]
                 handed = _graded_by_key(r._grades[scheme.kind])
-                assert handed == _graded_by_key(_graded(OperatorExpr(r.terms, True), scheme))
+                assert handed == _graded_by_key(_graded_terms(r.terms, scheme))
 
 
 def _built(x):
@@ -450,9 +464,105 @@ def _built(x):
     return True
 
 
+def _graded_terms(terms, scheme):
+    """The graded form of canonical terms under ``scheme``, read term by term.
+
+    The oracle for the form every expression holds.
+    """
+    order = scheme.order_of
+    terms = sorted(terms, key=order)
+    d, nums = _over_common_denominator([t.coeff for t in terms])
+    entries = []
+    for t, (a, b) in zip(terms, nums):
+        w, names = t.word, t.sort_key[3]
+        beta = bool(w) and w[0] is BETA
+        entries.append((order(t), w[1:] if beta else w, beta, a, b, t.mass_power,
+                        t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names)))
+    return d, entries, [e for e in entries if not e[2]], [e for e in entries if e[2]]
+
+
+def _made_from_raw(rng):
+    raw = _raw_anywhere(rng)
+    return OperatorExpr(raw), _by_products(raw)
+
+
+def _made_from_terms(rng):
+    x, y = (rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS) for _ in range(2))
+    return OperatorExpr(list(x.terms) + list(y.terms) + list(x.terms)), x + y + x
+
+
+def _made_by_word(rng):
+    c, mass, hbar, w = rand_raw_term(rng, symbols=RAW_SYMBOLS + (_Q,))
+    return word(c, w, mass, hbar), _by_products([(c, mass, hbar, w)])
+
+
+def _made_by_sym(rng):
+    s = rng.choice(RAW_SYMBOLS + (_Q,))
+    return sym(s), _by_products([(GaussRat(1), 0, 0, (s,))])
+
+
+def _made_from_record(rng, shuffled=False):
+    x = rand_expr(rng, max_terms=5, symbols=(BETA, O, F, E, _Q))
+    record = serialize_record(x)
+    if shuffled:
+        rng.shuffle(record["terms"])
+    return parse_record(record), x
+
+
+def _made_by_subs_symbol(rng):
+    # O (weight 1) becomes Q (weight 3) beside Q's own terms, so words merge;
+    # the oracle renames the words of the terms and normalizes them
+    x = rand_expr(rng, max_terms=5, symbols=(BETA, O, F, _Q))
+    return x.subs_symbol(O, _Q), normalize(
+        (t.coeff, t.mass_power, t.hbar_power, tuple(_Q if s is O else s for s in t.word))
+        for t in x.terms)
+
+
+def _copied(copier):
+    def made(rng):
+        x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
+        x.min_order(MASS)  # x takes on a mass form as well, which a copy does not keep
+        return copier(x), x
+    return made
+
+
+_MAKERS = {
+    "raw": _made_from_raw,
+    "terms": _made_from_terms,
+    "word": _made_by_word,
+    "sym": _made_by_sym,
+    "one": lambda rng: (one(), _by_products([(GaussRat(1), 0, 0, ())])),
+    "zero": lambda rng: (zero(), one() - one()),
+    "record": _made_from_record,
+    "shuffled-record": lambda rng: _made_from_record(rng, shuffled=True),
+    "subs_symbol": _made_by_subs_symbol,
+    "pickle": _copied(lambda x: pickle.loads(pickle.dumps(x))),
+    "copy": _copied(copy.copy),
+    "deepcopy": _copied(copy.deepcopy),
+}
+
+
+@pytest.mark.parametrize("make", _MAKERS.values(), ids=_MAKERS.keys())
+def test_every_way_of_making_an_expression_gives_one_graded_form(rng, make):
+    # each expression holds the velocity form it was made with and no terms
+    # (one() is shared, so earlier reads may have added its mass form and
+    # terms); under both orders the form equals the oracle's grading of the
+    # expression's own terms
+    for _ in range(30):
+        x, expected = make(rng)
+        assert next(iter(x._grades)) == "velocity"
+        assert x is one() or (len(x._grades) == 1 and not _built(x))
+        assert x == expected
+        for scheme in (VELOCITY, MASS):
+            assert _graded_by_key(_graded(x, scheme)) == _graded_by_key(
+                _graded_terms(x.terms, scheme))
+        assert is_canonical(x.terms)
+        _assert_grading_fresh(x)
+
+
 def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
-    # operands in term form and in velocity and mass kernel forms, mixed; the
-    # oracle normalizes the scaled terms of every operand together
+    # operands in velocity and mass kernel forms, mixed; the oracle
+    # normalizes the scaled terms of every operand together
     kinds = set()
     for _ in range(120):
         x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
@@ -461,9 +571,8 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
         operands = [x, y, mul_trunc(x, y, MASS, k), commutator(y, x, VELOCITY, k), x * y]
         rng.shuffle(operands)
         pairs = [(rand_coeff(rng), z) for z in operands[:rng.randint(1, 5)]]
-        lazy = [z for _, z in pairs if not _built(z)]
         out = OperatorExpr.combine(pairs)
-        assert not _built(out) and not any(_built(z) for z in lazy)
+        assert not _built(out) and not any(_built(z) for _, z in pairs)
         [kind] = out._grades
         kinds.add(kind)
         oracle = normalize([(c * t.coeff, t.mass_power, t.hbar_power, t.word)
@@ -472,7 +581,7 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
         _assert_grading_fresh(out)
         scheme = MASS if kind == "mass" else VELOCITY
         assert _graded_by_key(out._grades[kind]) == _graded_by_key(
-            _graded(OperatorExpr(out.terms, True), scheme))
+            _graded_terms(out.terms, scheme))
         again = OperatorExpr.combine([(1, out), (-1, oracle)])
         assert again.is_zero and not _built(again) and again.terms == ()
     assert kinds == {"velocity", "mass"}
@@ -481,8 +590,15 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
 
 # -- the term path of each operation, kept as the graded operations' oracle ---------
 
+def _recoeff(t, c):
+    """t with coefficient c: a ``Term`` copied, a ``FieldTerm`` by its ``with_coeff``."""
+    if isinstance(t, Term):
+        return Term(c, t.mass_power, t.hbar_power, t.word, t.vc_order, t.is_odd, t.sort_key[3])
+    return t.with_coeff(c)
+
+
 def _from_terms(terms):
-    return OperatorExpr(tuple(terms), _normalized=True)
+    return OperatorExpr(tuple(terms))
 
 
 def _term_filter(x, keep):
@@ -491,7 +607,7 @@ def _term_filter(x, keep):
 
 def _term_scaled(x, c):
     c = GaussRat.coerce(c)
-    return _from_terms(() if c.is_zero else (t.with_coeff(c * t.coeff) for t in x.terms))
+    return _from_terms(() if c.is_zero else (_recoeff(t, c * t.coeff) for t in x.terms))
 
 
 def _term_min_order(x, scheme):
@@ -592,7 +708,7 @@ def test_selection_on_the_graded_form_equals_term_selection(rng):
                         _assert_grading_fresh(z)
                         for held in z._grades:
                             assert _graded_by_key(z._grades[held]) == _graded_by_key(
-                                _graded(_from_terms(z.terms), schemes[held]))
+                                _graded_terms(z.terms, schemes[held]))
                         seen.add("nothing" if z.is_zero else
                                  "everything" if z is r else "some")
                     seen.add((kind, scheme.kind))
@@ -601,9 +717,9 @@ def test_selection_on_the_graded_form_equals_term_selection(rng):
 
 
 def test_graded_queries_equal_the_term_path(rng):
-    # adjoint, coefficient, contains_symbol, == and hash on operands built
-    # from terms and on velocity and mass kernel results, against the term
-    # path each replaced; a kernel result's terms stay unbuilt throughout
+    # adjoint, coefficient, contains_symbol, == and hash on velocity and mass
+    # kernel results, raw operands among them, against the term path each
+    # replaced; a result's terms stay unbuilt throughout
     q = OperatorSymbol("Q", "odd", 3)
     symbols = (BETA, O, F, E, MC2, q)
     schemes = {"velocity": VELOCITY, "mass": MASS}
@@ -614,17 +730,15 @@ def test_graded_queries_equal_the_term_path(rng):
         k = rng.randint(0, 6)
         operands = [x, y, *(make() for make in _kernel_results(x, y, k))]
         for z in operands:
-            lazy = not _built(z)
-            oracle = _from_terms(z.terms) if not lazy else _from_terms(
-                _terms_of(*next(iter(z._grades.values()))[:2]))
-            if lazy:
-                kinds.add(next(iter(z._grades)))
+            assert not _built(z)
+            oracle = _from_terms(_terms_of(*next(iter(z._grades.values()))[:2]))
+            kinds.add(next(iter(z._grades)))
             adj = z.adjoint()
             assert not _built(adj) and _term_equal(adj, _term_adjoint(oracle))
             _assert_grading_fresh(adj)
             [held] = adj._grades
             assert _graded_by_key(adj._grades[held]) == _graded_by_key(
-                _graded(_from_terms(adj.terms), schemes[held]))
+                _graded_terms(adj.terms, schemes[held]))
             assert _term_equal(adj.adjoint(), oracle)
             keys = [t.key for t in oracle.terms]
             keys += [(w, m + 1, h) for w, m, h in keys]  # absent: mass shifted
@@ -634,7 +748,7 @@ def test_graded_queries_equal_the_term_path(rng):
                 assert z.coefficient(w, m, h) == _term_coefficient(oracle, w, m, h)
             for s in symbols:
                 assert z.contains_symbol(s) == _term_contains_symbol(oracle, s)
-            assert _built(z) != lazy
+            assert not _built(z)
             pool += [z, oracle, adj]
     # equal values in different forms (re-graded, scaled back, summed with
     # zero) and near misses (same keys, other numerators; one more term)
@@ -673,9 +787,9 @@ def _dict_merge(x, y):
     acc = {t.key: t for t in x.terms}
     for t in y.terms:
         prev = acc.get(t.key)
-        acc[t.key] = t if prev is None else prev.with_coeff(prev.coeff + t.coeff)
+        acc[t.key] = t if prev is None else _recoeff(prev, prev.coeff + t.coeff)
     terms = sorted((t for t in acc.values() if not t.coeff.is_zero), key=_term_sort_key)
-    return type(x)(tuple(terms), _normalized=True)
+    return type(x)._new(tuple(terms))
 
 
 @pytest.mark.parametrize("algebra", ["operator", "field"])

@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from fwalg.gaussrat import GaussRat
 from fwalg.opalg import BETA, E, F, MASS, MC2, O, VELOCITY, normalize, sym, word
-from fwalg import numlab, opalg, reference as ref
+from fwalg import numlab, reference as ref
 from fwalg.shell import (
     DuplicateDeclaration, SpecSyntaxError, UnknownSymbol, main, parse_record,
     parse_spec, render, render_latex, render_text, run, serialize_record,
     verify,
 )
 
-from conftest import rand_expr
+from conftest import is_canonical, rand_expr
 
 
 # -- parsing -----------------------------------------------------------------------
@@ -262,9 +262,11 @@ def test_parse_record_rejects_bad_exponent_or_word(key, bad):
     (lambda r: {**r, "terms": ["O"]}, "terms"),
     (lambda r: [r], "record must be an object"),
     (lambda r: "[]", "record must be an object"),
+    (lambda r: {**r, "terms": r["terms"] * 2 + [{**r["terms"][0], "hbar_power": 0.5}]},
+     "hbar_power"),
 ], ids=["weight-missing", "symbol-not-object", "symbol-beta", "symbol-m", "weight-str",
         "weight-true", "bad-parity", "symbols-list", "terms-missing", "terms-object",
-        "term-not-object", "record-list", "record-json-list"])
+        "term-not-object", "record-list", "record-json-list", "bad-term-after-valid-terms"])
 def test_parse_record_rejects_malformed_record(change, field):
     data = change(_record(([1, 1], [0, 1], 0, ["O"])))
     with pytest.raises(ValueError, match=re.escape(field)):
@@ -280,7 +282,9 @@ _SYMS = {"beta": BETA, "O": O, "E": E, "m": MC2}
     (([1, 1], [0, 1], 0, ["O", "beta"]),),
     (([1, 1], [0, 1], 1, ["m", "O"]),),
     (([0, 1], [0, 1], 0, ["E"]), ([1, 1], [0, 1], 0, ["O"])),
-], ids=["unsorted", "repeated-key", "beta-not-leftmost", "m-in-word", "zero-coefficient"])
+    (([1, 1], [0, 1], 0, ["beta", "O"]), ([2, 2], [0, 1], 0, ["O", "beta"])),
+], ids=["unsorted", "repeated-key", "beta-not-leftmost", "m-in-word", "zero-coefficient",
+        "cancelling"])
 def test_parse_record_normalizes_each_noncanonical_form(terms):
     expected = normalize(
         (GaussRat.from_pairs(*re, *im), mass, 0, tuple(_SYMS[n] for n in names))
@@ -288,18 +292,20 @@ def test_parse_record_normalizes_each_noncanonical_form(terms):
     x = parse_record(_record(*terms))
     assert x == expected
     assert serialize_record(x) == serialize_record(expected)
+    # terms that cancel (beta O + O beta = 0) re-serialize as no terms
+    assert (serialize_record(x)["terms"] == []) == expected.is_zero
 
 
-def test_parse_record_takes_serialized_records_as_they_are(monkeypatch, rng):
-    # a record serialize_record wrote is already the normal form
-    records = [serialize_record(rand_expr(rng, max_terms=4)) for _ in range(50)]
-    expected = [normalize(parse_record(r)) for r in records]
-
-    def no_normal_form(raw):
-        raise AssertionError("canonical record put through the normal form")
-
-    monkeypatch.setattr(opalg, "_normalize_raw", no_normal_form)
-    assert [parse_record(r) for r in records] == expected
+def test_parse_record_takes_serialized_records_as_they_are(rng):
+    # a record serialize_record wrote is already the normal form: it parses
+    # to the expression it came from, whose terms are canonical as they
+    # stand, and re-serializes to the same JSON
+    xs = [rand_expr(rng, max_terms=4, symbols=(BETA, O, E, F, MC2)) for _ in range(50)]
+    records = [serialize_record(x) for x in xs]
+    parsed = [parse_record(r) for r in records]
+    assert parsed == xs
+    assert all(is_canonical(x.terms) for x in parsed)
+    assert [json.dumps(serialize_record(x)) for x in parsed] == [json.dumps(r) for r in records]
 
 
 # -- verification harness ----------------------------------------------------------------
