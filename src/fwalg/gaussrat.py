@@ -46,22 +46,6 @@ class GaussRat:
             return cls(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussRat")
 
-    @classmethod
-    def from_pairs(cls, re_num: int, re_den: int, im_num: int, im_den: int) -> "GaussRat":
-        """re_num/re_den + (im_num/im_den) i from integers, in any terms and signs."""
-        if not (re_den and im_den):
-            raise ZeroDivisionError("GaussRat component with zero denominator")
-        if re_den < 0:
-            re_num, re_den = -re_num, -re_den
-        if im_den < 0:
-            im_num, im_den = -im_num, -im_den
-        # a zero part or a shared denominator needs no cross multiplication
-        if not im_num or re_den == im_den:
-            return _reduced(re_num, im_num, re_den)
-        if not re_num:
-            return _reduced(0, im_num, im_den)
-        return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -69,18 +53,6 @@ class GaussRat:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    @property
-    def re_pair(self) -> tuple[int, int]:
-        """The real part as (numerator, denominator) in lowest terms, denominator > 0."""
-        g = gcd(self._a, self._d)
-        return self._a // g, self._d // g
-
-    @property
-    def im_pair(self) -> tuple[int, int]:
-        """The imaginary part as (numerator, denominator) in lowest terms, denominator > 0."""
-        g = gcd(self._b, self._d)
-        return self._b // g, self._d // g
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -206,17 +178,6 @@ def _reduced(a: int, b: int, d: int) -> GaussRat:
     else:
         x._a, x._b, x._d = a // g, b // g, d // g
     return x
-
-
-def _over_common_denominator(coeffs: list) -> tuple[int, list[tuple[int, int]]]:
-    """(D, [(a, b), ...]) with each coefficient equal to (a + b*i)/D.
-
-    D is the lcm of the coefficients' denominators (1 for none). A product of
-    two such lists shares the denominator D1 * D2, so its sums need integer
-    arithmetic only, and ``_reduced`` brings each total to lowest terms.
-    """
-    d = lcm(*(c._d for c in coeffs))
-    return d, [(c._a * (d // c._d), c._b * (d // c._d)) for c in coeffs]
 
 
 def _imag_str(b: Fraction) -> str:

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .gaussrat import GaussRat, I, ONE, ZERO, _over_common_denominator, _reduced
+from .gaussrat import GaussRat, I, ONE, ZERO, _reduced
 
 EVEN = "even"
 ODD = "odd"
@@ -189,21 +189,22 @@ class Term:
         return f"Term({self.coeff} * {names}, u^{self.mass_power}, hbar^{self.hbar_power})"
 
 
-def _normalize_raw(raw: Sequence) -> "OperatorExpr":
-    """The kernel result of raw ``(coeff, mass, hbar, word)`` tuples or terms.
+def _normalize_raw(rows: Sequence) -> "OperatorExpr":
+    """The kernel result of integer rows ``(a, b, d, mass, hbar, word)``.
 
-    One pass over each word moves beta to the front (a sign per odd factor
-    it crosses), folds m into the mass power and grades the rest. The
-    coefficients, lifted over one D, are summed by word key in the integer
-    accumulator that ``OperatorExpr.combine`` fills, and leave through
-    ``_collect`` graded under velocity.
+    Each row is the term ``(a + b*i)/d * word``, with d nonzero and of
+    either sign and the word's generators in any order. Every row is lifted
+    to the lcm D > 0 of the d's, which takes d's sign into the numerators;
+    one pass over each word moves beta to the front (a sign per odd
+    factor it crosses), folds m into the mass power and grades the rest.
+    The lifted numerators are summed by word key in the integer accumulator
+    that ``OperatorExpr.combine`` fills, and leave through ``_collect``
+    graded under velocity; its content gcd brings D down to the lcm of the
+    reduced denominators, so rows in any terms give the canonical form.
     """
-    coeffs, keyed = [], []
-    for item in raw:
-        if isinstance(item, Term):
-            coeff, mass, hbar, word = item.coeff, item.mass_power, item.hbar_power, item.word
-        else:
-            coeff, mass, hbar, word = item
+    big = lcm(*(row[2] for row in rows))
+    acc: dict = {}
+    for a, b, d, mass, hbar, word in rows:
         beta = odd = flip = False
         vc = 0
         rest, names = [], []
@@ -218,18 +219,21 @@ def _normalize_raw(raw: Sequence) -> "OperatorExpr":
                 odd ^= s.is_odd
                 rest.append(s)
                 names.append(s.name)
-        coeffs.append(-coeff if flip else coeff)
-        keyed.append(((tuple(rest), beta, mass, hbar), (vc, odd, tuple(names))))
-    d, nums = _over_common_denominator(coeffs)
-    acc: dict = {}
-    for (key, grading), (a, b) in zip(keyed, nums):
+        lift = -big // d if flip else big // d
+        key = (tuple(rest), beta, mass, hbar)
         prev = acc.get(key)
         if prev is None:
-            acc[key] = [a, b, grading, _UNGRADED]
+            acc[key] = [a * lift, b * lift, (vc, odd, tuple(names)), _UNGRADED]
         else:
-            prev[0] += a
-            prev[1] += b
-    return _collect(acc, d, VELOCITY.kind)
+            prev[0] += a * lift
+            prev[1] += b * lift
+    return _collect(acc, big, VELOCITY.kind)
+
+
+def _rows(raw: Iterable) -> list:
+    """The ``_normalize_raw`` rows of raw ``(coeff, mass, hbar, word)`` tuples or terms."""
+    return [(c._a, c._b, c._d, m, h, w) for c, m, h, w in (
+        (t.coeff, t.mass_power, t.hbar_power, t.word) if type(t) is Term else t for t in raw)]
 
 
 def _merged(pairs: Iterable) -> tuple:
@@ -390,18 +394,18 @@ class OperatorExpr(SparseSum):
 
     __slots__ = ("_grades",)
 
-    def __new__(cls, raw: Sequence = ()):
-        return _normalize_raw(raw)
+    def __new__(cls, raw: Iterable = ()):
+        return _normalize_raw(_rows(raw))
 
     @classmethod
     def _new(cls, terms: tuple):
-        return _normalize_raw(terms)
+        return _normalize_raw(_rows(terms))
 
     def __getattr__(self, name):
         # Reached for an unset slot only: the terms, before they are read.
         if name != "_terms":
             raise AttributeError(name)
-        terms = self._terms = _terms_of(*_any_form(self)[1][:2])
+        terms = self._terms = _terms_of(*_canonical_rows(self))
         return terms
 
     def __reduce__(self):
@@ -554,7 +558,7 @@ class OperatorExpr(SparseSum):
             raise AlgebraError("substitution must preserve parity")
         d, entries = _any_form(self)[1][:2]
         return _normalize_raw([
-            (_reduced(a, b, d), m, h, tuple(new if s is old else s for s in (BETA,) * beta + rest))
+            (a, b, d, m, h, tuple(new if s is old else s for s in (BETA,) * beta + rest))
             for _, rest, beta, a, b, m, h, _ in entries])
 
 
@@ -575,10 +579,14 @@ class OperatorExpr(SparseSum):
 # ``_scaled`` multiply numerators, each reduced by its content gcd
 # (``_reduced_result``); the adjoint maps each entry in place; a coefficient
 # is one key match and equality compares D and the numerators by key. Raw
-# words enter the same way: ``_normalize_raw`` sums them in the accumulator
-# that ``combine`` fills and hands them on through ``_collect``. So every
-# expression holds a graded form from the start, and terms and ``GaussRat``s
-# are built only for an expression whose terms are read.
+# words enter the same way: ``_normalize_raw`` sums integer rows in the
+# accumulator that ``combine`` fills and hands them on through ``_collect``.
+# ``_canonical_rows`` reads the form back in the canonical term order, for
+# ``_terms_of`` and for the record codec, which writes each coefficient's
+# parts from the numerators and D and reads a record straight into rows. So
+# every expression holds a graded form from the start, and terms and
+# ``GaussRat``s are built only for an expression whose terms or
+# coefficients are read.
 #
 # The order of a graded form is its scheme's: velocity reads ``vc_order``,
 # mass ``mass_power``; a form asked for under the other scheme is re-sorted.
@@ -739,27 +747,40 @@ def _collect(acc: dict, d: int, kind: str) -> OperatorExpr:
     return _held(kind, d // g, entries)
 
 
-def _terms_of(d: int, entries: list) -> tuple:
-    """The canonical terms of graded entries over d, one ``_reduced`` each.
+def _canonical_rows(x: OperatorExpr) -> tuple:
+    """``(D, rows)``: x's graded entries over D, in the canonical term order.
 
-    The grading is the entry's, with "beta" put back in front of the word
-    and the names when it has one. The slots are filled here rather than by
-    a ``Term(...)`` call per entry: every kernel result that is read comes
-    through this loop, and the call made it about 9 % slower on a 352-term
-    form (CPython 3.11).
+    Each row is ``(sort key, word, a, b, vc_order, is_odd)`` for the term
+    ``(a + b*i)/D * word``, with "beta" put back in front of the word and
+    the names when the entry has one. The sort key ``(mass, hbar, word
+    length, names)`` is the canonical term order; ``_terms_of`` and the
+    record codec both read these rows, so the order is defined here alone.
+    """
+    d, entries = _any_form(x)[1][:2]
+    rows = []
+    for _, rest, beta, a, b, m, h, (vc, odd, names) in entries:
+        if beta:
+            rest, names = (BETA,) + rest, ("beta",) + names
+        rows.append(((m, h, len(rest), names), rest, a, b, vc, odd))
+    rows.sort(key=_entry_order)
+    return d, rows
+
+
+def _terms_of(d: int, rows: list) -> tuple:
+    """The terms of ``_canonical_rows`` over d, one ``_reduced`` each.
+
+    The slots are filled here rather than by a ``Term(...)`` call per row:
+    every kernel result that is read comes through this loop, and the call
+    made it about 9 % slower on a 352-term form (CPython 3.11).
     """
     terms = []
     new = object.__new__
-    for _, rest, beta, a, b, m, h, (vc, odd, names) in entries:
+    for key, w, a, b, vc, odd in rows:
         t = new(Term)
         t.coeff = _reduced(a, b, d)
-        t.mass_power, t.hbar_power, t.vc_order, t.is_odd = m, h, vc, odd
-        if beta:
-            rest, names = (BETA,) + rest, ("beta",) + names
-        t.word = rest
-        t.sort_key = (m, h, len(rest), names)
+        t.mass_power, t.hbar_power, t.word, t.vc_order, t.is_odd = key[0], key[1], w, vc, odd
+        t.sort_key = key
         terms.append(t)
-    terms.sort(key=_term_sort_key)
     return tuple(terms)
 
 
@@ -808,7 +829,7 @@ def normalize(raw) -> OperatorExpr:
     """
     if isinstance(raw, OperatorExpr):
         return raw
-    return OperatorExpr(list(raw))
+    return OperatorExpr(raw)
 
 
 def scale(c, x: SparseSum) -> SparseSum:

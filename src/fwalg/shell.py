@@ -28,11 +28,12 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .gaussrat import GaussRat
 from .opalg import (
     BUILTIN_SYMBOLS, E, F, MASS, O, VELOCITY, DuplicateSymbol, OperatorExpr,
-    SymbolRegistry, WeightScheme, word,
+    SymbolRegistry, WeightScheme, _canonical_rows, _normalize_raw, word,
 )
 from . import fwtransform, numlab, reference
 from .fwtransform import TransformRecord
@@ -428,27 +429,36 @@ def render_latex(expr: OperatorExpr) -> str:
 
 
 def serialize_record(expr: OperatorExpr) -> dict:
-    """Exact-integer structured form; parse_record inverts it bit for bit."""
-    builtin = {s.name for s in BUILTIN_SYMBOLS}
+    """Exact-integer structured form; parse_record inverts it bit for bit.
+
+    The terms are read from the graded form in the canonical order
+    (``_canonical_rows``), and each part's pair is its numerator and the
+    common denominator D divided by their gcd, so no ``Term`` or
+    ``GaussRat`` is built. Custom symbols are declared by name, so two
+    distinct symbols of one name raise ``ValueError``: the record could not
+    tell them apart.
+    """
+    d, rows = _canonical_rows(expr)
+    seen = set(BUILTIN_SYMBOLS)
     symbols = {}
-    for t in expr.terms:
-        for s in t.word:
-            if s.name not in builtin and s.name not in symbols:
+    terms = []
+    for (m, h, _, names), w, a, b, _, _ in rows:
+        for s in w:
+            if s not in seen:
+                if s.name in symbols:
+                    raise ValueError(f"two symbols named {s.name!r} in one expression "
+                                     "cannot be told apart in a record")
+                seen.add(s)
                 symbols[s.name] = {"parity": s.parity, "weight_vc": s.weight_vc}
-    return {
-        "schema": RECORD_SCHEMA,
-        "symbols": symbols,
-        "terms": [
-            {
-                "coeff_re": list(t.coeff.re_pair),
-                "coeff_im": list(t.coeff.im_pair),
-                "mass_power": t.mass_power,
-                "hbar_power": t.hbar_power,
-                "word": [s.name for s in t.word],
-            }
-            for t in expr.terms
-        ],
-    }
+        ga, gb = gcd(a, d), gcd(b, d)
+        terms.append({
+            "coeff_re": [a // ga, d // ga],
+            "coeff_im": [b // gb, d // gb],
+            "mass_power": m,
+            "hbar_power": h,
+            "word": list(names),
+        })
+    return {"schema": RECORD_SCHEMA, "symbols": symbols, "terms": terms}
 
 
 def _int_pair(entry: dict, key: str) -> tuple[int, int]:
@@ -481,12 +491,15 @@ def _word_field(entry: dict, symbols: dict) -> tuple:
 def parse_record(data) -> OperatorExpr:
     """The expression of a ``serialize_record`` dict or its JSON text.
 
-    Each term is validated and read into a raw ``(coeff, mass, hbar, word)``
-    entry in one pass, and the entries go through the one normal form, so a
-    record whose terms are unsorted, repeated or not in lowest terms parses
-    to the same expression as its canonical form. A malformed record,
-    symbol, coefficient, exponent or word raises ``ValueError`` naming the
-    field.
+    Each term is validated and read into an integer row ``(a, b, d, mass,
+    hbar, word)`` in one pass: the two parts are put over one d, by
+    cross-multiplying only when both are nonzero with different
+    denominators, and a negative d is left for the normal form's lift to
+    take into the numerators. No ``GaussRat`` is built. The rows go through
+    the one normal form, ``_normalize_raw``, so a record whose terms are
+    unsorted, repeated, not in lowest terms or cancelling parses to the same
+    expression as its canonical form. A malformed record, symbol,
+    coefficient, exponent or word raises ``ValueError`` naming the field.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -509,14 +522,20 @@ def parse_record(data) -> OperatorExpr:
     entries = data.get("terms")
     if not isinstance(entries, (list, tuple)) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"terms must be a list of term objects, got {entries!r}")
-    raw = []
+    rows = []
     for entry in entries:
-        re_num, re_den = _int_pair(entry, "coeff_re")
-        im_num, im_den = _int_pair(entry, "coeff_im")
+        a, d = _int_pair(entry, "coeff_re")
+        b, e = _int_pair(entry, "coeff_im")
         word = _word_field(entry, symbols)
-        raw.append((GaussRat.from_pairs(re_num, re_den, im_num, im_den),
-                    _int_field(entry, "mass_power"), _int_field(entry, "hbar_power"), word))
-    return OperatorExpr(raw)
+        # a zero part or a shared denominator needs no cross multiplication
+        if b and d != e:
+            if a:
+                a, b, d = a * e, b * d, d * e
+            else:
+                d = e
+        rows.append((a, b, d, _int_field(entry, "mass_power"),
+                     _int_field(entry, "hbar_power"), word))
+    return _normalize_raw(rows)
 
 
 def render(expr: OperatorExpr, fmt: str = "text"):

@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from fwalg import gaussrat, opalg
 from fwalg.fwtransform import _binomial_series
-from fwalg.gaussrat import GaussRat
-from fwalg.opalg import BETA, E, F, MC2, O, OperatorExpr, log_series, mul_trunc, one, sym
+from fwalg.gaussrat import GaussRat, _reduced
+from fwalg.opalg import (
+    BETA, BUILTIN_SYMBOLS, E, F, MC2, O, OperatorExpr, SymbolRegistry, log_series, mul_trunc,
+    one, sym,
+)
+from fwalg.shell import RECORD_SCHEMA, _int_field, _int_pair, _word_field
 
 
 WORD_SYMBOLS = (BETA, O, F, E)
@@ -60,6 +66,30 @@ def is_canonical(terms) -> bool:
     return True
 
 
+def terms_built(x) -> bool:
+    """Whether x's terms exist yet (a kernel result builds them when read)."""
+    try:
+        object.__getattribute__(x, "_terms")
+    except AttributeError:
+        return False
+    return True
+
+
+def graded_by_key(form) -> tuple:
+    """``(D, {(rest, has beta, mass, hbar): (order, a, b, grading)})`` of a graded form.
+
+    Checks on the way that the entries are sorted by order, split into
+    ``plain`` and ``crossed`` and keyed once each.
+    """
+    d, entries, plain, crossed = form
+    assert [e[0] for e in entries] == sorted(e[0] for e in entries)
+    assert (plain, crossed) == ([e for e in entries if not e[2]], [e for e in entries if e[2]])
+    by_key = {(rest, beta, m, h): (o, a, b, grading)
+              for o, rest, beta, a, b, m, h, grading in entries}
+    assert len(by_key) == len(entries)
+    return d, by_key
+
+
 def polar_correction_exponent(rec) -> OperatorExpr:
     """C from Eriksen's condition alone (E. Eriksen, Phys. Rev. 111, 1011 (1958)).
 
@@ -75,6 +105,112 @@ def polar_correction_exponent(rec) -> OperatorExpr:
                           scheme, order)
     u_corr = _binomial_series(u_corr_sq - one(), Fraction(1, 2), scheme, order)
     return log_series(mul_trunc(u_corr, u_dag, scheme, order) - one(), scheme, order)
+
+
+# -- the record codec's term-path oracles --------------------------------------------
+
+def re_pair(c: GaussRat) -> tuple[int, int]:
+    """The real part as (numerator, denominator) in lowest terms, denominator > 0."""
+    g = gcd(c._a, c._d)
+    return c._a // g, c._d // g
+
+
+def im_pair(c: GaussRat) -> tuple[int, int]:
+    """The imaginary part as (numerator, denominator) in lowest terms, denominator > 0."""
+    g = gcd(c._b, c._d)
+    return c._b // g, c._d // g
+
+
+def from_pairs(re_num: int, re_den: int, im_num: int, im_den: int) -> GaussRat:
+    """re_num/re_den + (im_num/im_den) i from integers, in any terms and signs."""
+    if not (re_den and im_den):
+        raise ZeroDivisionError("GaussRat component with zero denominator")
+    if re_den < 0:
+        re_num, re_den = -re_num, -re_den
+    if im_den < 0:
+        im_num, im_den = -im_num, -im_den
+    if not im_num or re_den == im_den:
+        return _reduced(re_num, im_num, re_den)
+    if not re_num:
+        return _reduced(0, im_num, im_den)
+    return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
+
+
+def serialize_record_oracle(expr: OperatorExpr) -> dict:
+    """``serialize_record`` read term by term, each term's order recomputed from its word."""
+    builtin = {s.name for s in BUILTIN_SYMBOLS}
+    terms = sorted(expr.terms, key=lambda t: (
+        t.mass_power, t.hbar_power, len(t.word), tuple(s.name for s in t.word)))
+    symbols = {}
+    for t in terms:
+        for s in t.word:
+            if s.name not in builtin and s.name not in symbols:
+                symbols[s.name] = {"parity": s.parity, "weight_vc": s.weight_vc}
+    return {
+        "schema": RECORD_SCHEMA,
+        "symbols": symbols,
+        "terms": [
+            {
+                "coeff_re": list(re_pair(t.coeff)),
+                "coeff_im": list(im_pair(t.coeff)),
+                "mass_power": t.mass_power,
+                "hbar_power": t.hbar_power,
+                "word": [s.name for s in t.word],
+            }
+            for t in terms
+        ],
+    }
+
+
+def parse_record_oracle(data: dict) -> OperatorExpr:
+    """``parse_record`` of a well-formed record dict, one ``GaussRat`` per term."""
+    registry = SymbolRegistry()
+    for name, info in data.get("symbols", {}).items():
+        registry.register(name, info["parity"], info["weight_vc"])
+    symbols = {s.name: s for s in registry.symbols()}
+    raw = []
+    for entry in data["terms"]:
+        re_num, re_den = _int_pair(entry, "coeff_re")
+        im_num, im_den = _int_pair(entry, "coeff_im")
+        word = _word_field(entry, symbols)
+        raw.append((from_pairs(re_num, re_den, im_num, im_den),
+                    _int_field(entry, "mass_power"), _int_field(entry, "hbar_power"), word))
+    return OperatorExpr(raw)
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Counts of the ``GaussRat``s and ``Term``s made while the test runs.
+
+    Every ``GaussRat`` is made by its constructor or by ``gaussrat._new``
+    (``_triple``, ``_reduced``), and every ``Term`` by its constructor or by
+    ``opalg._terms_of``; each of them is wrapped.
+    """
+    counts = {"GaussRat": 0, "Term": 0}
+    real_new, real_init, real_terms_of = gaussrat._new, GaussRat.__init__, opalg._terms_of
+    real_term_init = opalg.Term.__init__
+
+    def new(cls, *args):
+        counts["GaussRat"] += cls is GaussRat
+        return real_new(cls, *args)
+
+    def init(self, *args, **kwargs):
+        counts["GaussRat"] += 1
+        real_init(self, *args, **kwargs)
+
+    def terms_of(d, rows):
+        counts["Term"] += len(rows)
+        return real_terms_of(d, rows)
+
+    def term_init(self, *args):
+        counts["Term"] += 1
+        real_term_init(self, *args)
+
+    monkeypatch.setattr(gaussrat, "_new", new)
+    monkeypatch.setattr(GaussRat, "__init__", init)
+    monkeypatch.setattr(opalg, "_terms_of", terms_of)
+    monkeypatch.setattr(opalg.Term, "__init__", term_init)
+    return counts
 
 
 @pytest.fixture

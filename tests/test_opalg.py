@@ -2,21 +2,24 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwalg.gaussrat import GaussRat, I, _over_common_denominator, binom_coeff
+from fwalg.gaussrat import GaussRat, I, binom_coeff
 from fwalg.opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, NonIncreasingOrder, OperatorExpr,
     OperatorSymbol, SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
     commutator, exp_series, mul_trunc, normalize, one, scale, sym, word, zero,
-    Term, _graded, _normalize_raw, _term_sort_key, _terms_of,
+    Term, _canonical_rows, _graded, _normalize_raw, _term_sort_key, _terms_of,
 )
 from fwalg.diracred import BETA_ATOM, FieldExpr, PiAtom, a_atom, field_term, phi_atom, sigma_atom
 from fwalg.shell import parse_record, parse_spec, serialize_record
 
-from conftest import RAW_SYMBOLS, is_canonical, rand_coeff, rand_expr, rand_raw_term
+from conftest import (
+    RAW_SYMBOLS, graded_by_key, is_canonical, rand_coeff, rand_expr, rand_raw_term, terms_built,
+)
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
 
@@ -383,7 +386,7 @@ def test_term_caches_match_recomputation(rng):
             commutator(x, y, VELOCITY, k), commutator(x, y), commutator(y, x, MASS, k - 2),
             commutator(x, x + y), commutator(x + y, x, VELOCITY, k), *x.parity_split(),
             OperatorExpr(tuple(_recoeff(t, 2 * t.coeff) for t in x.terms)),
-            _normalize_raw([rand_raw_term(rng) for _ in range(5)]),
+            _normalize_raw(_rows_of([rand_raw_term(rng) for _ in range(5)], rng)),
             OperatorExpr.combine([(2, x), (I, y), (-1, x * y)]),
             pickle.loads(pickle.dumps(x)), copy.deepcopy(y),
         ]
@@ -407,6 +410,15 @@ def _raw_anywhere(rng, max_len=5):
     return raw
 
 
+def _rows_of(raw, rng):
+    """``_normalize_raw`` rows of raw terms, each pair in random terms and signs."""
+    rows = []
+    for c, mass, hbar, w in raw:
+        k = rng.choice((1, -1, 2, -3, 12))
+        rows.append((k * c._a, k * c._b, k * c._d, mass, hbar, w))
+    return rows
+
+
 def _by_products(raw):
     """The sum of raw terms, each word multiplied out factor by factor."""
     expected = zero()
@@ -422,20 +434,10 @@ def test_normalize_raw_grades_words_with_beta_and_m_anywhere(rng):
     # the oracle multiplies each word out factor by factor in the product kernel
     for _ in range(200):
         raw = _raw_anywhere(rng)
-        x = _normalize_raw(raw)
+        x = _normalize_raw(_rows_of(raw, rng))
         _assert_grading_fresh(x)
         assert all(MC2 not in t.word and BETA not in t.word[1:] for t in x)
         assert x == _by_products(raw)
-
-
-def _graded_by_key(form):
-    d, entries, plain, crossed = form
-    assert [e[0] for e in entries] == sorted(e[0] for e in entries)
-    assert (plain, crossed) == ([e for e in entries if not e[2]], [e for e in entries if e[2]])
-    by_key = {(rest, beta, m, h): (o, a, b, grading)
-              for o, rest, beta, a, b, m, h, grading in entries}
-    assert len(by_key) == len(entries)
-    return d, by_key
 
 
 def test_kernel_results_hand_on_the_graded_form_of_their_terms(rng):
@@ -451,17 +453,8 @@ def test_kernel_results_hand_on_the_graded_form_of_their_terms(rng):
                 (VELOCITY, (commutator(x, y), x * y))):
             for r in results:
                 assert list(r._grades) == [scheme.kind]
-                handed = _graded_by_key(r._grades[scheme.kind])
-                assert handed == _graded_by_key(_graded_terms(r.terms, scheme))
-
-
-def _built(x):
-    """Whether x's terms exist yet (a kernel result builds them when read)."""
-    try:
-        object.__getattribute__(x, "_terms")
-    except AttributeError:
-        return False
-    return True
+                handed = graded_by_key(r._grades[scheme.kind])
+                assert handed == graded_by_key(_graded_terms(r.terms, scheme))
 
 
 def _graded_terms(terms, scheme):
@@ -471,9 +464,11 @@ def _graded_terms(terms, scheme):
     """
     order = scheme.order_of
     terms = sorted(terms, key=order)
-    d, nums = _over_common_denominator([t.coeff for t in terms])
+    d = lcm(*(t.coeff._d for t in terms))
     entries = []
-    for t, (a, b) in zip(terms, nums):
+    for t in terms:
+        c = t.coeff
+        a, b = c._a * (d // c._d), c._b * (d // c._d)
         w, names = t.word, t.sort_key[3]
         beta = bool(w) and w[0] is BETA
         entries.append((order(t), w[1:] if beta else w, beta, a, b, t.mass_power,
@@ -551,10 +546,10 @@ def test_every_way_of_making_an_expression_gives_one_graded_form(rng, make):
     for _ in range(30):
         x, expected = make(rng)
         assert next(iter(x._grades)) == "velocity"
-        assert x is one() or (len(x._grades) == 1 and not _built(x))
+        assert x is one() or (len(x._grades) == 1 and not terms_built(x))
         assert x == expected
         for scheme in (VELOCITY, MASS):
-            assert _graded_by_key(_graded(x, scheme)) == _graded_by_key(
+            assert graded_by_key(_graded(x, scheme)) == graded_by_key(
                 _graded_terms(x.terms, scheme))
         assert is_canonical(x.terms)
         _assert_grading_fresh(x)
@@ -572,7 +567,7 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
         rng.shuffle(operands)
         pairs = [(rand_coeff(rng), z) for z in operands[:rng.randint(1, 5)]]
         out = OperatorExpr.combine(pairs)
-        assert not _built(out) and not any(_built(z) for _, z in pairs)
+        assert not terms_built(out) and not any(terms_built(z) for _, z in pairs)
         [kind] = out._grades
         kinds.add(kind)
         oracle = normalize([(c * t.coeff, t.mass_power, t.hbar_power, t.word)
@@ -580,10 +575,10 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
         assert out == oracle
         _assert_grading_fresh(out)
         scheme = MASS if kind == "mass" else VELOCITY
-        assert _graded_by_key(out._grades[kind]) == _graded_by_key(
+        assert graded_by_key(out._grades[kind]) == graded_by_key(
             _graded_terms(out.terms, scheme))
         again = OperatorExpr.combine([(1, out), (-1, oracle)])
-        assert again.is_zero and not _built(again) and again.terms == ()
+        assert again.is_zero and not terms_built(again) and again.terms == ()
     assert kinds == {"velocity", "mass"}
     assert OperatorExpr.combine([]) == zero()
 
@@ -694,10 +689,10 @@ def test_selection_on_the_graded_form_equals_term_selection(rng):
                     r = make()
                     [kind] = r._grades
                     out, expected = op(r), term_op(oracle_in)
-                    assert not _built(r)
+                    assert not terms_built(r)
                     results = out if isinstance(out, tuple) else (out,)
                     results = [z for z in results if isinstance(z, OperatorExpr)]
-                    assert not any(_built(z) for z in results)
+                    assert not any(terms_built(z) for z in results)
                     if results:
                         expected = expected if isinstance(expected, tuple) else (expected,)
                         assert all(map(_term_equal, results, expected))
@@ -707,7 +702,7 @@ def test_selection_on_the_graded_form_equals_term_selection(rng):
                         assert z._grades and set(z._grades) <= {kind, scheme.kind}
                         _assert_grading_fresh(z)
                         for held in z._grades:
-                            assert _graded_by_key(z._grades[held]) == _graded_by_key(
+                            assert graded_by_key(z._grades[held]) == graded_by_key(
                                 _graded_terms(z.terms, schemes[held]))
                         seen.add("nothing" if z.is_zero else
                                  "everything" if z is r else "some")
@@ -730,14 +725,14 @@ def test_graded_queries_equal_the_term_path(rng):
         k = rng.randint(0, 6)
         operands = [x, y, *(make() for make in _kernel_results(x, y, k))]
         for z in operands:
-            assert not _built(z)
-            oracle = _from_terms(_terms_of(*next(iter(z._grades.values()))[:2]))
+            assert not terms_built(z)
+            oracle = _from_terms(_terms_of(*_canonical_rows(z)))
             kinds.add(next(iter(z._grades)))
             adj = z.adjoint()
-            assert not _built(adj) and _term_equal(adj, _term_adjoint(oracle))
+            assert not terms_built(adj) and _term_equal(adj, _term_adjoint(oracle))
             _assert_grading_fresh(adj)
             [held] = adj._grades
-            assert _graded_by_key(adj._grades[held]) == _graded_by_key(
+            assert graded_by_key(adj._grades[held]) == graded_by_key(
                 _graded_terms(adj.terms, schemes[held]))
             assert _term_equal(adj.adjoint(), oracle)
             keys = [t.key for t in oracle.terms]
@@ -748,7 +743,7 @@ def test_graded_queries_equal_the_term_path(rng):
                 assert z.coefficient(w, m, h) == _term_coefficient(oracle, w, m, h)
             for s in symbols:
                 assert z.contains_symbol(s) == _term_contains_symbol(oracle, s)
-            assert not _built(z)
+            assert not terms_built(z)
             pool += [z, oracle, adj]
     # equal values in different forms (re-graded, scaled back, summed with
     # zero) and near misses (same keys, other numerators; one more term)

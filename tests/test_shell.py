@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwalg.gaussrat import GaussRat
-from fwalg.opalg import BETA, E, F, MASS, MC2, O, VELOCITY, normalize, sym, word
+from fwalg.opalg import (
+    BETA, E, F, MASS, MC2, O, VELOCITY, OperatorSymbol, mul_trunc, normalize, scale, sym,
+    word, zero,
+)
 from fwalg import numlab, reference as ref
 from fwalg.shell import (
     DuplicateDeclaration, SpecSyntaxError, UnknownSymbol, main, parse_record,
@@ -21,7 +24,10 @@ from fwalg.shell import (
     verify,
 )
 
-from conftest import is_canonical, rand_expr
+from conftest import (
+    from_pairs, graded_by_key, is_canonical, parse_record_oracle, rand_expr,
+    serialize_record_oracle, terms_built,
+)
 
 
 # -- parsing -----------------------------------------------------------------------
@@ -287,7 +293,7 @@ _SYMS = {"beta": BETA, "O": O, "E": E, "m": MC2}
         "cancelling"])
 def test_parse_record_normalizes_each_noncanonical_form(terms):
     expected = normalize(
-        (GaussRat.from_pairs(*re, *im), mass, 0, tuple(_SYMS[n] for n in names))
+        (from_pairs(*re, *im), mass, 0, tuple(_SYMS[n] for n in names))
         for re, im, mass, names in terms)
     x = parse_record(_record(*terms))
     assert x == expected
@@ -306,6 +312,107 @@ def test_parse_record_takes_serialized_records_as_they_are(rng):
     assert parsed == xs
     assert all(is_canonical(x.terms) for x in parsed)
     assert [json.dumps(serialize_record(x)) for x in parsed] == [json.dumps(r) for r in records]
+
+
+def test_serialize_record_rejects_two_symbols_of_one_name():
+    # symbols are interned by (name, parity, weight), so these are two
+    # symbols, and a record that names both "V" could not tell them apart
+    v_even, v_odd = OperatorSymbol("V", "even", 2), OperatorSymbol("V", "odd", 1)
+    with pytest.raises(ValueError, match="'V'"):
+        serialize_record(sym(v_even) + sym(v_odd))
+    with pytest.raises(ValueError, match="'V'"):
+        serialize_record(sym(v_odd) * sym(O) * sym(v_even))
+    x = sym(v_even) + sym(O) * sym(v_even)
+    assert parse_record(serialize_record(x)) == x
+
+
+# -- the record codec against its term-path oracles ------------------------------------
+
+_V = OperatorSymbol("V", "even", 2)
+_W = OperatorSymbol("W", "odd", 3)
+_CODEC_SYMBOLS = (BETA, O, F, E, _V, _W)
+
+
+def _rough_coeff(rng):
+    """A coefficient whose parts may be negative, imaginary or over a large denominator."""
+    big = rng.choice((1, 7, 2 ** 61 - 1, 10 ** 30 + 3))
+    return GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 4) * big),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 5) * rng.choice((1, big))))
+
+
+def _codec_exprs(rng):
+    """Kernel results under both orders, custom symbols, rough coefficients and zero."""
+    x = rand_expr(rng, max_terms=5, symbols=_CODEC_SYMBOLS)
+    y = scale(_rough_coeff(rng), rand_expr(rng, max_terms=4, symbols=_CODEC_SYMBOLS))
+    k = rng.randint(-1, 4)
+    return (x, y, x + y, x * y, mul_trunc(x, y, MASS, k), mul_trunc(y, x, VELOCITY, k + 2),
+            x - x, zero())
+
+
+def _reset(made):
+    made.update(dict.fromkeys(made, 0))
+
+
+def test_serialize_record_matches_the_term_path(rng, made):
+    # byte-equal JSON, read from the graded form without building a Term or
+    # a GaussRat, and without building the expression's terms
+    kinds, symbols = set(), set()
+    for _ in range(60):
+        for x in _codec_exprs(rng):
+            kinds.add(next(iter(x._grades)))
+            _reset(made)
+            record = serialize_record(x)
+            assert made == {"GaussRat": 0, "Term": 0} and not terms_built(x)
+            assert json.dumps(record) == json.dumps(serialize_record_oracle(x))
+            symbols.update(record["symbols"])
+    assert kinds == {"velocity", "mass"} and symbols == {"V", "W"}
+
+
+def _scrambled(rng, record):
+    """The record with non-canonical terms that parse to some expression.
+
+    Its terms are reversed, some repeated and some cancelled by a negated
+    copy; pairs are scaled by an integer of either sign (unreduced, or with
+    a negative denominator); up to three of beta, beta, m and O are put
+    anywhere in each word.
+    """
+    terms = []
+    for t in record["terms"][::-1]:
+        words = list(t["word"])
+        for extra in rng.sample(("beta", "beta", "m", "O"), rng.randint(0, 3)):
+            words.insert(rng.randint(0, len(words)), extra)
+        k, j = rng.choice((1, -1, 2, -3, 12)), rng.choice((1, -1, 5))
+        (a, d), (b, e) = t["coeff_re"], t["coeff_im"]
+        t = {**t, "coeff_re": [k * a, k * d], "coeff_im": [j * b, j * e], "word": words}
+        terms.append(t)
+        if rng.random() < 0.3:
+            terms.append(t)
+        if rng.random() < 0.2:
+            terms.append({**t, "coeff_re": [-k * a, k * d], "coeff_im": [j * b, -j * e]})
+    return {**record, "terms": terms}
+
+
+def test_parse_record_matches_the_gaussrat_path(rng, made):
+    # canonical and scrambled records parse to the oracle's expression and
+    # graded form, with no GaussRat built per term
+    merged = 0
+    for _ in range(60):
+        for x in _codec_exprs(rng):
+            record = serialize_record(x)
+            for r in (record, _scrambled(rng, record)):
+                expected = parse_record_oracle(r)
+                for data in (r, json.dumps(r)):
+                    _reset(made)
+                    got = parse_record(data)
+                    assert made == {"GaussRat": 0, "Term": 0}
+                    assert got == expected
+                    assert graded_by_key(got._grades["velocity"]) == graded_by_key(
+                        expected._grades["velocity"])
+                    assert json.dumps(serialize_record(got)) == json.dumps(
+                        serialize_record_oracle(expected))
+                merged += len(r["terms"]) > len(expected.terms)
+            assert parse_record(record) == x
+    assert merged
 
 
 # -- verification harness ----------------------------------------------------------------
