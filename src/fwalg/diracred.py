@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .gaussrat import GaussRat, I, MINUS_I, ONE
-from .opalg import BETA, E, F, O, OperatorExpr, SparseSum, _term_sort_key
+from .opalg import BETA, E, F, O, OperatorExpr
 
 _EPS = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -348,7 +349,22 @@ def _normalize_field(raw: Iterable) -> tuple[FieldTerm, ...]:
             prev = acc.get(key)
             acc[key] = coeff if prev is None else prev + coeff
     return tuple(sorted((FieldTerm(c, *key) for key, c in acc.items() if not c.is_zero),
-                        key=_term_sort_key))
+                        key=attrgetter("sort_key")))
+
+
+def _merged(pairs: Iterable) -> "FieldExpr":
+    """The sum of ``(coefficient, term)`` pairs: one term per key, sorted, zeros dropped.
+
+    A term whose coefficient comes through unchanged is kept as it is.
+    """
+    acc: dict = {}
+    for c, t in pairs:
+        key = t.key
+        prev = acc.get(key)
+        acc[key] = (c, t) if prev is None else (prev[0] + c, prev[1])
+    terms = [t if c is t.coeff else t.with_coeff(c) for c, t in acc.values() if not c.is_zero]
+    terms.sort(key=attrgetter("sort_key"))
+    return FieldExpr(tuple(terms), _normalized=True)
 
 
 def _word_of(t: FieldTerm) -> list:
@@ -357,20 +373,105 @@ def _word_of(t: FieldTerm) -> list:
             + [TAtom() for _ in range(t.t_power)])
 
 
-class FieldExpr(SparseSum):
-    """Normalized sum of field terms (Clifford unit times commutative word)."""
+class FieldExpr:
+    """Normalized sum of field terms (Clifford unit times commutative word).
 
-    __slots__ = ()
+    Immutable: ``terms`` holds one term per ``FieldTerm.key``, sorted by
+    ``sort_key``. The constructor normalizes raw field tuples
+    (``_normalize_field``) and takes terms that are already normal as they
+    are, under ``_normalized=True``.
+    A sum of normal forms is one pass of the term merge ``_merged`` over
+    the operands' ``(coefficient, term)`` pairs, never a second
+    normalization, and a term that merges with nothing comes back as the
+    same object.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, terms=(), _normalized=False):
-        self._terms = terms if _normalized else _normalize_field(terms)
+        self.terms = terms if _normalized else _normalize_field(terms)
+
+    @classmethod
+    def zero(cls) -> "FieldExpr":
+        return cls((), _normalized=True)
+
+    @classmethod
+    def combine(cls, pairs: Iterable) -> "FieldExpr":
+        """The sum of ``coeff * x`` over ``(coeff, x)`` pairs, merged and sorted once.
+
+        A chain of ``+`` would rebuild the running sum for every pair.
+        """
+        scaled = ((GaussRat.coerce(c), x) for c, x in pairs)
+        return _merged((c * t.coeff, t) for c, x in scaled for t in x.terms)
+
+    # -- inspection ----------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __repr__(self):
+        body = " + ".join(map(repr, self.terms)) or "0"
+        return f"<FieldExpr {body}>"
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, FieldExpr):
+            return NotImplemented
+        return _merged([(t.coeff, t) for t in self.terms + other.terms])
+
+    def __sub__(self, other):
+        if not isinstance(other, FieldExpr):
+            return NotImplemented
+        return _merged([(t.coeff, t) for t in self.terms]
+                       + [(-t.coeff, t) for t in other.terms])
+
+    def __neg__(self):
+        return -1 * self
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction, GaussRat)):
+            return FieldExpr.combine([(c, self)])
+        return NotImplemented
+
+    # -- selection -----------------------------------------------------------
+
+    def filter(self, keep):
+        """The sum of the terms for which ``keep(term)`` holds."""
+        kept = tuple(t for t in self.terms if keep(t))
+        return self if len(kept) == len(self.terms) else FieldExpr(kept, _normalized=True)
+
+    def parity_split(self):
+        """(even part, odd part) with respect to beta."""
+        return self.filter(lambda t: not t.is_odd), self.filter(lambda t: t.is_odd)
+
+    def truncate_field_order(self, max_order: int) -> "FieldExpr":
+        return self.filter(lambda t: t.field_order <= max_order)
+
+    # -- comparison ----------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldExpr):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a.key == b.key and a.coeff == b.coeff for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple((t.key, t.coeff) for t in self.terms))
 
     def __mul__(self, other):
         if not isinstance(other, FieldExpr):
-            return self._times_scalar(other)
+            return self.__rmul__(other)
         raw = []
-        for a in self._terms:
-            for b in other._terms:
+        for a in self.terms:
+            for b in other.terms:
                 u_coeff, unit = _unit_mul(a.unit, b.unit)
                 raw.append((
                     a.coeff * b.coeff * u_coeff,
@@ -385,7 +486,7 @@ class FieldExpr(SparseSum):
 
     def adjoint(self) -> "FieldExpr":
         raw = []
-        for t in self._terms:
+        for t in self.terms:
             b, g = t.unit
             sign = -1 if (b and _inner_is_odd(g)) else 1
             coeff = t.coeff.conjugate()
@@ -394,9 +495,6 @@ class FieldExpr(SparseSum):
             raw.append((coeff, t.e_power, t.hbar_power, t.c_power,
                         t.mass_power, t.unit, _word_of(t)[::-1]))
         return FieldExpr(raw)
-
-    def truncate_field_order(self, max_order: int) -> "FieldExpr":
-        return self.filter(lambda t: t.field_order <= max_order)
 
 
 def field_term(coeff, atoms: Sequence = (), e_power: int = 0, hbar_power: int = 0,

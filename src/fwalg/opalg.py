@@ -26,7 +26,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -236,170 +235,33 @@ def _rows(raw: Iterable) -> list:
         (t.coeff, t.mass_power, t.hbar_power, t.word) if type(t) is Term else t for t in raw)]
 
 
-def _merged(pairs: Iterable) -> tuple:
-    """The sorted terms of the sum of ``(coefficient, term)`` pairs, zeros dropped.
-
-    A term whose coefficient comes through unchanged is kept as it is.
-    """
-    acc: dict = {}
-    for c, t in pairs:
-        key = t.key
-        prev = acc.get(key)
-        acc[key] = (c, t) if prev is None else (prev[0] + c, prev[1])
-    terms = [t if c is t.coeff else t.with_coeff(c) for c, t in acc.values() if not c.is_zero]
-    terms.sort(key=_term_sort_key)
-    return tuple(terms)
-
-
-#: The canonical term order, read from the term: ``Term.sort_key`` here and
-#: ``FieldTerm.sort_key`` in diracred.
-_term_sort_key = attrgetter("sort_key")
-
-
-_SCALARS = (int, Fraction, GaussRat)
 _MINUS_ONE = -ONE
 
 
-class SparseSum:
-    """Immutable canonical sum of terms: one term per ``term.key``, sorted.
-
-    The core shared by both term algebras, this module's words and the
-    Dirac field terms of ``diracred``: the term view, scalar dispatch and
-    printing. Its linear, selection and comparison operations work on the
-    terms and serve ``FieldExpr``; a sum of two normal forms is a merge of
-    their terms, never a second normalization. ``OperatorExpr`` does each
-    of them on its graded form instead. A subclass normalizes raw input in
-    its constructor and forms products; ``_new`` makes one from terms that
-    are already normal (``FieldExpr`` takes them as they are, under
-    ``_normalized=True``). Terms provide ``key``, ``coeff``, ``is_odd`` and
-    ``sort_key`` (the canonical term order); the term paths also read
-    ``FieldTerm.with_coeff``.
-    """
-
-    __slots__ = ("_terms",)
-
-    @classmethod
-    def _new(cls, terms: tuple):
-        return cls(terms, _normalized=True)
-
-    @classmethod
-    def zero(cls):
-        return cls._new(())
-
-    @classmethod
-    def combine(cls, pairs: Iterable):
-        """The sum of ``coeff * x`` over ``(coeff, x)`` pairs, merged and sorted once.
-
-        A chain of ``+`` would rebuild the running sum for every pair.
-        """
-        scaled = ((GaussRat.coerce(c), x) for c, x in pairs)
-        return cls._new(_merged((c * t.coeff, t) for c, x in scaled for t in x._terms))
-
-    # -- inspection ----------------------------------------------------------
-
-    @property
-    def terms(self) -> tuple:
-        return self._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __iter__(self) -> Iterator:
-        return iter(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._new(_merged([(t.coeff, t) for t in chain(self._terms, other._terms)]))
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._new(_merged(chain(((t.coeff, t) for t in self._terms),
-                                       ((-t.coeff, t) for t in other._terms))))
-
-    def __neg__(self):
-        return self._scaled(_MINUS_ONE)
-
-    def _scaled(self, c):
-        c = GaussRat.coerce(c)
-        if c.is_zero:
-            return self._new(())
-        return self._new(tuple(t.with_coeff(c * t.coeff) for t in self._terms))
-
-    def _times_scalar(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scaled(other)
-        return NotImplemented
-
-    __rmul__ = _times_scalar
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(1, 1) / other)
-        return NotImplemented
-
-    # -- selection -----------------------------------------------------------
-
-    def filter(self, keep):
-        """The sum of the terms for which ``keep(term)`` holds.
-
-        A predicate on terms reads the terms; ``OperatorExpr``'s parity
-        split and order windows select its graded entries instead.
-        """
-        kept = tuple(t for t in self._terms if keep(t))
-        return self if len(kept) == len(self._terms) else self._new(kept)
-
-    def parity_split(self):
-        """(even part, odd part) with respect to beta."""
-        return self.filter(lambda t: not t.is_odd), self.filter(lambda t: t.is_odd)
-
-    # -- comparison ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return len(self._terms) == len(other._terms) and all(
-            a.key == b.key and a.coeff == b.coeff
-            for a, b in zip(self._terms, other._terms))
-
-    def __hash__(self):
-        return hash(tuple((t.key, t.coeff) for t in self._terms))
-
-    def __repr__(self):
-        body = " + ".join(repr(t) for t in self._terms) or "0"
-        return f"<{type(self).__name__} {body}>"
-
-
-class OperatorExpr(SparseSum):
+class OperatorExpr:
     """Normalized sum of terms; the universal currency of the engine.
 
     Immutable. Every expression is a kernel result: it holds the product
     kernel's graded form (``_graded``, ``_any_form``), kept per order in
     ``_grades``, and nothing else. The constructor, ``word``, ``sym``,
     ``one``, ``zero``, records and unpickling normalize raw words straight
-    into it (``_normalize_raw``). Its operations read that form: sums,
-    products, selections, scaling, the adjoint, substitution, word queries
-    and equality; only a term predicate (``filter``) reads terms.
-    ``.terms``, a read-only view, is built from the form when first read
-    (``__getattr__``). Pickles and copies hold the terms and normalize them
-    again, so a form under the mass order is not kept.
+    into it (``_normalize_raw``). Every operation reads that form: sums,
+    products, selections, scaling, the adjoint, substitution, word queries,
+    ``len``, equality and hashing. ``.terms``, a read-only view in the
+    canonical term order, is built from the form when first read
+    (``__getattr__``); iteration and ``repr`` read it. Pickles and copies
+    hold the terms and normalize them again, so a form under the mass order
+    is not kept.
     """
 
-    __slots__ = ("_grades",)
+    __slots__ = ("_grades", "_terms")
 
     def __new__(cls, raw: Iterable = ()):
         return _normalize_raw(_rows(raw))
 
     @classmethod
-    def _new(cls, terms: tuple):
-        return _normalize_raw(_rows(terms))
+    def zero(cls) -> "OperatorExpr":
+        return _held(VELOCITY.kind, 1, [])
 
     def __getattr__(self, name):
         # Reached for an unset slot only: the terms, before they are read.
@@ -411,9 +273,27 @@ class OperatorExpr(SparseSum):
     def __reduce__(self):
         return type(self), (self.terms,)
 
+    # -- inspection ----------------------------------------------------------
+
+    @property
+    def terms(self) -> tuple:
+        return self._terms
+
     @property
     def is_zero(self) -> bool:
         return not _any_form(self)[1][1]
+
+    def __len__(self) -> int:
+        return len(_any_form(self)[1][1])
+
+    def __iter__(self) -> Iterator[Term]:
+        return iter(self._terms)
+
+    def __repr__(self):
+        body = " + ".join(map(repr, self._terms)) or "0"
+        return f"<OperatorExpr {body}>"
+
+    # -- linear structure ----------------------------------------------------
 
     @classmethod
     def combine(cls, pairs: Iterable) -> "OperatorExpr":
@@ -451,15 +331,28 @@ class OperatorExpr(SparseSum):
             return NotImplemented
         return OperatorExpr.combine(((ONE, self), (_MINUS_ONE, other)))
 
+    def __neg__(self):
+        return self._scaled(_MINUS_ONE)
+
     def _scaled(self, c):
         c = GaussRat.coerce(c)
         if c.is_zero:
-            return self._new(())
+            return OperatorExpr.zero()
         p, q = c._a, c._b
         kind, (d, entries, _, _) = _any_form(self)
         return _reduced_result(kind, d * c._d, [
             (o, rest, beta, p * a - q * b, p * b + q * a, m, h, grading)
             for o, rest, beta, a, b, m, h, grading in entries])
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction, GaussRat)):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(Fraction(1, 1) / other)
+        return NotImplemented
 
     # -- comparison: D and the numerators by word key ------------------------
 
@@ -521,7 +414,7 @@ class OperatorExpr(SparseSum):
 
     def __mul__(self, other):
         if not isinstance(other, OperatorExpr):
-            return self._times_scalar(other)
+            return self.__rmul__(other)
         return mul_trunc(self, other, VELOCITY, _NO_CAP)
 
     def __pow__(self, n: int) -> "OperatorExpr":
@@ -575,10 +468,11 @@ class OperatorExpr(SparseSum):
 # terms and graded again. Every other operation reads the graded form too:
 # ``OperatorExpr.combine`` (so ``+`` and ``-``) sums graded forms in one
 # integer accumulator and hands the sum on the same way; ``parity_split``,
-# ``truncate``, ``order_slice`` and ``min_order`` select entries, ``-x`` and
-# ``_scaled`` multiply numerators, each reduced by its content gcd
-# (``_reduced_result``); the adjoint maps each entry in place; a coefficient
-# is one key match and equality compares D and the numerators by key. Raw
+# ``truncate``, ``order_slice`` and ``min_order`` select entries; ``-x``,
+# scalar ``*`` and ``/`` (``_scaled``) multiply numerators, each reduced by
+# its content gcd (``_reduced_result``); the adjoint maps each entry in
+# place; ``len`` counts the entries, a coefficient is one key match, and
+# equality and the hash compare D and the numerators by key. Raw
 # words enter the same way: ``_normalize_raw`` sums integer rows in the
 # accumulator that ``combine`` fills and hands them on through ``_collect``.
 # ``_canonical_rows`` reads the form back in the canonical term order, for
@@ -832,7 +726,7 @@ def normalize(raw) -> OperatorExpr:
     return OperatorExpr(raw)
 
 
-def scale(c, x: SparseSum) -> SparseSum:
+def scale(c, x: OperatorExpr) -> OperatorExpr:
     return x._scaled(c)
 
 

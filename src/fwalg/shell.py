@@ -354,7 +354,8 @@ def render_text(expr: OperatorExpr) -> str:
         negative, mag = _sign_and_magnitude(t.coeff)
         sign = "-" if negative else "+"
         body = []
-        if mag != 1 or (not t.word and t.mass_power == 0 and t.hbar_power == 0):
+        # a unit coefficient stays when nothing, or only a 1/(mc^2) power, follows
+        if mag != 1 or (not t.word and t.mass_power >= 0 and t.hbar_power == 0):
             body.append(f"({mag})" if mag.im != 0 else str(mag))
         for name, power in _collapse_powers([s.name for s in t.word]):
             body.append(name if power == 1 else f"{name}^{power}")

@@ -12,13 +12,13 @@ from fwalg.opalg import (
 from fwalg.diracred import (
     BETA_ATOM, CliffordAtom, FieldAtom, FieldContext, FieldExpr, FieldTerm, GAMMA5,
     PiAtom, TAtom, UnreducedWord, _ID, _alpha, _normalize_field, _unit_mul, _word_of,
-    _term_sort_key, alpha_atom,
+    alpha_atom,
     a_atom, b_field, div_e, e_field, field_term, instantiate, phi_atom,
     polarization, reference_field_hamiltonian, sigma_atom,
 )
 from fwalg import reference as ref
 
-from conftest import rand_expr
+from conftest import rand_coeff, rand_expr
 
 
 # -- explicit Dirac-representation matrices -----------------------------------------
@@ -275,7 +275,7 @@ def _normalize_by_restart(raw):
             acc[key] = coeff0 * coeff if prev is None else prev + coeff0 * coeff
     terms = [FieldTerm(c, key[4], key[5], key[6], key[7], key[3], key[0], key[1], key[2])
              for key, c in acc.items() if not c.is_zero]
-    return sorted(terms, key=_term_sort_key)
+    return sorted(terms, key=lambda t: t.sort_key)
 
 
 def _random_atom(rng):
@@ -298,6 +298,60 @@ def test_normalize_field_equals_restarting_reducer(rng):
                for _ in range(rng.randint(1, 3))]
         assert ([(t.key, t.coeff) for t in _normalize_field(raw)]
                 == [(t.key, t.coeff) for t in _normalize_by_restart(raw)]), raw
+
+
+# -- sums: one pass of the term merge ------------------------------------------------
+
+_FIELD_PIECES = [field_term(1, atoms) for atoms in (
+    (), (BETA_ATOM,), (sigma_atom(1),), (PiAtom(2),), (phi_atom(),), (a_atom(3), sigma_atom(3)))]
+
+
+def _rand_field(rng):
+    return FieldExpr.combine((rand_coeff(rng), rng.choice(_FIELD_PIECES))
+                             for _ in range(rng.randint(0, 4)))
+
+
+def _dict_merge(x, y):
+    """x + y by a dict merge of the terms, one term per key, sorted."""
+    if not y.terms:
+        return x
+    if not x.terms:
+        return y
+    acc = {t.key: t for t in x.terms}
+    for t in y.terms:
+        prev = acc.get(t.key)
+        acc[t.key] = t if prev is None else prev.with_coeff(prev.coeff + t.coeff)
+    terms = sorted((t for t in acc.values() if not t.coeff.is_zero), key=lambda t: t.sort_key)
+    return FieldExpr(tuple(terms), _normalized=True)
+
+
+def test_add_and_sub_equal_the_dict_merge(rng):
+    # the terms are compared in order, so the sort is checked too
+    empty = FieldExpr.zero()
+    cancelled = 0
+    for _ in range(200):
+        x, y = _rand_field(rng), _rand_field(rng)
+        for a, b in ((x, y), (x, empty), (empty, y), (x, x), (x, -x), (x, x + y)):
+            total, difference = a + b, a - b
+            for out, oracle in ((total, _dict_merge(a, b)), (difference, _dict_merge(a, -b))):
+                assert out == oracle
+                assert [(t.key, t.coeff) for t in out.terms] == [
+                    (t.key, t.coeff) for t in oracle.terms]
+            cancelled += total.is_zero + difference.is_zero
+    assert cancelled >= 400
+
+
+def test_unmerged_left_terms_come_back_as_the_same_objects(rng):
+    for _ in range(100):
+        x, y = _rand_field(rng), _rand_field(rng)
+        right = {t.key for t in y}
+        for out in (x + y, x - y):
+            by_key = {t.key: t for t in out}
+            for t in x:
+                if t.key not in right:
+                    assert by_key[t.key] is t
+        for t, u in zip(y, FieldExpr.zero() + y):
+            assert t is u
 
 
 def branch_expansion(abstract, ctx=FieldContext(), max_field_order=None):

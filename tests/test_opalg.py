@@ -12,9 +12,8 @@ from fwalg.opalg import (
     BETA, E, F, MASS, MC2, O, VELOCITY, NonIncreasingOrder, OperatorExpr,
     OperatorSymbol, SymbolRegistry, DuplicateSymbol, ad_exp_conjugate, anticommutator,
     commutator, exp_series, mul_trunc, normalize, one, scale, sym, word, zero,
-    Term, _canonical_rows, _graded, _normalize_raw, _term_sort_key, _terms_of,
+    Term, _canonical_rows, _graded, _normalize_raw, _terms_of,
 )
-from fwalg.diracred import BETA_ATOM, FieldExpr, PiAtom, a_atom, field_term, phi_atom, sigma_atom
 from fwalg.shell import parse_record, parse_spec, serialize_record
 
 from conftest import (
@@ -368,7 +367,7 @@ def _assert_grading_fresh(x):
     keys = []
     for t in x.terms:
         fresh = _fresh_grading(t)
-        assert (t.vc_order, t.is_odd, _term_sort_key(t)) == fresh
+        assert (t.vc_order, t.is_odd, t.sort_key) == fresh
         assert t.order(VELOCITY) == fresh[0]
         assert t.order(MASS) == t.mass_power
         keys.append(fresh[2])
@@ -382,7 +381,7 @@ def test_term_caches_match_recomputation(rng):
         derived = [
             x * y, y * x, mul_trunc(x, y, VELOCITY, k), mul_trunc(y, x, MASS, k - 2),
             x + y, x - y, -x, scale(I, x), x.adjoint(), x.adjoint() + y,
-            x.filter(lambda t: t.is_odd), y.truncate(VELOCITY, k),
+            y.truncate(VELOCITY, k),
             commutator(x, y, VELOCITY, k), commutator(x, y), commutator(y, x, MASS, k - 2),
             commutator(x, x + y), commutator(x + y, x, VELOCITY, k), *x.parity_split(),
             OperatorExpr(tuple(_recoeff(t, 2 * t.coeff) for t in x.terms)),
@@ -393,6 +392,7 @@ def test_term_caches_match_recomputation(rng):
         for z in derived:
             _assert_grading_fresh(z)
             _assert_grading_fresh(z + x)
+            assert len(z) == len(z.terms)
 
 
 _Q = OperatorSymbol("Q", "odd", 3)
@@ -586,10 +586,8 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
 # -- the term path of each operation, kept as the graded operations' oracle ---------
 
 def _recoeff(t, c):
-    """t with coefficient c: a ``Term`` copied, a ``FieldTerm`` by its ``with_coeff``."""
-    if isinstance(t, Term):
-        return Term(c, t.mass_power, t.hbar_power, t.word, t.vc_order, t.is_odd, t.sort_key[3])
-    return t.with_coeff(c)
+    """The ``Term`` t with coefficient c."""
+    return Term(c, t.mass_power, t.hbar_power, t.word, t.vc_order, t.is_odd, t.sort_key[3])
 
 
 def _from_terms(terms):
@@ -620,7 +618,7 @@ def _term_adjoint(x):
         else:
             w, names = w[::-1], names[::-1]
         terms.append(Term(c, t.mass_power, t.hbar_power, w, t.vc_order, t.is_odd, names))
-    terms.sort(key=_term_sort_key)
+    terms.sort(key=lambda t: t.sort_key)
     return _from_terms(terms)
 
 
@@ -656,9 +654,10 @@ def _kernel_results(x, y, k):
 
 def test_selection_on_the_graded_form_equals_term_selection(rng):
     # velocity and mass kernel results of products, brackets and sums, each
-    # selected, scaled and negated under both schemes while its terms are
-    # unread; the oracle is the term path on the same terms. A window under
-    # the scheme a result is not graded by re-sorts its form, kept beside it.
+    # selected, scaled, negated and counted under both schemes while its
+    # terms are unread; the oracle is the term path on the same terms. A
+    # window under the scheme a result is not graded by re-sorts its form,
+    # kept beside it.
     schemes = {"velocity": VELOCITY, "mass": MASS}
     seen = set()
     for _ in range(40):
@@ -681,7 +680,10 @@ def test_selection_on_the_graded_form_equals_term_selection(rng):
                         lambda z: (_term_filter(z, lambda t: not t.is_odd),
                                    _term_filter(z, lambda t: t.is_odd))),
                        (lambda z: -z, lambda z: _term_scaled(z, -1)),
-                       (lambda z: scale(c, z), lambda z: _term_scaled(z, c))]
+                       (lambda z: scale(c, z), lambda z: _term_scaled(z, c)),
+                       (lambda z: 2 * z, lambda z: _term_scaled(z, 2)),
+                       (lambda z: z / 3, lambda z: _term_scaled(z, Fraction(1, 3))),
+                       (len, lambda z: len(z.terms))]
                 ops += [(lambda z, n=n: z.truncate(scheme, n), window(-10 ** 9, n))
                         for n in cuts]
                 ops += [(lambda z, n=n: z.order_slice(scheme, n), window(n, n)) for n in cuts]
@@ -712,9 +714,9 @@ def test_selection_on_the_graded_form_equals_term_selection(rng):
 
 
 def test_graded_queries_equal_the_term_path(rng):
-    # adjoint, coefficient, contains_symbol, == and hash on velocity and mass
-    # kernel results, raw operands among them, against the term path each
-    # replaced; a result's terms stay unbuilt throughout
+    # adjoint, coefficient, contains_symbol, len, == and hash on velocity
+    # and mass kernel results, raw operands among them, against the term
+    # path each replaced; a result's terms stay unbuilt throughout
     q = OperatorSymbol("Q", "odd", 3)
     symbols = (BETA, O, F, E, MC2, q)
     schemes = {"velocity": VELOCITY, "mass": MASS}
@@ -743,6 +745,9 @@ def test_graded_queries_equal_the_term_path(rng):
                 assert z.coefficient(w, m, h) == _term_coefficient(oracle, w, m, h)
             for s in symbols:
                 assert z.contains_symbol(s) == _term_contains_symbol(oracle, s)
+            assert z == oracle and hash(z) == hash(oracle) and len(z) == len(oracle.terms)
+            nothing = OperatorExpr.zero()
+            assert (z == nothing) == (len(z) == 0) and not terms_built(nothing)
             assert not terms_built(z)
             pool += [z, oracle, adj]
     # equal values in different forms (re-graded, scaled back, summed with
@@ -764,17 +769,8 @@ def test_graded_queries_equal_the_term_path(rng):
     assert kinds == set(schemes)
 
 
-_FIELD_PIECES = [field_term(1, atoms) for atoms in (
-    (), (BETA_ATOM,), (sigma_atom(1),), (PiAtom(2),), (phi_atom(),), (a_atom(3), sigma_atom(3)))]
-
-
-def _rand_field(rng):
-    return FieldExpr.combine((rand_coeff(rng), rng.choice(_FIELD_PIECES))
-                             for _ in range(rng.randint(0, 4)))
-
-
 def _dict_merge(x, y):
-    """x + y by the dict merge ``SparseSum.__add__`` ran before ``_merged``."""
+    """x + y by a dict merge of the terms, one term per key, sorted."""
     if not y.terms:
         return x
     if not x.terms:
@@ -783,19 +779,16 @@ def _dict_merge(x, y):
     for t in y.terms:
         prev = acc.get(t.key)
         acc[t.key] = t if prev is None else _recoeff(prev, prev.coeff + t.coeff)
-    terms = sorted((t for t in acc.values() if not t.coeff.is_zero), key=_term_sort_key)
-    return type(x)._new(tuple(terms))
+    terms = sorted((t for t in acc.values() if not t.coeff.is_zero), key=lambda t: t.sort_key)
+    return OperatorExpr(tuple(terms))
 
 
-@pytest.mark.parametrize("algebra", ["operator", "field"])
-def test_add_and_sub_equal_the_dict_merge(rng, algebra):
+def test_add_and_sub_equal_the_dict_merge(rng):
     # the terms are compared in order, so the sort is checked too
-    draw = (lambda: rand_expr(rng, max_terms=4)) if algebra == "operator" else (
-        lambda: _rand_field(rng))
-    empty = type(draw()).zero()
+    empty = zero()
     cancelled = 0
     for _ in range(200):
-        x, y = draw(), draw()
+        x, y = rand_expr(rng, max_terms=4), rand_expr(rng, max_terms=4)
         for a, b in ((x, y), (x, empty), (empty, y), (x, x), (x, -x), (x, x + y)):
             total, difference = a + b, a - b
             for out, oracle in ((total, _dict_merge(a, b)), (difference, _dict_merge(a, -b))):
@@ -804,21 +797,6 @@ def test_add_and_sub_equal_the_dict_merge(rng, algebra):
                     (t.key, t.coeff) for t in oracle.terms]
             cancelled += total.is_zero + difference.is_zero
     assert cancelled >= 400
-
-
-def test_unmerged_left_terms_come_back_as_the_same_objects(rng):
-    # the term merge of FieldExpr; OperatorExpr's sums build their terms anew
-    # from the graded form
-    for _ in range(100):
-        x, y = _rand_field(rng), _rand_field(rng)
-        right = {t.key for t in y}
-        for out in (x + y, x - y):
-            by_key = {t.key: t for t in out}
-            for t in x:
-                if t.key not in right:
-                    assert by_key[t.key] is t
-        for t, u in zip(y, FieldExpr.zero() + y):
-            assert t is u
 
 
 def test_mass_order_of_rest_term():

@@ -144,6 +144,15 @@ def test_render_text_deterministic_and_readable():
     assert render_text(y) == "beta m c^2 + E"
 
 
+def test_render_text_keeps_the_unit_coefficient_of_a_bare_mass_power():
+    h = parse_spec("H = -m^-1 + beta*m + O;").hamiltonian
+    assert render_text(h) == "- 1 /(m c^2) + beta m c^2 + O"
+    assert render_latex(h) == r"-\frac{1}{mc^2}+\beta mc^2+{\cal O}"
+    assert render_text(word(1, [], mass_power=2)) == "1 /(m^2 c^4)"
+    assert render_text(word(-1, [], mass_power=2)) == "- 1 /(m^2 c^4)"
+    assert render_text(word(3, [], mass_power=1)) == "3 /(m c^2)"
+
+
 def test_render_latex_negative_power_and_hbar():
     x = word(Fraction(-5, 128), [BETA] + [O] * 8, mass_power=7)
     out = render_latex(x)
