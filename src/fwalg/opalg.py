@@ -206,7 +206,7 @@ def _normalize_raw(rows: Sequence) -> "OperatorExpr":
     for a, b, d, mass, hbar, word in rows:
         beta = odd = flip = False
         vc = 0
-        rest, names = [], []
+        rest = []
         for s in word:
             if s is BETA:
                 flip ^= odd
@@ -217,12 +217,11 @@ def _normalize_raw(rows: Sequence) -> "OperatorExpr":
                 vc += s.weight_vc
                 odd ^= s.is_odd
                 rest.append(s)
-                names.append(s.name)
         lift = -big // d if flip else big // d
         key = (tuple(rest), beta, mass, hbar)
         prev = acc.get(key)
         if prev is None:
-            acc[key] = [a * lift, b * lift, (vc, odd, tuple(names)), _UNGRADED]
+            acc[key] = [a * lift, b * lift, (vc, odd), _UNGRADED]
         else:
             prev[0] += a * lift
             prev[1] += b * lift
@@ -242,19 +241,21 @@ class OperatorExpr:
     """Normalized sum of terms; the universal currency of the engine.
 
     Immutable. Every expression is a kernel result: it holds the product
-    kernel's graded form (``_graded``, ``_any_form``), kept per order in
-    ``_grades``, and nothing else. The constructor, ``word``, ``sym``,
-    ``one``, ``zero``, records and unpickling normalize raw words straight
-    into it (``_normalize_raw``). Every operation reads that form: sums,
-    products, selections, scaling, the adjoint, substitution, word queries,
-    ``len``, equality and hashing. ``.terms``, a read-only view in the
-    canonical term order, is built from the form when first read
-    (``__getattr__``); iteration and ``repr`` read it. Pickles and copies
-    hold the terms and normalize them again, so a form under the mass order
-    is not kept.
+    kernel's graded form and nothing derived from it. That form is the
+    scheme kind whose order sorts the entries (``_kind``), the common
+    denominator D (``_d``) and the sorted entries (``_entries``); see
+    ``_graded``. The constructor, ``word``, ``sym``, ``one``, ``zero``,
+    records and unpickling normalize raw words straight into it
+    (``_normalize_raw``). Every operation reads that form: sums, products,
+    selections, scaling, the adjoint, substitution, word queries, ``len``,
+    equality and hashing. Two views are built when first read
+    (``__getattr__``) and kept: ``_other``, the entries re-sorted under the
+    other scheme's order, and ``.terms``, a read-only view in the canonical
+    term order, which iteration and ``repr`` read. Pickles and copies hold
+    the terms and normalize them again, so neither view is kept.
     """
 
-    __slots__ = ("_grades", "_terms")
+    __slots__ = ("_kind", "_d", "_entries", "_other", "_terms")
 
     def __new__(cls, raw: Iterable = ()):
         return _normalize_raw(_rows(raw))
@@ -264,11 +265,16 @@ class OperatorExpr:
         return _held(VELOCITY.kind, 1, [])
 
     def __getattr__(self, name):
-        # Reached for an unset slot only: the terms, before they are read.
-        if name != "_terms":
+        # Reached for an unset slot only: a view, before it is first read.
+        if name == "_terms":
+            value = _terms_of(*_canonical_rows(self))
+        elif name == "_other":
+            order = _OTHER_ORDER[self._kind]
+            value = sorted([(order(e),) + e[1:] for e in self._entries], key=_entry_order)
+        else:
             raise AttributeError(name)
-        terms = self._terms = _terms_of(*_canonical_rows(self))
-        return terms
+        setattr(self, name, value)
+        return value
 
     def __reduce__(self):
         return type(self), (self.terms,)
@@ -281,10 +287,10 @@ class OperatorExpr:
 
     @property
     def is_zero(self) -> bool:
-        return not _any_form(self)[1][1]
+        return not self._entries
 
     def __len__(self) -> int:
-        return len(_any_form(self)[1][1])
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self._terms)
@@ -304,13 +310,13 @@ class OperatorExpr:
         leaves through ``_collect`` like a product, graded under the first
         operand's kind. No ``GaussRat`` is formed per input term.
         """
-        forms = [(GaussRat.coerce(c), *_any_form(x)) for c, x in pairs]
-        big = lcm(*(c._d * form[0] for c, _, form in forms))
+        pairs = [(GaussRat.coerce(c), x) for c, x in pairs]
+        big = lcm(*(c._d * x._d for c, x in pairs))
         acc: dict = {}
-        for c, _, (d, entries, _, _) in forms:
-            lift = big // (c._d * d)
+        for c, x in pairs:
+            lift = big // (c._d * x._d)
             p, q = c._a * lift, c._b * lift
-            for _, rest, beta, a, b, m, h, grading in entries:
+            for _, rest, beta, a, b, m, h, grading in x._entries:
                 key = (rest, beta, m, h)
                 re, im = p * a - q * b, p * b + q * a
                 prev = acc.get(key)
@@ -319,7 +325,7 @@ class OperatorExpr:
                 else:
                     prev[0] += re
                     prev[1] += im
-        return _collect(acc, big, forms[0][1] if forms else VELOCITY.kind)
+        return _collect(acc, big, pairs[0][1]._kind if pairs else VELOCITY.kind)
 
     def __add__(self, other):
         if not isinstance(other, OperatorExpr):
@@ -339,10 +345,9 @@ class OperatorExpr:
         if c.is_zero:
             return OperatorExpr.zero()
         p, q = c._a, c._b
-        kind, (d, entries, _, _) = _any_form(self)
-        return _reduced_result(kind, d * c._d, [
+        return _reduced_result(self._kind, self._d * c._d, [
             (o, rest, beta, p * a - q * b, p * b + q * a, m, h, grading)
-            for o, rest, beta, a, b, m, h, grading in entries])
+            for o, rest, beta, a, b, m, h, grading in self._entries])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -371,21 +376,21 @@ class OperatorExpr:
                     mass_power: int = 0, hbar_power: int = 0) -> GaussRat:
         w = tuple(word_syms)
         beta = w[:1] == (BETA,)
-        key = (w[1:] if beta else w, mass_power, hbar_power)
-        d, _, plain, crossed = _any_form(self)[1]
-        for _, rest, _, a, b, m, h, _ in crossed if beta else plain:
-            if (rest, m, h) == key:
-                return _reduced(a, b, d)
+        key = (w[1:] if beta else w, beta, mass_power, hbar_power)
+        for _, rest, has_beta, a, b, m, h, _ in self._entries:
+            if (rest, has_beta, m, h) == key:
+                return _reduced(a, b, self._d)
         return ZERO
 
     def contains_symbol(self, s: OperatorSymbol) -> bool:
-        _, entries, _, crossed = _any_form(self)[1]
-        return bool(crossed) if s is BETA else any(s in e[1] for e in entries)
+        if s is BETA:
+            return any(e[2] for e in self._entries)
+        return any(s in e[1] for e in self._entries)
 
     # -- selection -----------------------------------------------------------
 
     def min_order(self, scheme: WeightScheme):
-        entries = _graded(self, scheme)[1]
+        entries = _graded(self, scheme)
         return entries[0][0] if entries else None
 
     def truncate(self, scheme: WeightScheme, max_order: int) -> "OperatorExpr":
@@ -396,19 +401,16 @@ class OperatorExpr:
 
     def _window(self, scheme: WeightScheme, low: int, high: int) -> "OperatorExpr":
         """The terms of order low..high under scheme: one slice of its sorted form."""
-        form = _graded(self, scheme)
-        entries = form[1]
-        return _kept(self, scheme.kind, form,
-                     entries[bisect_left(entries, low, key=_entry_order):
-                             bisect_right(entries, high, key=_entry_order)])
+        entries = _graded(self, scheme)
+        return _kept(self, scheme.kind, entries[bisect_left(entries, low, key=_entry_order):
+                                                bisect_right(entries, high, key=_entry_order)])
 
     def parity_split(self):
         """(even part, odd part) with respect to beta."""
-        kind, form = _any_form(self)
         even, odd = [], []
-        for e in form[1]:
+        for e in self._entries:
             (odd if e[7][1] else even).append(e)
-        return _kept(self, kind, form, even), _kept(self, kind, form, odd)
+        return _kept(self, self._kind, even), _kept(self, self._kind, odd)
 
     # -- word products -------------------------------------------------------
 
@@ -434,11 +436,10 @@ class OperatorExpr:
         bijection on normal words that keeps every order, so nothing merges
         and the entries stay sorted.
         """
-        kind, (d, entries, _, _) = _any_form(self)
-        return _held(kind, d, [
-            (o, rest[::-1], beta, -a, b, m, h, (vc, odd, names[::-1])) if beta and odd else
-            (o, rest[::-1], beta, a, -b, m, h, (vc, odd, names[::-1]))
-            for o, rest, beta, a, b, m, h, (vc, odd, names) in entries])
+        return _held(self._kind, self._d, [
+            (o, rest[::-1], beta, -a, b, m, h, g) if beta and g[1] else
+            (o, rest[::-1], beta, a, -b, m, h, g)
+            for o, rest, beta, a, b, m, h, g in self._entries])
 
     def subs_symbol(self, old: OperatorSymbol, new: OperatorSymbol) -> "OperatorExpr":
         """Every ``old`` in the words replaced by ``new`` of the same parity.
@@ -449,10 +450,10 @@ class OperatorExpr:
         """
         if old.parity != new.parity:
             raise AlgebraError("substitution must preserve parity")
-        d, entries = _any_form(self)[1][:2]
+        d = self._d
         return _normalize_raw([
             (a, b, d, m, h, tuple(new if s is old else s for s in (BETA,) * beta + rest))
-            for _, rest, beta, a, b, m, h, _ in entries])
+            for _, rest, beta, a, b, m, h, _ in self._entries])
 
 
 # -- the product kernel --------------------------------------------------------
@@ -460,96 +461,69 @@ class OperatorExpr:
 # Every word product goes through ``_accumulate`` and ``_collect``, and works
 # on graded forms: an operand's coefficients as integer numerators over one
 # common denominator, its terms sorted by order, each with its word split
-# into a beta flag and the rest, and the rest's grading. A pair product is
-# four integer multiplies, sums are plain integers, and each output term's
-# grading is read from its two factors, not from its word. ``_collect`` hands
-# the product on in the same graded form, reduced by one content gcd, so a
-# bracket or a series power that feeds the next product is never turned into
-# terms and graded again. Every other operation reads the graded form too:
-# ``OperatorExpr.combine`` (so ``+`` and ``-``) sums graded forms in one
-# integer accumulator and hands the sum on the same way; ``parity_split``,
-# ``truncate``, ``order_slice`` and ``min_order`` select entries; ``-x``,
-# scalar ``*`` and ``/`` (``_scaled``) multiply numerators, each reduced by
-# its content gcd (``_reduced_result``); the adjoint maps each entry in
-# place; ``len`` counts the entries, a coefficient is one key match, and
-# equality and the hash compare D and the numerators by key. Raw
+# into a beta flag and the rest, and the rest's grading, its v/c order and
+# parity. A pair product is four integer multiplies, sums are plain integers,
+# and each output term's grading is read from its two factors, not from its
+# word. ``_collect`` hands the product on in the same graded form, reduced by
+# one content gcd, so a bracket or a series power that feeds the next product
+# is never turned into terms and graded again. Every other operation reads
+# the graded form too: ``OperatorExpr.combine`` (so ``+`` and ``-``) sums
+# graded forms in one integer accumulator and hands the sum on the same way;
+# ``parity_split``, ``truncate``, ``order_slice`` and ``min_order`` select
+# entries; ``-x``, scalar ``*`` and ``/`` (``_scaled``) multiply numerators,
+# each reduced by its content gcd (``_reduced_result``); the adjoint maps
+# each entry in place; ``len`` counts the entries, a coefficient is one key
+# match, and equality and the hash compare D and the numerators by key. Raw
 # words enter the same way: ``_normalize_raw`` sums integer rows in the
 # accumulator that ``combine`` fills and hands them on through ``_collect``.
-# ``_canonical_rows`` reads the form back in the canonical term order, for
-# ``_terms_of`` and for the record codec, which writes each coefficient's
-# parts from the numerators and D and reads a record straight into rows. So
-# every expression holds a graded form from the start, and terms and
-# ``GaussRat``s are built only for an expression whose terms or
-# coefficients are read.
+# ``_canonical_rows`` reads the form back in the canonical term order, with
+# each word's names read off its symbols, for ``_terms_of`` and for the
+# record codec, which writes each coefficient's parts from the numerators
+# and D and reads a record straight into rows. So every expression holds a
+# graded form from the start, and names, terms and ``GaussRat``s are built
+# only for an expression whose terms or coefficients are read.
 #
 # The order of a graded form is its scheme's: velocity reads ``vc_order``,
-# mass ``mass_power``; a form asked for under the other scheme is re-sorted.
-# An uncapped product is the velocity product under a cap that no pair
-# reaches, so an operand multiplied both ways is graded once.
+# mass ``mass_power``; a form asked for under the other scheme is re-sorted
+# once and kept. An uncapped product is the velocity product under a cap
+# that no pair reaches, so an operand multiplied both ways is graded once.
 
 _NO_CAP = sys.maxsize
 _entry_order = itemgetter(0)
+_name = attrgetter("name")
 #: The grading of the empty word: a sum's entries pair with it in ``_collect``.
-_UNGRADED = (0, False, ())
+_UNGRADED = (0, False)
+#: An entry's order under the scheme other than its form's kind.
+_OTHER_ORDER = {VELOCITY.kind: itemgetter(5), MASS.kind: lambda e: e[7][0]}
 
 
-def _form(d: int, entries: list) -> tuple:
-    """The graded form ``(D, entries, plain, crossed)`` of entries over D.
+def _graded(x: OperatorExpr, scheme: WeightScheme) -> list:
+    """x's graded entries, sorted by the order of ``scheme``.
 
-    ``plain`` and ``crossed`` are the entries without and with a beta, in
-    the same order.
+    Each coefficient is ``(a + b*i)/D``, with D (``x._d``) the lcm of the
+    terms' reduced denominators. Each entry is one term, ``(order, rest,
+    has beta, a, b, mass, hbar, grading)``, where ``rest`` is the word
+    without its leading beta and ``grading`` the rest's ``(vc_order,
+    is_odd)``; beta is even and of weight zero, so the rest's order and
+    parity are the term's. x holds its entries sorted under ``x._kind``;
+    under the other scheme they are x's ``_other`` view, re-sorted when
+    first asked for.
     """
-    return (d, entries, [e for e in entries if not e[2]], [e for e in entries if e[2]])
-
-
-def _graded(x: OperatorExpr, scheme: WeightScheme) -> tuple:
-    """x's graded form under the order of ``scheme``, built once and kept on x.
-
-    Each coefficient is ``(a + b*i)/D`` with D the lcm of the terms'
-    reduced denominators. ``entries`` holds one tuple per term, sorted by
-    order: ``(order, rest, has beta, a, b, mass, hbar, grading)``, where
-    ``rest`` is the word without its leading beta and ``grading`` the rest's
-    ``(vc_order, is_odd, names)``; beta is even and of weight zero, so the
-    rest's order and parity are the term's. ``x._grades`` keys the forms by
-    the scheme's kind; a form under the other kind is the kept one re-sorted
-    by this one's order (``_ENTRY_ORDERS``).
-    """
-    grades = x._grades
-    out = grades.get(scheme.kind)
-    if out is None:
-        d, held = next(iter(grades.values()))[:2]
-        order = _ENTRY_ORDERS[scheme.kind]
-        entries = [(order(e),) + e[1:] for e in held]
-        entries.sort(key=_entry_order)
-        out = grades[scheme.kind] = _form(d, entries)
-    return out
-
-
-def _any_form(x: OperatorExpr) -> tuple:
-    """``(kind, form)``: the first graded form x holds and its scheme's kind.
-
-    A sum does not read the order, so any kept form serves.
-    """
-    return next(iter(x._grades.items()))
-
-
-#: An entry's order under each scheme, whatever the kind of its form.
-_ENTRY_ORDERS = {VELOCITY.kind: lambda e: e[7][0], MASS.kind: itemgetter(5)}
+    return x._entries if scheme.kind == x._kind else x._other
 
 
 def _keyed(x: OperatorExpr) -> tuple:
-    """``(D, {(rest, has beta, mass, hbar): (a, b)})``: x's value, read from any form.
+    """``(D, {(rest, has beta, mass, hbar): (a, b)})``: x's value, whatever its form's kind.
 
-    D is the lcm of the reduced denominators in every form, so equal
-    expressions give equal pairs whatever their forms' kinds.
+    D is the lcm of the reduced denominators, so equal expressions give
+    equal pairs.
     """
-    d, entries = _any_form(x)[1][:2]
-    return d, {(rest, beta, m, h): (a, b) for _, rest, beta, a, b, m, h, _ in entries}
+    return x._d, {(rest, beta, m, h): (a, b) for _, rest, beta, a, b, m, h, _ in x._entries}
 
 
-def _kept(x: OperatorExpr, kind: str, form: tuple, kept: list) -> OperatorExpr:
-    """x if ``kept`` holds all of the entries of x's ``form``, else their kernel result."""
-    return x if len(kept) == len(form[1]) else _reduced_result(kind, form[0], kept)
+def _kept(x: OperatorExpr, kind: str, kept: list) -> OperatorExpr:
+    """x if ``kept`` holds all of x's entries, else their kernel result under ``kind``."""
+    return x if len(kept) == len(x._entries) else _reduced_result(kind, x._d, kept)
 
 
 def _reduced_result(kind: str, d: int, entries: list) -> OperatorExpr:
@@ -570,15 +544,15 @@ def _reduced_result(kind: str, d: int, entries: list) -> OperatorExpr:
 
 
 def _held(kind: str, d: int, entries: list) -> OperatorExpr:
-    """A kernel result holding the graded form of entries over d and no terms."""
+    """A kernel result holding entries over d, sorted by the order of ``kind``, and no views."""
     out = object.__new__(OperatorExpr)
-    out._grades = {kind: _form(d, entries)}
+    out._kind, out._d, out._entries = kind, d, entries
     return out
 
 
-def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
+def _accumulate(acc: dict, left: list, right: list, cap: int,
                 negate: bool = False) -> dict:
-    """Add the pair products of two graded operands of order <= cap into acc.
+    """Add the pair products of two operands' graded entries of order <= cap into acc.
 
     acc maps each output key ``(rest, has beta, mass, hbar)`` to ``[a, b,
     left grading, right grading]``: the summed numerator over ``D_left *
@@ -586,15 +560,17 @@ def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
     ``negate`` the products are subtracted. Both words are normal, so a pair
     multiplies in O(1): the left beta stays leftmost, a right beta crosses
     the left rest (one sign per odd factor there) and the two betas cancel
-    or leave one. The output rest is the left rest followed by the right
-    one. Each list is sorted by order, so each loop stops at the first pair
-    over the cap.
+    or leave one. The right entries are split by beta first, so that sign
+    is taken once per left entry. The output rest is the left rest followed
+    by the right one. Each list is sorted by order, so each loop stops at
+    the first pair over the cap.
     """
-    _, _, plain, crossed = right
-    if not (plain or crossed):
+    if not right:
         return acc
-    room = cap - min(part[0][0] for part in (plain, crossed) if part)
-    for oa, rest_a, beta_a, a, b, ma, ha, ga in left[1]:
+    plain = [e for e in right if not e[2]]
+    crossed = [e for e in right if e[2]]
+    room = cap - right[0][0]
+    for oa, rest_a, beta_a, a, b, ma, ha, ga in left:
         if oa > room:
             break
         if negate:
@@ -619,11 +595,11 @@ def _accumulate(acc: dict, left: tuple, right: tuple, cap: int,
 def _collect(acc: dict, d: int, kind: str) -> OperatorExpr:
     """The kernel result of an ``_accumulate`` dict whose numerators are over d.
 
-    Terms whose sums cancel are dropped. The others become the graded form
-    under the scheme of ``kind``: numerators and d divided by their one
-    content gcd, so d is the lcm of the reduced denominators; order, parity
-    and names are the sum, XOR and concatenation of the factors'. The
-    result holds that form only; its terms are built when first read.
+    Terms whose sums cancel are dropped. The others become the graded
+    entries under the scheme of ``kind``: numerators and d divided by their
+    one content gcd, so d is the lcm of the reduced denominators; order and
+    parity are the sum and XOR of the factors'. The result holds that form
+    only; its terms are built when first read.
     """
     g = d
     for v in acc.values():
@@ -636,7 +612,7 @@ def _collect(acc: dict, d: int, kind: str) -> OperatorExpr:
         if a or b:
             vc = ga[0] + gb[0]
             entries.append((m if mass else vc, rest, beta, a // g, b // g,
-                            m, h, (vc, ga[1] ^ gb[1], ga[2] + gb[2])))
+                            m, h, (vc, ga[1] ^ gb[1])))
     entries.sort(key=_entry_order)
     return _held(kind, d // g, entries)
 
@@ -645,19 +621,19 @@ def _canonical_rows(x: OperatorExpr) -> tuple:
     """``(D, rows)``: x's graded entries over D, in the canonical term order.
 
     Each row is ``(sort key, word, a, b, vc_order, is_odd)`` for the term
-    ``(a + b*i)/D * word``, with "beta" put back in front of the word and
-    the names when the entry has one. The sort key ``(mass, hbar, word
-    length, names)`` is the canonical term order; ``_terms_of`` and the
-    record codec both read these rows, so the order is defined here alone.
+    ``(a + b*i)/D * word``, with beta put back in front of the word when the
+    entry has one. The sort key ``(mass, hbar, word length, names)``, with
+    the names read off the word, is the canonical term order; ``_terms_of``
+    and the record codec both read these rows, so the order is defined here
+    alone.
     """
-    d, entries = _any_form(x)[1][:2]
     rows = []
-    for _, rest, beta, a, b, m, h, (vc, odd, names) in entries:
+    for _, rest, beta, a, b, m, h, (vc, odd) in x._entries:
         if beta:
-            rest, names = (BETA,) + rest, ("beta",) + names
-        rows.append(((m, h, len(rest), names), rest, a, b, vc, odd))
+            rest = (BETA,) + rest
+        rows.append(((m, h, len(rest), tuple(map(_name, rest))), rest, a, b, vc, odd))
     rows.sort(key=_entry_order)
-    return d, rows
+    return x._d, rows
 
 
 def _terms_of(d: int, rows: list) -> tuple:
@@ -685,8 +661,8 @@ def mul_trunc(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
     Both weight schemes are additive, so a pair's order is the sum of its
     factors' orders, each computed once per operand.
     """
-    left, right = _graded(a, scheme), _graded(b, scheme)
-    return _collect(_accumulate({}, left, right, max_order), left[0] * right[0], scheme.kind)
+    acc = _accumulate({}, _graded(a, scheme), _graded(b, scheme), max_order)
+    return _collect(acc, a._d * b._d, scheme.kind)
 
 
 # -- construction helpers ----------------------------------------------------
@@ -744,7 +720,7 @@ def commutator(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme | None = N
     left, right = _graded(a, scheme), _graded(b, scheme)
     acc = _accumulate(_accumulate({}, left, right, max_order), right, left, max_order,
                       negate=True)
-    return _collect(acc, left[0] * right[0], scheme.kind)
+    return _collect(acc, a._d * b._d, scheme.kind)
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:

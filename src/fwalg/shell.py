@@ -372,6 +372,14 @@ def render_text(expr: OperatorExpr) -> str:
     return text[2:] if text.startswith("+ ") else text
 
 
+def _tex_power(base: str, k: int) -> str:
+    """base^k in LaTeX: no exponent for k = 1, braces around one of two or more characters."""
+    if k == 1:
+        return base
+    exponent = str(k)
+    return f"{base}^{exponent}" if len(exponent) == 1 else f"{base}^{{{exponent}}}"
+
+
 def render_latex(expr: OperatorExpr) -> str:
     if expr.is_zero:
         return "0"
@@ -402,19 +410,13 @@ def render_latex(expr: OperatorExpr) -> str:
             word_names = word_names[1:]
         word_tex = ""
         for name, power in _collapse_powers(word_names):
-            base = _LATEX_NAMES.get(name, r"{\rm " + name + "}")
-            word_tex += base if power == 1 else base + f"^{{{power}}}" if power > 9 \
-                else base + f"^{power}"
+            word_tex += _tex_power(_LATEX_NAMES.get(name, r"{\rm " + name + "}"), power)
         if t.hbar_power:
-            num_factors.append(r"\hbar" if t.hbar_power == 1 else
-                               rf"\hbar^{t.hbar_power}")
-        if t.mass_power > 0:
-            k = t.mass_power
-            den_factors.append("mc^2" if k == 1 else f"m^{k}c^{{{2 * k}}}"
-                               if 2 * k > 9 else f"m^{k}c^{2 * k}")
-        elif t.mass_power < 0:
-            k = -t.mass_power
-            num_factors.append("mc^2" if k == 1 else f"m^{k}c^{2 * k}")
+            num_factors.append(_tex_power(r"\hbar", t.hbar_power))
+        if t.mass_power:
+            k = abs(t.mass_power)
+            (den_factors if t.mass_power > 0 else num_factors).append(
+                _tex_power("m", k) + _tex_power("c", 2 * k))
         numerator = "".join(num_factors) + word_tex
         if not numerator:
             numerator = "1"

@@ -66,24 +66,40 @@ def is_canonical(terms) -> bool:
     return True
 
 
-def terms_built(x) -> bool:
-    """Whether x's terms exist yet (a kernel result builds them when read)."""
+def _slot_set(x, name: str) -> bool:
     try:
-        object.__getattribute__(x, "_terms")
+        object.__getattribute__(x, name)
     except AttributeError:
         return False
     return True
 
 
-def graded_by_key(form) -> tuple:
-    """``(D, {(rest, has beta, mass, hbar): (order, a, b, grading)})`` of a graded form.
+def terms_built(x) -> bool:
+    """Whether x's terms exist yet (a kernel result builds them when read)."""
+    return _slot_set(x, "_terms")
 
-    Checks on the way that the entries are sorted by order, split into
-    ``plain`` and ``crossed`` and keyed once each.
+
+def other_built(x) -> bool:
+    """Whether x's entries re-sorted under its other scheme exist yet (built when asked for)."""
+    return _slot_set(x, "_other")
+
+
+def held_forms(x) -> dict:
+    """``{kind: entries}`` of the entries x holds: its own, and the re-sorted ones once built."""
+    forms = {x._kind: x._entries}
+    if other_built(x):
+        forms["mass" if x._kind == "velocity" else "velocity"] = x._other
+    return forms
+
+
+def graded_by_key(d: int, entries: list) -> tuple:
+    """``(D, {(rest, has beta, mass, hbar): (order, a, b, grading)})`` of graded entries over D.
+
+    Checks on the way that the entries are sorted by order and keyed once
+    each, and that each grading is ``(vc_order, is_odd)``, without the names.
     """
-    d, entries, plain, crossed = form
     assert [e[0] for e in entries] == sorted(e[0] for e in entries)
-    assert (plain, crossed) == ([e for e in entries if not e[2]], [e for e in entries if e[2]])
+    assert all(len(e[7]) == 2 for e in entries)
     by_key = {(rest, beta, m, h): (o, a, b, grading)
               for o, rest, beta, a, b, m, h, grading in entries}
     assert len(by_key) == len(entries)

@@ -17,7 +17,8 @@ from fwalg.opalg import (
 from fwalg.shell import parse_record, parse_spec, serialize_record
 
 from conftest import (
-    RAW_SYMBOLS, graded_by_key, is_canonical, rand_coeff, rand_expr, rand_raw_term, terms_built,
+    RAW_SYMBOLS, graded_by_key, held_forms, is_canonical, other_built, rand_coeff, rand_expr,
+    rand_raw_term, terms_built,
 )
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
@@ -172,7 +173,7 @@ def test_operand_graded_once_for_uncapped_and_velocity_products(rng):
         x = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
         y = rand_expr(rng, max_terms=4, symbols=RAW_SYMBOLS)
         x * y, commutator(x, y), mul_trunc(x, y, VELOCITY, rng.randint(0, 5))
-        assert list(x._grades) == list(y._grades) == ["velocity"]
+        assert x._kind == y._kind == "velocity" and not (other_built(x) or other_built(y))
 
 
 def test_grade_cache_ignored_by_equality_hash_pickle_and_copy(rng):
@@ -183,12 +184,12 @@ def test_grade_cache_ignored_by_equality_hash_pickle_and_copy(rng):
         fresh = OperatorExpr(x.terms)
         plain_pickle = pickle.dumps(fresh)
         x * x, mul_trunc(x, x, VELOCITY, 3), commutator(x, x, MASS, 2)
-        assert list(x._grades) == ["velocity", "mass"] and list(fresh._grades) == ["velocity"]
+        assert x._kind == fresh._kind == "velocity" and other_built(x) and not other_built(fresh)
         assert x == fresh and hash(x) == hash(fresh)
         assert pickle.dumps(x) == plain_pickle
         for back in (pickle.loads(plain_pickle), pickle.loads(pickle.dumps(x)),
                      copy.deepcopy(x), copy.copy(x)):
-            assert list(back._grades) == ["velocity"]
+            assert back._kind == "velocity" and not other_built(back)
             assert back == x and hash(back) == hash(x)
             assert back * back == x * x
 
@@ -452,9 +453,9 @@ def test_kernel_results_hand_on_the_graded_form_of_their_terms(rng):
                 (MASS, (commutator(y, x, MASS, k - 2), mul_trunc(y, x, MASS, k - 2))),
                 (VELOCITY, (commutator(x, y), x * y))):
             for r in results:
-                assert list(r._grades) == [scheme.kind]
-                handed = graded_by_key(r._grades[scheme.kind])
-                assert handed == graded_by_key(_graded_terms(r.terms, scheme))
+                assert r._kind == scheme.kind and not other_built(r)
+                handed = graded_by_key(r._d, r._entries)
+                assert handed == graded_by_key(*_graded_terms(r.terms, scheme))
 
 
 def _graded_terms(terms, scheme):
@@ -469,11 +470,11 @@ def _graded_terms(terms, scheme):
     for t in terms:
         c = t.coeff
         a, b = c._a * (d // c._d), c._b * (d // c._d)
-        w, names = t.word, t.sort_key[3]
+        w = t.word
         beta = bool(w) and w[0] is BETA
         entries.append((order(t), w[1:] if beta else w, beta, a, b, t.mass_power,
-                        t.hbar_power, (t.vc_order, t.is_odd, names[1:] if beta else names)))
-    return d, entries, [e for e in entries if not e[2]], [e for e in entries if e[2]]
+                        t.hbar_power, (t.vc_order, t.is_odd)))
+    return d, entries
 
 
 def _made_from_raw(rng):
@@ -545,12 +546,12 @@ def test_every_way_of_making_an_expression_gives_one_graded_form(rng, make):
     # expression's own terms
     for _ in range(30):
         x, expected = make(rng)
-        assert next(iter(x._grades)) == "velocity"
-        assert x is one() or (len(x._grades) == 1 and not terms_built(x))
+        assert x._kind == "velocity"
+        assert x is one() or not (other_built(x) or terms_built(x))
         assert x == expected
         for scheme in (VELOCITY, MASS):
-            assert graded_by_key(_graded(x, scheme)) == graded_by_key(
-                _graded_terms(x.terms, scheme))
+            assert graded_by_key(x._d, _graded(x, scheme)) == graded_by_key(
+                *_graded_terms(x.terms, scheme))
         assert is_canonical(x.terms)
         _assert_grading_fresh(x)
 
@@ -568,15 +569,16 @@ def test_combine_hands_on_a_graded_form_equal_to_the_term_sum(rng):
         pairs = [(rand_coeff(rng), z) for z in operands[:rng.randint(1, 5)]]
         out = OperatorExpr.combine(pairs)
         assert not terms_built(out) and not any(terms_built(z) for _, z in pairs)
-        [kind] = out._grades
+        kind = out._kind
+        assert not other_built(out)
         kinds.add(kind)
         oracle = normalize([(c * t.coeff, t.mass_power, t.hbar_power, t.word)
                             for c, z in pairs for t in z])
         assert out == oracle
         _assert_grading_fresh(out)
         scheme = MASS if kind == "mass" else VELOCITY
-        assert graded_by_key(out._grades[kind]) == graded_by_key(
-            _graded_terms(out.terms, scheme))
+        assert graded_by_key(out._d, out._entries) == graded_by_key(
+            *_graded_terms(out.terms, scheme))
         again = OperatorExpr.combine([(1, out), (-1, oracle)])
         assert again.is_zero and not terms_built(again) and again.terms == ()
     assert kinds == {"velocity", "mass"}
@@ -689,7 +691,8 @@ def test_selection_on_the_graded_form_equals_term_selection(rng):
                 ops += [(lambda z, n=n: z.order_slice(scheme, n), window(n, n)) for n in cuts]
                 for op, term_op in ops:
                     r = make()
-                    [kind] = r._grades
+                    kind = r._kind
+                    assert not other_built(r)
                     out, expected = op(r), term_op(oracle_in)
                     assert not terms_built(r)
                     results = out if isinstance(out, tuple) else (out,)
@@ -701,11 +704,11 @@ def test_selection_on_the_graded_form_equals_term_selection(rng):
                     else:
                         assert out == expected
                     for z in results:
-                        assert z._grades and set(z._grades) <= {kind, scheme.kind}
+                        assert set(held_forms(z)) <= {kind, scheme.kind}
                         _assert_grading_fresh(z)
-                        for held in z._grades:
-                            assert graded_by_key(z._grades[held]) == graded_by_key(
-                                _graded_terms(z.terms, schemes[held]))
+                        for held, entries in held_forms(z).items():
+                            assert graded_by_key(z._d, entries) == graded_by_key(
+                                *_graded_terms(z.terms, schemes[held]))
                         seen.add("nothing" if z.is_zero else
                                  "everything" if z is r else "some")
                     seen.add((kind, scheme.kind))
@@ -729,13 +732,14 @@ def test_graded_queries_equal_the_term_path(rng):
         for z in operands:
             assert not terms_built(z)
             oracle = _from_terms(_terms_of(*_canonical_rows(z)))
-            kinds.add(next(iter(z._grades)))
+            kinds.add(z._kind)
             adj = z.adjoint()
             assert not terms_built(adj) and _term_equal(adj, _term_adjoint(oracle))
             _assert_grading_fresh(adj)
-            [held] = adj._grades
-            assert graded_by_key(adj._grades[held]) == graded_by_key(
-                _graded_terms(adj.terms, schemes[held]))
+            held = adj._kind
+            assert not other_built(adj)
+            assert graded_by_key(adj._d, adj._entries) == graded_by_key(
+                *_graded_terms(adj.terms, schemes[held]))
             assert _term_equal(adj.adjoint(), oracle)
             keys = [t.key for t in oracle.terms]
             keys += [(w, m + 1, h) for w, m, h in keys]  # absent: mass shifted
