@@ -6,10 +6,10 @@ Three routes are provided:
   S = -(i/2mc^2) beta O, until the retained odd part is gone;
 * its correction: the step unitaries are multiplied into one truncated
   product U = ... exp(iS') exp(iS), whose exponent is read as
-  iR = log U; the even part of R is eliminated order by order with the
-  Baker-Campbell-Hausdorff (Dynkin) series, and the resulting even unitary
-  fixes the Hamiltonian so that the total transformation has an odd
-  Hermitian exponent (the Eriksen condition beta U = U^dag beta);
+  iR = log U; the even anti-Hermitian C that fixes it, so that the total
+  transformation exp(C) U meets the Eriksen condition
+  beta U = U^dag beta, is the log of the polar factor,
+  C = log(U_corr U^dag) with U_corr = (beta U^dag beta U)^(1/2);
 * the direct square-root route: the sign operator lambda = H (H^2)^(-1/2)
   is expanded as a binomial series, which defines Eriksen's one-step
   unitary U = (1 + beta lambda) g with g = (2 + beta lambda + lambda
@@ -27,16 +27,9 @@ implicitly, and the lone bare F left at the end (coefficient preserved from
 the input) is rewritten back to E on finalization.
 
 The step product U is built once per record and kept on it, so the
-Eriksen condition check reads the same U. The Dynkin series is summed by
-bracket word: one coefficient per word (Goldberg's, K. Goldberg, Duke
-Math. J. 23, 13 (1956)) from a memoized table, each bracket formed once,
-every term added into one accumulator. The table is read from the
-engine's own exp and log series of two free generators, the same log
-series that gives R.
-Words that differ only in the order of the innermost pair share one
-bracket, up to sign. The correction eliminates the even part of R one
-order slice at a time, folding each slice into the running exponent
-instead of recombining from scratch.
+correction and the Eriksen condition check read the same U.
+``bch_combine`` sums the Dynkin series by bracket word, one Goldberg
+coefficient per word (K. Goldberg, Duke Math. J. 23, 13 (1956)).
 
 Brackets, nested commutators and series powers stay in the product
 kernel's graded form (integer numerators over one denominator, sorted by
@@ -79,10 +72,6 @@ class BareFAnomaly(TransformError):
     """The bare linear F coefficient changed during the transformation."""
 
 
-class EliminationFailure(TransformError):
-    """Even-part elimination stalled at some order."""
-
-
 class OddResidual(TransformError):
     """Odd terms below the working order survived the correction."""
 
@@ -112,8 +101,9 @@ class TransformRecord:
     the product of the step unitaries' exponential series, truncated at
     ``max_order``; it is built once, by ``combine_steps``, and read again by
     ``eriksen_condition_check``. ``combined_exponent`` R is its exponent,
-    iR = log U; ``correction_exponent`` C is even and anti-Hermitian with
-    U_corr = exp(C).
+    iR = log U; ``correction_exponent`` C is even and anti-Hermitian, read
+    from U as the log of its polar factor, and U_corr = exp(C) U meets the
+    Eriksen condition beta U_corr = U_corr^dag beta.
     """
 
     scheme: WeightScheme
@@ -328,32 +318,24 @@ def combine_steps(record: TransformRecord) -> OperatorExpr:
     return record.combined_exponent
 
 
-def correction_exponent(r: OperatorExpr, scheme: WeightScheme,
+def correction_exponent(u: OperatorExpr, scheme: WeightScheme,
                         max_order: int) -> OperatorExpr:
-    """Even anti-Hermitian C with even(log(exp(C) exp(iR))) = 0 to max_order.
+    """Even anti-Hermitian C with beta exp(C) U = (exp(C) U)^dag beta to max_order.
 
-    Built order by order on the running exponent Z = log(exp(C) exp(iR)),
-    which starts at iR: each pass takes the lowest even slice of Z, negated,
-    as delta and folds it in, Z <- log(exp(delta) exp(Z)). Delta's order is
-    high, so its BCH word table is small. C is the fold of the slices,
-    exp(C) = ... exp(delta_2) exp(delta_1); such an even C is unique order
-    by order, so this is the C of a from-scratch recombination per pass.
+    U is the step product, unitary to the order: U^dag U = 1 through
+    max_order. C even makes exp(C) commute with beta, so the condition on
+    U_corr = exp(C) U gives U_corr^2 = beta U^dag beta U; the even
+    anti-Hermitian C is unique (E. Eriksen, Phys. Rev. 111, 1011 (1958)),
+    so U_corr = (beta U^dag beta U)^(1/2), a binomial series, and
+    C = log(U_corr U^dag). As beta U^dag beta = even(U^dag) - odd(U^dag)
+    and U^dag U = 1, beta U^dag beta U - 1 = -2 odd(U^dag) U, one product
+    with the odd half of U^dag. Truncating at max_order is exact in the
+    mass scheme too: U, beta and C have no term of negative order.
     """
-    z = scale(I, r).truncate(scheme, max_order)
-    c = zero()
-    last = None
-    for _ in range(max_order + 2):
-        even = z.parity_split()[0]
-        if even.is_zero:
-            return c
-        k = even.min_order(scheme)
-        if last is not None and k <= last:
-            raise EliminationFailure(f"even residual stalled at order {k}")
-        last = k
-        delta = -even.order_slice(scheme, k)
-        z = bch_combine(delta, z, scheme, max_order)
-        c = bch_combine(delta, c, scheme, max_order)
-    raise EliminationFailure("even residual not exhausted within order budget")
+    u_dag = u.adjoint()
+    x = scale(-2, mul_trunc(u_dag.parity_split()[1], u, scheme, max_order))
+    u_corr = _binomial_series(x, Fraction(1, 2), scheme, max_order)
+    return log_series(mul_trunc(u_corr, u_dag, scheme, max_order) - one(), scheme, max_order)
 
 
 def apply_correction(record: TransformRecord) -> OperatorExpr:
@@ -364,7 +346,7 @@ def apply_correction(record: TransformRecord) -> OperatorExpr:
         combine_steps(record)
     if record.correction_exponent is None:
         record.correction_exponent = correction_exponent(
-            record.combined_exponent, record.scheme, record.max_order
+            record.unitary, record.scheme, record.max_order
         )
     c = record.correction_exponent
     if not c.is_zero:
@@ -385,7 +367,7 @@ def apply_correction(record: TransformRecord) -> OperatorExpr:
 
 def corrected_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
                        max_steps: int | None = None) -> TransformRecord:
-    """Iterative method plus BCH recombination and even-exponent elimination."""
+    """Iterative method plus the step product's correction by its polar factor."""
     record = fw_pipeline(h, scheme, max_order, max_steps)
     combine_steps(record)
     apply_correction(record)
@@ -497,8 +479,7 @@ def eriksen_condition_check(record: TransformRecord) -> ConditionReport:
     U is the record's ``unitary``, the truncated product of the exponential
     series of the recorded steps that ``combine_steps`` built; it is built
     here only if the record has none yet. The residuals read U and C, not
-    R, so the uncorrected one is independent of the log series and of the
-    BCH elimination.
+    R, so the uncorrected one is independent of the log series.
     """
     scheme, max_order = record.scheme, record.max_order
     if record.unitary is None:

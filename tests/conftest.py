@@ -5,11 +5,10 @@ from math import gcd
 import pytest
 
 from fwalg import gaussrat, opalg
-from fwalg.fwtransform import _binomial_series
-from fwalg.gaussrat import GaussRat, _reduced
+from fwalg.fwtransform import bch_combine
+from fwalg.gaussrat import GaussRat, I, _reduced, binom_coeff
 from fwalg.opalg import (
-    BETA, BUILTIN_SYMBOLS, E, F, MC2, O, OperatorExpr, SymbolRegistry, log_series, mul_trunc,
-    one, sym,
+    BETA, BUILTIN_SYMBOLS, E, F, MC2, O, VELOCITY, OperatorExpr, SymbolRegistry, scale, zero,
 )
 from fwalg.shell import RECORD_SCHEMA, _int_field, _int_pair, _word_field
 
@@ -106,21 +105,85 @@ def graded_by_key(d: int, entries: list) -> tuple:
     return d, by_key
 
 
-def polar_correction_exponent(rec) -> OperatorExpr:
-    """C from Eriksen's condition alone (E. Eriksen, Phys. Rev. 111, 1011 (1958)).
+def elimination_correction_exponent(r, scheme, max_order) -> OperatorExpr:
+    """Even anti-Hermitian C with even(log(exp(C) exp(iR))) = 0 to max_order.
 
-    U_corr = exp(C) U with C even, so exp(C) commutes with beta, and
-    beta U_corr = U_corr^dag beta gives U_corr^2 = beta U^dag beta U. Hence
-    U_corr = (beta U^dag beta U)^(1/2), a binomial series, and
-    C = log(U_corr U^dag). Truncating at the record's order is exact in the
-    mass scheme too: U, beta and C have no term of negative order.
+    The order-by-order Dynkin elimination, kept as the oracle of the
+    polar-factor C that ``correction_exponent`` reads from U. Built on the
+    running exponent Z = log(exp(C) exp(iR)), which starts at iR: each pass
+    takes the lowest even slice of Z, negated, as delta and folds it in,
+    Z <- log(exp(delta) exp(Z)). Delta's order is high, so its BCH word
+    table is small. C is the fold of the slices,
+    exp(C) = ... exp(delta_2) exp(delta_1); such an even C is unique order
+    by order, so this is the C of a from-scratch recombination per pass.
     """
-    scheme, order = rec.scheme, rec.max_order
-    b, u, u_dag = sym(BETA), rec.unitary, rec.unitary.adjoint()
-    u_corr_sq = mul_trunc(mul_trunc(b, u_dag, scheme, order), mul_trunc(b, u, scheme, order),
-                          scheme, order)
-    u_corr = _binomial_series(u_corr_sq - one(), Fraction(1, 2), scheme, order)
-    return log_series(mul_trunc(u_corr, u_dag, scheme, order) - one(), scheme, order)
+    z = scale(I, r).truncate(scheme, max_order)
+    c = zero()
+    last = None
+    for _ in range(max_order + 2):
+        even = z.parity_split()[0]
+        if even.is_zero:
+            return c
+        k = even.min_order(scheme)
+        if last is not None and k <= last:
+            raise AssertionError(f"even residual stalled at order {k}")
+        last = k
+        delta = -even.order_slice(scheme, k)
+        z = bch_combine(delta, z, scheme, max_order)
+        c = bch_combine(delta, c, scheme, max_order)
+    raise AssertionError("even residual not exhausted within order budget")
+
+
+# -- closed forms of the free particle, H = beta mc^2 + O, at any order --------------
+
+def _power_series(coeffs: list, alpha: Fraction, n_max: int) -> list:
+    """Coefficients of (1 + w(y))^alpha through y^n_max, w(y) = sum_n coeffs[n] y^n.
+
+    Summed as sum_k binom(alpha, k) w^k, Fraction arithmetic on the
+    coefficient lists; w has no constant term, so k stops at n_max.
+    """
+    assert coeffs[0] == 0
+    out = [Fraction(0)] * (n_max + 1)
+    power = [Fraction(1)] + [Fraction(0)] * n_max
+    for k in range(n_max + 1):
+        c = binom_coeff(alpha, k)
+        out = [a + c * p for a, p in zip(out, power)]
+        power = [sum(power[i] * coeffs[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
+    return out
+
+
+def free_fw_hamiltonian(scheme, max_order) -> OperatorExpr:
+    """beta E = beta mc^2 sum_n binom(1/2, n) (O^2/m^2c^4)^n, truncated at max_order.
+
+    E = sqrt(m^2c^4 + O^2); the words are powers of O alone, so the series
+    is built term by term from ``binom_coeff``, with no operator product.
+    """
+    return OperatorExpr([
+        (GaussRat(binom_coeff(Fraction(1, 2), n)), 2 * n - 1, 0, (BETA,) + (O,) * (2 * n))
+        for n in range(max_order + 2)]).truncate(scheme, max_order)
+
+
+def free_fw_unitary(max_order) -> OperatorExpr:
+    """U = (E + mc^2 + beta O)/sqrt(2E(E + mc^2)), truncated at velocity order max_order.
+
+    With y = O^2/m^2c^4 and s = (1 + y)^(1/2), E = mc^2 s and
+    U = f(y) + beta (O/mc^2) g(y), where f = ((1 + 1/s)/2)^(1/2) and
+    g = f/(1 + s): every factor is a function of O^2, which commutes with
+    beta O. f = (1 + w)^(1/2) with w = ((1 + y)^(-1/2) - 1)/2, and
+    1/(1 + s) = (1/2)(1 + v)^(-1) with v = (s - 1)/2.
+    """
+    n_max = max_order // 2
+
+    def half_excess(alpha):  # ((1 + y)^alpha - 1)/2
+        return [Fraction(0)] + [binom_coeff(alpha, n) / 2 for n in range(1, n_max + 1)]
+
+    f = _power_series(half_excess(Fraction(-1, 2)), Fraction(1, 2), n_max)
+    inv = [c / 2 for c in _power_series(half_excess(Fraction(1, 2)), Fraction(-1), n_max)]
+    g = [sum(f[i] * inv[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
+    return OperatorExpr(
+        [(GaussRat(f[n]), 2 * n, 0, (O,) * (2 * n)) for n in range(n_max + 1)]
+        + [(GaussRat(g[n]), 2 * n + 1, 0, (BETA,) + (O,) * (2 * n + 1)) for n in range(n_max + 1)]
+    ).truncate(VELOCITY, max_order)
 
 
 # -- the record codec's term-path oracles --------------------------------------------

@@ -21,7 +21,10 @@ from fwalg import reference as ref
 from fwalg.opalg import SymbolRegistry
 from fwalg.shell import main as fw_main
 
-from conftest import polar_correction_exponent, rand_expr, rand_expr_min_weight
+from conftest import (
+    elimination_correction_exponent, free_fw_hamiltonian, free_fw_unitary, rand_expr,
+    rand_expr_min_weight,
+)
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
 
@@ -372,7 +375,7 @@ def test_combined_exponent_not_odd_for_two_steps():
 def test_correction_exponent_vc6():
     rec = fw_pipeline(dirac_h(), VELOCITY, 6)
     r = combine_steps(rec)
-    c = correction_exponent(r, VELOCITY, 6)
+    c = correction_exponent(rec.unitary, VELOCITY, 6)
     # leading order: the printed correction exponent beta [O^2,F]/(16 m^3 c^6)
     printed = Fraction(1, 16) * word(1, [BETA], mass_power=3) * commutator(o * o, f)
     assert c.order_slice(VELOCITY, 4) == printed
@@ -386,15 +389,17 @@ def test_correction_exponent_vc6():
 
 def test_correction_exponent_m4_matches_half_commutator_form():
     rec = fw_pipeline(dirac_h(), MASS, 4)
-    r = combine_steps(rec)
-    c = correction_exponent(r, MASS, 4)
+    combine_steps(rec)
+    c = correction_exponent(rec.unitary, MASS, 4)
     s, s1, s2 = rec.steps[0], rec.steps[1], rec.steps[2]
     expected = (Fraction(-1, 2) * commutator(s, s1 + s2)).truncate(MASS, 4)
     assert c == expected
 
 
 def test_correction_exponent_trivial_when_odd():
-    assert correction_exponent(ref.first_step(), VELOCITY, 6).is_zero
+    # an odd exponent already meets the Eriksen condition: U = exp(iS), S odd
+    u = exp_series(scale(I, ref.first_step()), VELOCITY, 6)
+    assert correction_exponent(u, VELOCITY, 6).is_zero
 
 
 def _correction_exponent_from_scratch(r, scheme, max_order):
@@ -415,8 +420,9 @@ def _correction_exponent_from_scratch(r, scheme, max_order):
     (VELOCITY, 6), (VELOCITY, 8), (VELOCITY, 10), (MASS, 4), (MASS, 5), (MASS, 6),
 ], ids=["vc6", "vc8", "vc10", "m4", "m5", "m6"])
 def test_correction_exponent_equals_from_scratch_elimination(scheme, order):
-    r = combine_steps(fw_pipeline(dirac_h(), scheme, order))
-    c = correction_exponent(r, scheme, order)
+    rec = fw_pipeline(dirac_h(), scheme, order)
+    r = combine_steps(rec)
+    c = correction_exponent(rec.unitary, scheme, order)
     assert not c.is_zero
     assert c == _correction_exponent_from_scratch(r, scheme, order)
     # defining property, through one fresh recombination
@@ -440,6 +446,29 @@ def test_apply_correction_free_particle_is_noop():
     rec = corrected_pipeline(ref.mass_term() + o, VELOCITY, 8)
     assert rec.correction_exponent.is_zero
     assert rec.h_corrected == rec.h_orig == ref.free_particle_22()
+
+
+def test_free_particle_closed_form_truncates_to_the_transcription():
+    assert free_fw_hamiltonian(VELOCITY, 8) == ref.free_particle_22()
+
+
+@pytest.mark.parametrize("scheme, order", [
+    (VELOCITY, 8), (VELOCITY, 16), (VELOCITY, 24), (VELOCITY, 32), (VELOCITY, 40), (MASS, 9),
+], ids=["vc8", "vc16", "vc24", "vc32", "vc40", "m9"])
+def test_free_particle_closed_form_on_both_routes(scheme, order):
+    # beta sqrt(m^2c^4 + O^2) at orders the transcription does not print;
+    # its words are powers of O alone, built with no operator product
+    h = ref.mass_term() + o
+    closed = free_fw_hamiltonian(scheme, order)
+    assert corrected_pipeline(h, scheme, order).h_corrected == closed
+    if scheme == VELOCITY:
+        assert eriksen_series(h, order) == closed
+
+
+@pytest.mark.parametrize("order", [8, 16, 24])
+def test_free_particle_unitary_closed_form(order):
+    # (E + mc^2 + beta O)/sqrt(2E(E + mc^2)), E = sqrt(m^2c^4 + O^2)
+    assert eriksen_unitary_series(ref.mass_term() + o, order) == free_fw_unitary(order)
 
 
 def test_corrected_hamiltonians_even_and_hermitian():
@@ -897,20 +926,20 @@ def test_eriksen_series_builds_no_intermediate_terms(monkeypatch):
     assert sum(built) == 0
     assert len(h.terms) == 130 and sum(built) == 130
     # the corrected route reads coefficients, adjoints and substitutions on
-    # the graded form too; the only builder left is the BCH word table's
-    # read of its log series (25), counted here as in a fresh process
-    _bch_word_table.cache_clear()
+    # the graded form too, and its C is a series in U, so it builds none
     built.clear()
     eriksen_condition_check(corrected_pipeline(dirac_h(), VELOCITY, 8))
-    assert sum(built) == 25
+    assert sum(built) == 0
 
 
 @pytest.mark.parametrize("scheme, order", [
-    (VELOCITY, 6), (VELOCITY, 8), (VELOCITY, 12), (MASS, 4), (MASS, 6), (MASS, 8),
-], ids=["vc6", "vc8", "vc12", "m4", "m6", "m8"])
+    (VELOCITY, 6), (VELOCITY, 7), (VELOCITY, 8), (VELOCITY, 9), (VELOCITY, 12), (MASS, 4),
+    (MASS, 5), (MASS, 6), (MASS, 7), (MASS, 8),
+], ids=["vc6", "vc7", "vc8", "vc9", "vc12", "m4", "m5", "m6", "m7", "m8"])
 def test_correction_exponent_equals_log_of_polar_factor(scheme, order):
+    # C, the polar factor's log, against the order-by-order Dynkin elimination
     rec = corrected_pipeline(dirac_h(), scheme, order)
-    c = polar_correction_exponent(rec)
+    c = elimination_correction_exponent(rec.combined_exponent, scheme, order)
     assert not c.is_zero
     assert c == rec.correction_exponent
 
