@@ -4,8 +4,10 @@ electromagnetic field.
 The abstract generators are substituted as O -> c alpha.pi, E -> e Phi and
 F -> e Phi + T, where pi = p - (e/c)A is the kinetic momentum and T stands
 for the -i hbar d/dt bookkeeping operator riding along with the potential.
-Products of the 4x4 matrices 1, gamma5, Sigma_i, alpha_i, beta close on a
-sixteen-element basis and are reduced through exact structure constants.
+The 4x4 matrices close on a sixteen-element basis that factors as beta x
+gamma5 x Pauli: a Clifford unit is the triple (b, a, k) = beta^b gamma5^a
+Sigma_k, with Sigma_0 = 1 and alpha_k = gamma5 Sigma_k, and two units
+multiply by one rule (``_unit_mul``).
 
 Fields are the potentials Phi and A_i, kept as commuting symbols with
 spatial/time derivative indices. Because partial derivatives commute, words
@@ -54,90 +56,42 @@ class UnreducedWord(ReductionError):
 
 # -- the sixteen-element matrix basis -----------------------------------------
 #
-# Inner codes: 0 = identity, 1 = gamma5, 2..4 = Sigma_1..3, 5..7 = alpha_1..3.
-# A full basis element is beta^b times an inner element; beta commutes with
-# 1 and Sigma and anticommutes with gamma5 and alpha.
+# A unit (b, a, k) is beta^b gamma5^a Sigma_k, with Sigma_0 = 1; the alphas
+# are alpha_k = gamma5 Sigma_k. beta anticommutes with gamma5 and commutes
+# with Sigma, gamma5 commutes with Sigma, and a unit's parity is a.
 
-_ID, _G5 = 0, 1
-
-
-def _sigma(i: int) -> int:
-    return 1 + i
+BETA_ATOM = (1, 0, 0)
+GAMMA5 = (0, 1, 0)
 
 
-def _alpha(i: int) -> int:
-    return 4 + i
+def sigma_atom(i: int) -> tuple:
+    return (0, 0, i)
 
 
-def _inner_is_odd(g: int) -> bool:
-    return g == _G5 or g >= 5
+def alpha_atom(i: int) -> tuple:
+    return (0, 1, i)
 
 
-def _inner_axis(g: int) -> int:
-    return g - 1 if 2 <= g <= 4 else g - 4
+def _unit_mul(x: tuple, y: tuple) -> tuple[GaussRat, tuple]:
+    """(beta^b gamma5^a Sigma_k)(beta^b' gamma5^a' Sigma_k') as coeff * unit.
 
-
-def _inner_mul(g: int, h: int) -> tuple[GaussRat, int]:
-    if g == _ID:
-        return ONE, h
-    if h == _ID:
-        return ONE, g
-    if g == _G5 and h == _G5:
-        return ONE, _ID
-    if g == _G5:
-        return (ONE, h + 3) if h <= 4 else (ONE, h - 3)
-    if h == _G5:
-        return (ONE, g + 3) if g <= 4 else (ONE, g - 3)
-    gi, hi = _inner_axis(g), _inner_axis(h)
-    g_sig, h_sig = g <= 4, h <= 4
-    if g_sig == h_sig:
-        # Sigma.Sigma or alpha.alpha
-        if gi == hi:
-            return ONE, _ID
-        k = 6 - gi - hi
-        return GaussRat(0, eps(gi, hi, k)), _sigma(k)
-    # mixed Sigma/alpha product
-    if gi == hi:
-        return ONE, _G5
-    k = 6 - gi - hi
-    return GaussRat(0, eps(gi, hi, k)), _alpha(k)
-
-
-def _unit_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[GaussRat, tuple[int, int]]:
-    """(beta^b1 g1)(beta^b2 g2) with the sign from moving beta^b2 left."""
-    b1, g1 = a
-    b2, g2 = b
-    sign = -1 if (b2 and _inner_is_odd(g1)) else 1
-    coeff, g = _inner_mul(g1, g2)
-    if sign < 0:
-        coeff = -coeff
-    return coeff, (b1 ^ b2, g)
-
-
-_INNER_NAMES = {0: "1", 1: "g5", 2: "Sigma1", 3: "Sigma2", 4: "Sigma3",
-                5: "alpha1", 6: "alpha2", 7: "alpha3"}
+    Moving beta^b' left past gamma5^a gives (-1)^(a b'); the Pauli parts
+    multiply by Sigma_i Sigma_j = delta_ij + i eps_ijk Sigma_k, and the beta
+    and gamma5 bits each combine by XOR.
+    """
+    b, a, i = x
+    b2, a2, j = y
+    if not (i and j):
+        coeff, k = ONE, i or j
+    elif i == j:
+        coeff, k = ONE, 0
+    else:
+        k = 6 - i - j
+        coeff = I if eps(i, j, k) > 0 else MINUS_I
+    return (-coeff if a and b2 else coeff), (b ^ b2, a ^ a2, k)
 
 
 # -- atoms ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CliffordAtom:
-    """One of beta, gamma5, Sigma_i, alpha_i."""
-
-    kind: str          # "beta", "gamma5", "sigma", "alpha"
-    axis: int = 0      # 1..3 where applicable
-
-    def unit(self) -> tuple[int, int]:
-        if self.kind == "beta":
-            return (1, _ID)
-        if self.kind == "gamma5":
-            return (0, _G5)
-        if self.kind == "sigma":
-            return (0, _sigma(self.axis))
-        if self.kind == "alpha":
-            return (0, _alpha(self.axis))
-        raise ValueError(self.kind)
-
 
 @dataclass(frozen=True)
 class PiAtom:
@@ -199,18 +153,6 @@ class FieldAtom:
         return prefix + name
 
 
-BETA_ATOM = CliffordAtom("beta")
-GAMMA5 = CliffordAtom("gamma5")
-
-
-def sigma_atom(i: int) -> CliffordAtom:
-    return CliffordAtom("sigma", i)
-
-
-def alpha_atom(i: int) -> CliffordAtom:
-    return CliffordAtom("alpha", i)
-
-
 def phi_atom(sderiv=(), tderiv=0) -> FieldAtom:
     return FieldAtom("Phi", 0, tuple(sorted(sderiv)), tderiv)
 
@@ -230,27 +172,25 @@ class FieldContext:
 # -- terms and expressions -------------------------------------------------------
 
 class FieldTerm:
-    """coeff e^ep hbar^hp c^cp (1/(mc^2))^mp * unit * fields * pis * T^tp."""
+    """coeff e^ep hbar^hp c^cp (1/(mc^2))^mp * unit * fields * pis * T^tp.
 
-    __slots__ = ("coeff", "e_power", "hbar_power", "c_power", "mass_power",
-                 "unit", "fields", "pis", "t_power")
+    Built as ``FieldTerm(coeff, *key)``, where ``key`` is ``(fields, pis,
+    t_power, unit, e_power, hbar_power, c_power, mass_power)``, the one
+    layout of a term's fields; ``key`` and ``sort_key`` are made here, once.
+    """
 
-    def __init__(self, coeff, e_power, hbar_power, c_power, mass_power,
-                 unit, fields, pis, t_power):
+    __slots__ = ("coeff", "fields", "pis", "t_power", "unit", "e_power",
+                 "hbar_power", "c_power", "mass_power", "key", "sort_key")
+
+    def __init__(self, coeff, fields, pis, t_power, unit, e_power, hbar_power,
+                 c_power, mass_power):
         self.coeff = coeff
-        self.e_power = e_power
-        self.hbar_power = hbar_power
-        self.c_power = c_power
-        self.mass_power = mass_power
-        self.unit = unit
-        self.fields = fields
-        self.pis = pis
-        self.t_power = t_power
-
-    @property
-    def key(self):
-        return (self.fields, self.pis, self.t_power, self.unit,
-                self.e_power, self.hbar_power, self.c_power, self.mass_power)
+        self.fields, self.pis, self.t_power, self.unit = fields, pis, t_power, unit
+        self.e_power, self.hbar_power = e_power, hbar_power
+        self.c_power, self.mass_power = c_power, mass_power
+        self.key = (fields, pis, t_power, unit, e_power, hbar_power, c_power, mass_power)
+        self.sort_key = (mass_power, e_power, hbar_power, c_power, unit,
+                         tuple(f.sort_key for f in fields), pis, t_power)
 
     @property
     def field_order(self) -> int:
@@ -259,17 +199,10 @@ class FieldTerm:
 
     @property
     def is_odd(self) -> bool:
-        return _inner_is_odd(self.unit[1])
-
-    @property
-    def sort_key(self):
-        return (self.mass_power, self.e_power, self.hbar_power, self.c_power, self.unit,
-                tuple(f.sort_key for f in self.fields), self.pis, self.t_power)
+        return self.unit[1] == 1
 
     def with_coeff(self, coeff: GaussRat) -> "FieldTerm":
-        return FieldTerm(coeff, self.e_power, self.hbar_power, self.c_power,
-                         self.mass_power, self.unit, self.fields, self.pis,
-                         self.t_power)
+        return FieldTerm(coeff, *self.key)
 
     def __repr__(self):
         parts = [str(self.coeff)]
@@ -277,10 +210,13 @@ class FieldTerm:
                         ("c", self.c_power), ("u", self.mass_power)):
             if p:
                 parts.append(f"{name}^{p}")
-        if self.unit[0]:
+        b, a, k = self.unit
+        if b:
             parts.append("beta")
-        if self.unit[1]:
-            parts.append(_INNER_NAMES[self.unit[1]])
+        if k:
+            parts.append(("alpha" if a else "Sigma") + str(k))
+        elif a:
+            parts.append("g5")
         parts.extend(f.label() for f in self.fields)
         parts.extend(f"pi{i}" for i in self.pis)
         if self.t_power:
@@ -322,7 +258,7 @@ def _normalize_field(raw: Iterable) -> tuple[FieldTerm, ...]:
     field/pi/T atoms in any order. Each word is sorted by adjacent swaps,
     stepping back one place after each; a swap leaves the branches of
     ``_commute`` to be sorted in turn. Each normal word is summed under its
-    key, and the sums become terms.
+    ``FieldTerm.key``, and the sums become terms.
     """
     acc: dict = {}
     for coeff0, e_power, hbar_power, c_power, mass_power, unit, word in raw:
@@ -345,7 +281,7 @@ def _normalize_field(raw: Iterable) -> tuple[FieldTerm, ...]:
                 idx = max(idx - 1, 0)
             fields = tuple(a for a in seq if isinstance(a, FieldAtom))
             pis = tuple(a.axis for a in seq if isinstance(a, PiAtom))
-            key = (e, h, c, mass_power, unit, fields, pis, len(seq) - len(fields) - len(pis))
+            key = (fields, pis, len(seq) - len(fields) - len(pis), unit, e, h, c, mass_power)
             prev = acc.get(key)
             acc[key] = coeff if prev is None else prev + coeff
     return tuple(sorted((FieldTerm(c, *key) for key, c in acc.items() if not c.is_zero),
@@ -364,7 +300,14 @@ def _merged(pairs: Iterable) -> "FieldExpr":
         acc[key] = (c, t) if prev is None else (prev[0] + c, prev[1])
     terms = [t if c is t.coeff else t.with_coeff(c) for c, t in acc.values() if not c.is_zero]
     terms.sort(key=attrgetter("sort_key"))
-    return FieldExpr(tuple(terms), _normalized=True)
+    return _held(tuple(terms))
+
+
+def _held(terms: tuple) -> "FieldExpr":
+    """An expression holding terms that are already normal, as they are."""
+    out = object.__new__(FieldExpr)
+    out.terms = terms
+    return out
 
 
 def _word_of(t: FieldTerm) -> list:
@@ -377,9 +320,9 @@ class FieldExpr:
     """Normalized sum of field terms (Clifford unit times commutative word).
 
     Immutable: ``terms`` holds one term per ``FieldTerm.key``, sorted by
-    ``sort_key``. The constructor normalizes raw field tuples
-    (``_normalize_field``) and takes terms that are already normal as they
-    are, under ``_normalized=True``.
+    ``sort_key``. The constructor always normalizes raw field tuples
+    (``_normalize_field``); results that are already normal are held as
+    they are by ``_held``.
     A sum of normal forms is one pass of the term merge ``_merged`` over
     the operands' ``(coefficient, term)`` pairs, never a second
     normalization, and a term that merges with nothing comes back as the
@@ -388,12 +331,12 @@ class FieldExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=(), _normalized=False):
-        self.terms = terms if _normalized else _normalize_field(terms)
+    def __init__(self, raw: Iterable = ()):
+        self.terms = _normalize_field(raw)
 
     @classmethod
     def zero(cls) -> "FieldExpr":
-        return cls((), _normalized=True)
+        return _held(())
 
     @classmethod
     def combine(cls, pairs: Iterable) -> "FieldExpr":
@@ -446,7 +389,7 @@ class FieldExpr:
     def filter(self, keep):
         """The sum of the terms for which ``keep(term)`` holds."""
         kept = tuple(t for t in self.terms if keep(t))
-        return self if len(kept) == len(self.terms) else FieldExpr(kept, _normalized=True)
+        return self if len(kept) == len(self.terms) else _held(kept)
 
     def parity_split(self):
         """(even part, odd part) with respect to beta."""
@@ -487,25 +430,26 @@ class FieldExpr:
     def adjoint(self) -> "FieldExpr":
         raw = []
         for t in self.terms:
-            b, g = t.unit
-            sign = -1 if (b and _inner_is_odd(g)) else 1
+            # (beta^b gamma5^a Sigma_k)^dag = (-1)^(a b) beta^b gamma5^a Sigma_k
+            b, a, _ = t.unit
             coeff = t.coeff.conjugate()
-            if sign < 0:
-                coeff = -coeff
-            raw.append((coeff, t.e_power, t.hbar_power, t.c_power,
-                        t.mass_power, t.unit, _word_of(t)[::-1]))
+            raw.append((-coeff if a and b else coeff, t.e_power, t.hbar_power,
+                        t.c_power, t.mass_power, t.unit, _word_of(t)[::-1]))
         return FieldExpr(raw)
 
 
 def field_term(coeff, atoms: Sequence = (), e_power: int = 0, hbar_power: int = 0,
                c_power: int = 0, mass_power: int = 0) -> FieldExpr:
-    """Single-term expression from a mixed atom sequence."""
-    unit = (0, _ID)
+    """Single-term expression from a mixed atom sequence.
+
+    Each Clifford unit among the atoms is folded into the term's unit.
+    """
+    unit = (0, 0, 0)
     coeff = GaussRat.coerce(coeff)
     word = []
     for a in atoms:
-        if isinstance(a, CliffordAtom):
-            u_coeff, unit = _unit_mul(unit, a.unit())
+        if isinstance(a, tuple):
+            u_coeff, unit = _unit_mul(unit, a)
             coeff = coeff * u_coeff
         else:
             word.append(a)

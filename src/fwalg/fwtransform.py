@@ -492,7 +492,8 @@ def eriksen_condition_check(record: TransformRecord) -> ConditionReport:
     beta_e = sym(BETA)
 
     def residual(mat: OperatorExpr) -> OperatorExpr:
-        return (mul_trunc(beta_e, mat, scheme, max_order)
-                - mul_trunc(mat.adjoint(), beta_e, scheme, max_order))
+        # beta M - M^dag beta from one product: (beta M)^dag = M^dag beta
+        bm = mul_trunc(beta_e, mat, scheme, max_order)
+        return bm - bm.adjoint()
 
     return ConditionReport(uncorrected=residual(u), corrected=residual(u_corr))

@@ -263,14 +263,19 @@ def eriksen_24() -> OperatorExpr:
     o2 = o ** 2
     poly1 = 8 * _u(-4) * one() - 6 * _u(-2) * o2 + 5 * o2 ** 2
     poly2 = 2 * _u(-2) * one() - o2
+    nested = [
+        ac(poly1, cm(o, cm(o, f))),
+        ac(poly2, cm(o2, cm(o2, f))),
+        cm(o2, cm(o2, cm(o, cm(o, f)))),
+    ]
+    high = OperatorExpr.combine(
+        (coeff, expr) for (coeff, _), expr in zip(_ERIKSEN_24_HIGH_PARTS, nested))
     return (
         free_particle_22()
         + sym(E)
-        - Fraction(1, 128) * _u(6) * ac(poly1, cm(o, cm(o, f)))
-        + Fraction(1, 512) * _u(6) * ac(poly2, cm(o2, cm(o2, f)))
+        + _u(6) * high
         + Fraction(1, 16) * _u(3) * b * ac(o, cm(cm(o, f), f))
         - Fraction(1, 32) * _u(4) * cm(o, cm(cm(cm(o, f), f), f))
-        + Fraction(11, 1024) * _u(6) * cm(o2, cm(o2, cm(o, cm(o, f))))
         + a24_25()
     )
 

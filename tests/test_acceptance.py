@@ -140,10 +140,10 @@ def test_criterion_07_dirac_reduction():
     target = ref.build(ref.DIRAC_13)
     report = ref.diff(concrete, target)
     # magnetic -(1/2) e hbar/(mc), spin-orbit/Darwin 1/8 weights present exactly
-    mag = concrete_coeff(concrete, ((diracred.a_atom(2, (1,)),), (), 0, (1, 4), 1, 1, 1, 1))
-    so = concrete_coeff(concrete, ((diracred.phi_atom((2,)),), (3,), 0, (0, 2), 1, 1, 2, 2))
-    darwin = concrete_coeff(concrete, ((diracred.phi_atom((1, 1)),), (), 0, (0, 0), 1, 2, 2, 2))
-    kinetic = concrete_coeff(concrete, (() , (1, 1, 1, 1), 0, (1, 0), 0, 0, 4, 3))
+    mag = concrete_coeff(concrete, ((diracred.a_atom(2, (1,)),), (), 0, (1, 0, 3), 1, 1, 1, 1))
+    so = concrete_coeff(concrete, ((diracred.phi_atom((2,)),), (3,), 0, (0, 0, 1), 1, 1, 2, 2))
+    darwin = concrete_coeff(concrete, ((diracred.phi_atom((1, 1)),), (), 0, (0, 0, 0), 1, 2, 2, 2))
+    kinetic = concrete_coeff(concrete, (() , (1, 1, 1, 1), 0, (1, 0, 0), 0, 0, 4, 3))
     weights_ok = (mag == Fraction(-1, 2) and so == Fraction(1, 4)
                   and darwin == Fraction(1, 8) and kinetic == Fraction(-1, 8))
     _report(7, "electromagnetic reduction matches the field form term by term",

@@ -10,8 +10,8 @@ from fwalg.opalg import (
     word,
 )
 from fwalg.diracred import (
-    BETA_ATOM, CliffordAtom, FieldAtom, FieldContext, FieldExpr, FieldTerm, GAMMA5,
-    PiAtom, TAtom, UnreducedWord, _ID, _alpha, _normalize_field, _unit_mul, _word_of,
+    BETA_ATOM, FieldAtom, FieldContext, FieldExpr, FieldTerm, GAMMA5,
+    PiAtom, TAtom, UnreducedWord, _held, _normalize_field, _unit_mul, _word_of,
     alpha_atom,
     a_atom, b_field, div_e, e_field, field_term, instantiate, phi_atom,
     polarization, reference_field_hamiltonian, sigma_atom,
@@ -34,22 +34,25 @@ SIGMA_M = [sp.Matrix(sp.BlockMatrix([[s, _Z2], [_Z2, s]])) for s in _S]
 GAMMA5_M = sp.Matrix(sp.BlockMatrix([[_Z2, _I2], [_I2, _Z2]]))
 
 
-def atom_matrix(atom: CliffordAtom) -> sp.Matrix:
-    if atom.kind == "beta":
-        return BETA_M
-    if atom.kind == "gamma5":
-        return GAMMA5_M
-    if atom.kind == "sigma":
-        return SIGMA_M[atom.axis - 1]
-    return ALPHA_M[atom.axis - 1]
+#: Each named atom's matrix, written out on its own: alpha_i is not built
+#: from gamma5 Sigma_i here.
+ATOM_MATRICES = {BETA_ATOM: BETA_M, GAMMA5: GAMMA5_M,
+                 **{sigma_atom(i): SIGMA_M[i - 1] for i in (1, 2, 3)},
+                 **{alpha_atom(i): ALPHA_M[i - 1] for i in (1, 2, 3)}}
+
+
+def atom_matrix(atom) -> sp.Matrix:
+    return ATOM_MATRICES[atom]
 
 
 def unit_matrix(unit) -> sp.Matrix:
-    b, g = unit
-    inner = {0: sp.eye(4), 1: GAMMA5_M}.get(g)
-    if inner is None:
-        inner = SIGMA_M[g - 2] if g <= 4 else ALPHA_M[g - 5]
-    return (BETA_M if b else sp.eye(4)) * inner
+    """beta^b gamma5^a Sigma_k, with Sigma_0 = 1."""
+    b, a, k = unit
+    return ((BETA_M if b else sp.eye(4)) * (GAMMA5_M if a else sp.eye(4))
+            * (SIGMA_M[k - 1] if k else sp.eye(4)))
+
+
+UNITS = [(b, a, k) for b in (0, 1) for a in (0, 1) for k in (0, 1, 2, 3)]
 
 
 def gauss_to_sympy(c: GaussRat):
@@ -87,6 +90,17 @@ def test_unit_products_against_matrices():
         for a in seq:
             expected = expected * atom_matrix(a)
         assert sp.simplify(got - expected) == sp.zeros(4, 4)
+
+
+def test_unit_mul_on_all_pairs_against_matrices():
+    # the sixteen units are sixteen distinct matrices, and the product rule
+    # agrees with the matrix product on all 16 x 16 pairs
+    assert len({tuple(unit_matrix(u)) for u in UNITS}) == 16
+    for x in UNITS:
+        for y in UNITS:
+            coeff, unit = _unit_mul(x, y)
+            assert gauss_to_sympy(coeff) * unit_matrix(unit) \
+                == unit_matrix(x) * unit_matrix(y), (x, y)
 
 
 # -- differential-operator oracle ------------------------------------------------------
@@ -273,8 +287,7 @@ def _normalize_by_restart(raw):
                    c_power + dc, mass_power)
             prev = acc.get(key)
             acc[key] = coeff0 * coeff if prev is None else prev + coeff0 * coeff
-    terms = [FieldTerm(c, key[4], key[5], key[6], key[7], key[3], key[0], key[1], key[2])
-             for key, c in acc.items() if not c.is_zero]
+    terms = [FieldTerm(c, *key) for key, c in acc.items() if not c.is_zero]
     return sorted(terms, key=lambda t: t.sort_key)
 
 
@@ -293,7 +306,7 @@ def test_normalize_field_equals_restarting_reducer(rng):
     # one raw tuple or several that share keys
     for _ in range(300):
         raw = [(GaussRat(rng.randint(-3, 3) or 1, rng.randint(-1, 1)), rng.randint(0, 1),
-                rng.randint(0, 1), 0, rng.randint(0, 1), (rng.randint(0, 1), _ID),
+                rng.randint(0, 1), 0, rng.randint(0, 1), (rng.randint(0, 1), 0, 0),
                 [_random_atom(rng) for _ in range(rng.randint(0, 6))])
                for _ in range(rng.randint(1, 3))]
         assert ([(t.key, t.coeff) for t in _normalize_field(raw)]
@@ -322,7 +335,7 @@ def _dict_merge(x, y):
         prev = acc.get(t.key)
         acc[t.key] = t if prev is None else prev.with_coeff(prev.coeff + t.coeff)
     terms = sorted((t for t in acc.values() if not t.coeff.is_zero), key=lambda t: t.sort_key)
-    return FieldExpr(tuple(terms), _normalized=True)
+    return _held(tuple(terms))
 
 
 def test_add_and_sub_equal_the_dict_merge(rng):
@@ -363,16 +376,16 @@ def branch_expansion(abstract, ctx=FieldContext(), max_field_order=None):
     """
     raw = []
     for term in abstract.terms:
-        branches = [(term.coeff, 0, term.hbar_power, 0, term.mass_power, (0, _ID), [])]
+        branches = [(term.coeff, 0, term.hbar_power, 0, term.mass_power, (0, 0, 0), [])]
         for s in term.word:
             grown = []
             for coeff, ep, hp, cp, mp, unit, w in branches:
                 if s == BETA:
-                    u_coeff, unit2 = _unit_mul(unit, (1, _ID))
+                    u_coeff, unit2 = _unit_mul(unit, (1, 0, 0))
                     grown.append((coeff * u_coeff, ep, hp, cp, mp, unit2, w))
                 elif s == O:
                     for i in (1, 2, 3):
-                        u_coeff, unit2 = _unit_mul(unit, (0, _alpha(i)))
+                        u_coeff, unit2 = _unit_mul(unit, (0, 1, i))
                         grown.append((coeff * u_coeff, ep, hp, cp + 1, mp, unit2,
                                       w + [PiAtom(i)]))
                 else:
@@ -491,12 +504,12 @@ def _coeff_of(expr: FieldExpr, key):
 def test_magnetic_and_thomas_half_coefficients():
     concrete = instantiate(ref.h_corr_38().truncate(VELOCITY, 4), max_field_order=3)
     # magnetic: -(e hbar/2mc)(beta Sigma.B); the d1A2 component of B3 carries -1/2
-    magnetic_key = ((a_atom(2, (1,)),), (), 0, (1, 4), 1, 1, 1, 1)
+    magnetic_key = ((a_atom(2, (1,)),), (), 0, (1, 0, 3), 1, 1, 1, 1)
     pauli = _coeff_of(concrete, magnetic_key)
     assert pauli == GaussRat(Fraction(-1, 2))
     # spin-orbit: (e hbar/8m^2c^2)(Sigma.[pi x E] - Sigma.[E x pi]); in potential
     # form the Sigma_1 (d2 Phi) pi3 cross term carries 2 * 1/8 = 1/4
-    so_key = ((phi_atom((2,)),), (3,), 0, (0, 2), 1, 1, 2, 2)
+    so_key = ((phi_atom((2,)),), (3,), 0, (0, 0, 1), 1, 1, 2, 2)
     so = _coeff_of(concrete, so_key)
     assert so == GaussRat(Fraction(1, 4))
     # the Thomas half: the spin-electric coupling is half-weighted relative to
@@ -507,7 +520,7 @@ def test_magnetic_and_thomas_half_coefficients():
 def test_darwin_coefficient():
     concrete = instantiate(ref.h_corr_38().truncate(VELOCITY, 4), max_field_order=3)
     # -(e hbar^2/8m^2c^2) div E contains +(e hbar^2/8m^2c^2) laplacian(Phi)
-    key = ((phi_atom((1, 1)),), (), 0, (0, 0), 1, 2, 2, 2)
+    key = ((phi_atom((1, 1)),), (), 0, (0, 0, 0), 1, 2, 2, 2)
     assert _coeff_of(concrete, key) == GaussRat(Fraction(1, 8))
 
 
@@ -515,7 +528,7 @@ def test_polarization_is_beta_sigma():
     # the matrix in the magnetic term must be beta Sigma_i
     x = polarization(2)
     assert len(x) == 1
-    assert x.terms[0].unit == (1, 3)
+    assert x.terms[0].unit == (1, 0, 2)
 
 
 def test_div_e_builder():
@@ -548,3 +561,19 @@ def test_render_conventional_leftover_is_raw():
     rendered = render_conventional(field_term(1, [BETA_ATOM], mass_power=-1) + stray)
     assert "beta mc^2" in rendered
     assert "raw" in rendered
+    assert rendered.splitlines() == ["1 * beta mc^2", "raw (1 e^2 Sigma1 Phi)"]
+    # every unit name prints, and the raw lines follow the term order
+    more = (field_term(2, [GAMMA5, a_atom(3)], e_power=2)
+            + field_term(MINUS_I, [BETA_ATOM, alpha_atom(2), PiAtom(1)], c_power=3))
+    assert render_conventional(stray + more).splitlines() == [
+        "raw (-i c^3 beta alpha2 pi1)",
+        "raw (1 e^2 Sigma1 Phi)",
+        "raw (2 e^2 g5 A3)",
+    ]
+
+
+def test_field_term_rebuilds_from_its_key():
+    for t in reference_field_hamiltonian():
+        again = FieldTerm(t.coeff, *t.key)
+        assert (again.key, again.sort_key, again.coeff) == (t.key, t.sort_key, t.coeff)
+        assert repr(again) == repr(t)

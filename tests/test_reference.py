@@ -241,6 +241,7 @@ def test_a24_coefficient_table():
 def test_eriksen24_high_order_table_has_the_11_1024():
     coeffs = [c for c, _ in ref._ERIKSEN_24_HIGH_PARTS]
     assert coeffs.count(Fraction(11, 1024)) == 1
+    assert coeffs == [Fraction(-1, 128), Fraction(1, 512), Fraction(11, 1024)]
 
 
 # -- differ ------------------------------------------------------------------------------

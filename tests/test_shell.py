@@ -58,8 +58,8 @@ def test_parse_duplicate_declaration():
 
 def test_parse_custom_symbol_usable():
     spec = parse_spec("symbol Q odd 2; H = beta*m + Q; order 4;")
-    assert spec.declarations == [("Q", "odd", 2)]
     q = spec.registry.lookup("Q")
+    assert (q.parity, q.weight_vc) == ("odd", 2)
     assert spec.hamiltonian == ref.mass_term() + sym(q)
 
 
