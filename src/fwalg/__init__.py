@@ -11,9 +11,9 @@ from .opalg import (
     zero,
 )
 from .fwtransform import (
-    TransformRecord, apply_correction, bch_combine, combine_steps,
-    corrected_pipeline, correction_exponent, eriksen_condition_check,
-    eriksen_series, fw_pipeline, fw_step, split_hamiltonian,
+    TransformRecord, apply_correction, bch_combine, corrected_pipeline,
+    correction_exponent, eriksen_condition_check, eriksen_series,
+    fw_pipeline, fw_step, split_hamiltonian,
 )
 from .diracred import FieldContext, FieldExpr, instantiate
 from . import numlab, reference
@@ -33,9 +33,9 @@ __all__ = [
     "WeightScheme", "ad_exp_conjugate", "anticommutator", "commutator",
     "exp_series", "log_series", "mul_trunc", "normalize", "one", "sym", "word",
     "zero",
-    "TransformRecord", "apply_correction", "bch_combine", "combine_steps",
-    "corrected_pipeline", "correction_exponent", "eriksen_condition_check",
-    "eriksen_series", "fw_pipeline", "fw_step", "split_hamiltonian",
+    "TransformRecord", "apply_correction", "bch_combine", "corrected_pipeline",
+    "correction_exponent", "eriksen_condition_check", "eriksen_series",
+    "fw_pipeline", "fw_step", "split_hamiltonian",
     "FieldContext", "FieldExpr", "instantiate",
     "numlab", "reference", "shell",
 ]

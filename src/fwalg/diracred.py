@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -538,10 +539,12 @@ def _sigma_pi_e_pair() -> FieldExpr:
                                   (-1, e_field(j), field_term(1, [PiAtom(k)]))))
 
 
-def _conventional_catalog() -> list[tuple[str, FieldExpr]]:
+@cache
+def _conventional_catalog() -> tuple[tuple[str, FieldExpr], ...]:
+    """(label, block) of the seven conventional blocks, built on first use."""
     pi2 = _pi_squared()
     beta_sigma_b = FieldExpr.combine((1, polarization(i) * b_field(i)) for i in (1, 2, 3))
-    return [
+    return (
         ("beta mc^2", field_term(1, [BETA_ATOM], mass_power=-1)),
         ("beta pi^2 /m", field_term(1, [BETA_ATOM], c_power=2, mass_power=1) * pi2),
         ("beta pi^4 /(m^3 c^2)",
@@ -557,7 +560,7 @@ def _conventional_catalog() -> list[tuple[str, FieldExpr]]:
         ("(e hbar^2/(m^2 c^2)) div E",
          field_term(1, [], e_power=1, hbar_power=2, c_power=2, mass_power=2)
          * div_e()),
-    ]
+    )
 
 
 #: Eq. (13) in catalog order: beta (mc^2 + pi^2/2m - pi^4/8m^3c^2) + e Phi

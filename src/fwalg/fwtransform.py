@@ -26,8 +26,11 @@ symbol F. Commutators with F therefore generate all time-derivative terms
 implicitly, and the lone bare F left at the end (coefficient preserved from
 the input) is rewritten back to E on finalization.
 
-The step product U is built once per record and kept on it, so the
-correction and the Eriksen condition check read the same U.
+``corrected_pipeline`` orders the corrected route's stages: the iteration,
+then the step product U, kept on the record, then C read from U, then the
+conjugation by exp(C). No stage fills in another's results, and the Eriksen
+condition check reads the same U and C. R = -i log U is formed only where
+it is read, by the record's ``combined_exponent``.
 ``bch_combine`` sums the Dynkin series by bracket word, one Goldberg
 coefficient per word (K. Goldberg, Duke Math. J. 23, 13 (1956)).
 
@@ -52,7 +55,7 @@ from .gaussrat import GaussRat, I, ONE
 from .opalg import (
     BETA, E, EVEN, F, VELOCITY, OperatorExpr, OperatorSymbol, WeightScheme,
     ad_exp_conjugate, commutator, exp_series, log_series, mul_trunc, one,
-    require_order_at_least_one, scale, series_sum, sym, word, zero,
+    require_order_at_least_one, scale, series_sum, sym, word,
 )
 
 
@@ -99,11 +102,12 @@ class TransformRecord:
     exp(iS); ``intermediates`` the conjugated operators after each step, with
     the bare even symbol still F. ``unitary`` U = ... exp(iS') exp(iS) is
     the product of the step unitaries' exponential series, truncated at
-    ``max_order``; it is built once, by ``combine_steps``, and read again by
-    ``eriksen_condition_check``. ``combined_exponent`` R is its exponent,
-    iR = log U; ``correction_exponent`` C is even and anti-Hermitian, read
-    from U as the log of its polar factor, and U_corr = exp(C) U meets the
-    Eriksen condition beta U_corr = U_corr^dag beta.
+    ``max_order``; ``correction_exponent`` C is even and anti-Hermitian,
+    read from U as the log of its polar factor, and U_corr = exp(C) U meets
+    the Eriksen condition beta U_corr = U_corr^dag beta. ``corrected_pipeline``
+    sets both; a record of the plain iteration has neither.
+    ``combined_exponent`` R, with iR = log U, is not stored: it is formed
+    from U each time it is read.
     """
 
     scheme: WeightScheme
@@ -113,10 +117,16 @@ class TransformRecord:
     h_orig: OperatorExpr | None = None
     h_corrected: OperatorExpr | None = None
     unitary: OperatorExpr | None = None
-    combined_exponent: OperatorExpr | None = None
     correction_exponent: OperatorExpr | None = None
     k_final: OperatorExpr | None = None
     bare_f_coeff: GaussRat = ONE
+
+    @property
+    def combined_exponent(self) -> OperatorExpr:
+        """R = -i log U; TransformError on a record with no step product."""
+        if self.unitary is None:
+            raise TransformError("record has no step product U")
+        return scale(-I, log_series(self.unitary - one(), self.scheme, self.max_order))
 
 
 def split_hamiltonian(h: OperatorExpr) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
@@ -144,12 +154,10 @@ def fw_step(k: OperatorExpr, scheme: WeightScheme,
             max_order: int) -> tuple[OperatorExpr, OperatorExpr]:
     """One iteration: S = -(i/2mc^2) beta * odd(K), K' = exp(iS) K exp(-iS)."""
     _, _, odd = split_hamiltonian(k)
-    if odd.is_zero:
-        return zero(), k
     prefactor = word(GaussRat(0, Fraction(-1, 2)), [BETA], mass_power=1)
     s = mul_trunc(prefactor, odd, scheme, max_order)
     if s.is_zero:
-        return zero(), k
+        return s, k
     _check_step(s)
     k_next = ad_exp_conjugate(s, k, scheme, max_order)
     return s, k_next
@@ -302,22 +310,6 @@ def bch_combine(a: OperatorExpr, b: OperatorExpr, scheme: WeightScheme,
         for letters, coeff in _bch_word_table(max_order, a_min, b_min))
 
 
-def combine_steps(record: TransformRecord) -> OperatorExpr:
-    """R with exp(iR) = U = ... exp(iS') exp(iS), read as iR = log U.
-
-    U, the truncated product of the steps' exponential series, is stored on
-    the record; with no steps (the Hamiltonian was block-diagonal already)
-    it is 1 and R is 0.
-    """
-    scheme, max_order = record.scheme, record.max_order
-    u = one()
-    for s in record.steps:
-        u = mul_trunc(exp_series(scale(I, s), scheme, max_order), u, scheme, max_order)
-    record.unitary = u
-    record.combined_exponent = scale(-I, log_series(u - one(), scheme, max_order))
-    return record.combined_exponent
-
-
 def correction_exponent(u: OperatorExpr, scheme: WeightScheme,
                         max_order: int) -> OperatorExpr:
     """Even anti-Hermitian C with beta exp(C) U = (exp(C) U)^dag beta to max_order.
@@ -340,24 +332,14 @@ def correction_exponent(u: OperatorExpr, scheme: WeightScheme,
 
 def apply_correction(record: TransformRecord) -> OperatorExpr:
     """Conjugate the final (unfinalized) operator by exp(C) and finalize."""
-    if record.k_final is None:
-        raise TransformError("pipeline has not produced a final operator")
-    if record.combined_exponent is None:
-        combine_steps(record)
-    if record.correction_exponent is None:
-        record.correction_exponent = correction_exponent(
-            record.unitary, record.scheme, record.max_order
-        )
     c = record.correction_exponent
-    if not c.is_zero:
-        if not c.parity_split()[1].is_zero:
-            raise TransformError("correction exponent has an odd part")
-        if c.adjoint() != -c:
-            raise TransformError("correction exponent is not anti-Hermitian")
-        h = ad_exp_conjugate(scale(-I, c), record.k_final,
-                             record.scheme, record.max_order)
-    else:
-        h = record.k_final
+    if record.k_final is None or c is None:
+        raise TransformError("record has no final operator and correction exponent")
+    if not c.parity_split()[1].is_zero:
+        raise TransformError("correction exponent has an odd part")
+    if c.adjoint() != -c:
+        raise TransformError("correction exponent is not anti-Hermitian")
+    h = ad_exp_conjugate(scale(-I, c), record.k_final, record.scheme, record.max_order)
     even, odd = h.parity_split()
     if not odd.truncate(record.scheme, record.max_order - 1).is_zero:
         raise OddResidual("odd terms below the working order survived correction")
@@ -367,9 +349,18 @@ def apply_correction(record: TransformRecord) -> OperatorExpr:
 
 def corrected_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
                        max_steps: int | None = None) -> TransformRecord:
-    """Iterative method plus the step product's correction by its polar factor."""
+    """Iterative method plus the step product's correction by its polar factor.
+
+    U = ... exp(iS') exp(iS) is the product of the steps' exponential
+    series, truncated at max_order; with no steps (the Hamiltonian was
+    block-diagonal already) it is 1 and C is 0.
+    """
     record = fw_pipeline(h, scheme, max_order, max_steps)
-    combine_steps(record)
+    u = one()
+    for s in record.steps:
+        u = mul_trunc(exp_series(scale(I, s), scheme, max_order), u, scheme, max_order)
+    record.unitary = u
+    record.correction_exponent = correction_exponent(u, scheme, max_order)
     apply_correction(record)
     return record
 
@@ -476,18 +467,15 @@ class ConditionReport:
 def eriksen_condition_check(record: TransformRecord) -> ConditionReport:
     """Test beta U = U^dag beta on the step product and on exp(C) U.
 
-    U is the record's ``unitary``, the truncated product of the exponential
-    series of the recorded steps that ``combine_steps`` built; it is built
-    here only if the record has none yet. The residuals read U and C, not
-    R, so the uncorrected one is independent of the log series.
+    U and C are the record's ``unitary`` and ``correction_exponent``, as
+    ``corrected_pipeline`` left them; TransformError on a record without
+    them. The residuals read U and C, not R, so the uncorrected one is
+    independent of the log series.
     """
     scheme, max_order = record.scheme, record.max_order
-    if record.unitary is None:
-        combine_steps(record)
-    u = record.unitary
-    if record.correction_exponent is None:
-        apply_correction(record)
-    c = record.correction_exponent
+    u, c = record.unitary, record.correction_exponent
+    if u is None or c is None:
+        raise TransformError("record has no step product and correction exponent")
     u_corr = mul_trunc(exp_series(c, scheme, max_order), u, scheme, max_order)
     beta_e = sym(BETA)
 

@@ -120,6 +120,7 @@ class HamiltonianSpec:
 
 
 _METHODS = ("fw", "fw-corrected", "eriksen")
+_DIRECTIVES = ("symbol", "H", "scheme", "order", "method", "steps")
 #: Names a spec cannot declare: the imaginary unit and the builtin generators.
 _RESERVED_NAMES = ("i",) + tuple(s.name for s in BUILTIN_SYMBOLS)
 
@@ -146,24 +147,22 @@ class _Parser:
 
     def parse(self) -> HamiltonianSpec:
         registry = SymbolRegistry()
-        hamiltonian = None
-        scheme = VELOCITY
-        max_order = 6
-        method = "fw-corrected"
-        max_steps = None
+        # HamiltonianSpec's keyword arguments, one per directive given; the
+        # dataclass supplies the default of each one left out.
+        given = {}
         seen = set()
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind != "ident":
                 raise SpecSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col,
-                                      ("symbol", "H", "scheme", "order", "method", "steps"))
+                                      _DIRECTIVES)
             keyword = tok.text
             if keyword in seen:
                 raise SpecSyntaxError(f"repeated directive {keyword!r}", tok.line, tok.col)
             if keyword != "symbol":
                 seen.add(keyword)
+            self.next()
             if keyword == "symbol":
-                self.next()
                 name_tok = self.expect("ident", "symbol name")
                 if name_tok.text in _RESERVED_NAMES:
                     raise SpecSyntaxError(f"symbol name {name_tok.text!r} is reserved",
@@ -180,45 +179,37 @@ class _Parser:
                         f"symbol {name_tok.text!r} declared twice",
                         name_tok.line, name_tok.col) from None
             elif keyword == "H":
-                self.next()
                 self.expect("=", "=")
-                hamiltonian = self._expr(registry)
+                given["hamiltonian"] = self._expr(registry)
             elif keyword == "scheme":
-                self.next()
                 val = self.expect("ident", "vc|mass")
                 if val.text == "vc":
-                    scheme = VELOCITY
+                    given["scheme"] = VELOCITY
                 elif val.text == "mass":
-                    scheme = MASS
+                    given["scheme"] = MASS
                 else:
                     raise SpecSyntaxError(f"bad scheme {val.text!r}",
                                           val.line, val.col, ("vc", "mass"))
             elif keyword == "order":
-                self.next()
                 val = self.expect("int", "integer order")
-                max_order = int(val.text)
+                given["max_order"] = int(val.text)
             elif keyword == "steps":
-                self.next()
                 val = self.expect("int", "integer step limit")
-                max_steps = int(val.text)
-                if max_steps < 1:
+                given["max_steps"] = int(val.text)
+                if given["max_steps"] < 1:
                     raise SpecSyntaxError("step limit must be at least 1",
                                           val.line, val.col, ("positive integer",))
             elif keyword == "method":
-                self.next()
-                method = self._method_name()
+                given["method"] = self._method_name()
             else:
                 raise SpecSyntaxError(f"unknown directive {keyword!r}",
-                                      tok.line, tok.col,
-                                      ("symbol", "H", "scheme", "order", "method", "steps"))
+                                      tok.line, tok.col, _DIRECTIVES)
             if self.peek().kind == ";":
                 self.next()
-        if hamiltonian is None:
+        if "hamiltonian" not in given:
             tok = self.peek()
             raise SpecSyntaxError("spec has no Hamiltonian", tok.line, tok.col, ("H =",))
-        return HamiltonianSpec(hamiltonian=hamiltonian, scheme=scheme,
-                               max_order=max_order, method=method,
-                               max_steps=max_steps, registry=registry)
+        return HamiltonianSpec(registry=registry, **given)
 
     def _method_name(self) -> str:
         tok = self.expect("ident", "|".join(_METHODS))
@@ -558,31 +549,27 @@ class RunResult:
 
 def run(spec: HamiltonianSpec) -> RunResult:
     """Dispatch a parsed spec to the matching pipeline."""
-    if spec.method == "fw":
-        rec = fwtransform.fw_pipeline(spec.hamiltonian, spec.scheme,
-                                      spec.max_order, spec.max_steps)
-        outputs = _record_outputs(rec, corrected=False)
-        return RunResult(spec=spec, record=rec, outputs=outputs)
-    if spec.method == "fw-corrected":
-        rec = fwtransform.corrected_pipeline(spec.hamiltonian, spec.scheme,
-                                             spec.max_order, spec.max_steps)
-        outputs = _record_outputs(rec, corrected=True)
-        return RunResult(spec=spec, record=rec, outputs=outputs)
     if spec.method == "eriksen":
         h_e = fwtransform.eriksen_series(spec.hamiltonian, spec.max_order,
                                          spec.scheme)
         return RunResult(spec=spec, record=None, outputs={"H_eriksen": h_e})
-    raise ValueError(f"unknown method {spec.method!r}")
+    pipelines = {"fw": fwtransform.fw_pipeline,
+                 "fw-corrected": fwtransform.corrected_pipeline}
+    if spec.method not in pipelines:
+        raise ValueError(f"unknown method {spec.method!r}")
+    rec = pipelines[spec.method](spec.hamiltonian, spec.scheme,
+                                 spec.max_order, spec.max_steps)
+    return RunResult(spec=spec, record=rec, outputs=_record_outputs(rec))
 
 
-def _record_outputs(rec: TransformRecord, corrected: bool) -> dict:
+def _record_outputs(rec: TransformRecord) -> dict:
     outputs = {}
     for idx, s in enumerate(rec.steps, start=1):
         outputs[f"S{idx}"] = s
     for idx, k in enumerate(rec.intermediates, start=1):
         outputs[f"H{idx}"] = k
     outputs["H_orig"] = rec.h_orig
-    if corrected:
+    if rec.h_corrected is not None:
         outputs["R_combined"] = rec.combined_exponent
         outputs["C_correction"] = rec.correction_exponent
         outputs["H_corrected"] = rec.h_corrected

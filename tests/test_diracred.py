@@ -555,6 +555,24 @@ def test_render_conventional_full_decomposition():
     ]
 
 
+def test_verify_dirac_builds_the_conventional_catalog_once(monkeypatch):
+    # The catalog is constant data: its block products are formed on first use.
+    import fwalg.diracred as diracred
+    from fwalg.shell import verify_dirac
+    builds = []
+    real = diracred._pi_squared
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(diracred, "_pi_squared", counting)
+    diracred._conventional_catalog.cache_clear()
+    results = verify_dirac() + verify_dirac()
+    assert all(r.ok for r in results)
+    assert len(builds) == 1
+
+
 def test_render_conventional_leftover_is_raw():
     from fwalg.diracred import render_conventional
     stray = field_term(1, [sigma_atom(1), phi_atom()], e_power=2)

@@ -11,9 +11,8 @@ from fwalg.opalg import (
 )
 from fwalg.fwtransform import (
     BareFAnomaly, MissingMassTerm, NoConvergence, NotHermitian, NotStationary,
-    TransformError, UnsupportedScheme, _bch_word_table, _binomial_series, bch_combine,
-    combine_steps,
-    corrected_pipeline, correction_exponent, eriksen_condition_check, eriksen_series,
+    TransformError, UnsupportedScheme, _bch_word_table, _binomial_series, apply_correction,
+    bch_combine, corrected_pipeline, correction_exponent, eriksen_condition_check, eriksen_series,
     eriksen_unitary_series, finalize_bare_f, fw_pipeline, fw_step,
     sign_operator_series, split_hamiltonian,
 )
@@ -319,15 +318,15 @@ def test_bch_word_table_equals_fraction_expansion():
 # -- combination and correction ---------------------------------------------------------
 
 def test_combine_single_step():
-    rec = fw_pipeline(ref.mass_term() + o, VELOCITY, 2)
-    r = combine_steps(rec)
+    rec = corrected_pipeline(ref.mass_term() + o, VELOCITY, 2)
+    r = rec.combined_exponent
     assert r == rec.steps[0]
 
 
-def _combine_steps_bch(record):
+def _combined_exponent_bch(record):
     """R by folding the step exponents through ``bch_combine``, one step at a
-    time: the route ``combine_steps`` took before it read iR = log U. Kept as
-    the log series' oracle."""
+    time: the route R took before it was read as iR = log U. Kept as the log
+    series' oracle."""
     z = zero()
     for s in record.steps:
         z = bch_combine(scale(I, s), z, record.scheme, record.max_order)
@@ -345,10 +344,10 @@ _HAMILTONIANS = {"even": lambda: ref.mass_term() + e, "free": lambda: ref.mass_t
     ("dirac", MASS, 8, 8),
 ], ids=["no-steps", "one-step", "vc6", "vc8", "vc10", "vc12", "m4", "m6", "m8"])
 def test_combined_exponent_log_of_step_product_equals_bch_fold(h, scheme, order, n_steps):
-    rec = fw_pipeline(_HAMILTONIANS[h](), scheme, order)
+    rec = corrected_pipeline(_HAMILTONIANS[h](), scheme, order)
     assert len(rec.steps) == n_steps
-    r = combine_steps(rec)
-    assert r == _combine_steps_bch(rec)
+    r = rec.combined_exponent
+    assert r == _combined_exponent_bch(rec)
     assert exp_series(scale(I, r), scheme, order) == rec.unitary
     if n_steps < 2:
         assert r == (rec.steps[0] if rec.steps else zero())
@@ -367,14 +366,14 @@ def test_block_diagonal_input_transforms_unchanged(scheme, order):
 
 
 def test_combined_exponent_not_odd_for_two_steps():
-    rec = fw_pipeline(dirac_h(), VELOCITY, 6)
-    r = combine_steps(rec)
+    rec = corrected_pipeline(dirac_h(), VELOCITY, 6)
+    r = rec.combined_exponent
     assert not r.parity_split()[0].is_zero
 
 
 def test_correction_exponent_vc6():
-    rec = fw_pipeline(dirac_h(), VELOCITY, 6)
-    r = combine_steps(rec)
+    rec = corrected_pipeline(dirac_h(), VELOCITY, 6)
+    r = rec.combined_exponent
     c = correction_exponent(rec.unitary, VELOCITY, 6)
     # leading order: the printed correction exponent beta [O^2,F]/(16 m^3 c^6)
     printed = Fraction(1, 16) * word(1, [BETA], mass_power=3) * commutator(o * o, f)
@@ -388,8 +387,7 @@ def test_correction_exponent_vc6():
 
 
 def test_correction_exponent_m4_matches_half_commutator_form():
-    rec = fw_pipeline(dirac_h(), MASS, 4)
-    combine_steps(rec)
+    rec = corrected_pipeline(dirac_h(), MASS, 4)
     c = correction_exponent(rec.unitary, MASS, 4)
     s, s1, s2 = rec.steps[0], rec.steps[1], rec.steps[2]
     expected = (Fraction(-1, 2) * commutator(s, s1 + s2)).truncate(MASS, 4)
@@ -420,8 +418,8 @@ def _correction_exponent_from_scratch(r, scheme, max_order):
     (VELOCITY, 6), (VELOCITY, 8), (VELOCITY, 10), (MASS, 4), (MASS, 5), (MASS, 6),
 ], ids=["vc6", "vc8", "vc10", "m4", "m5", "m6"])
 def test_correction_exponent_equals_from_scratch_elimination(scheme, order):
-    rec = fw_pipeline(dirac_h(), scheme, order)
-    r = combine_steps(rec)
+    rec = corrected_pipeline(dirac_h(), scheme, order)
+    r = rec.combined_exponent
     c = correction_exponent(rec.unitary, scheme, order)
     assert not c.is_zero
     assert c == _correction_exponent_from_scratch(r, scheme, order)
@@ -902,10 +900,33 @@ def test_condition_check_reads_the_records_step_product(monkeypatch):
     assert step_expansions() == len(rec.steps)
     assert rec.unitary is u
     assert any(x is u for x in mul_args)
-    # A record of the plain iteration has no U yet: the check builds it.
+    # A record of the plain iteration has no U and no C, and no stage or
+    # check builds them for it.
     bare = fw_pipeline(dirac_h(), VELOCITY, 8)
-    assert eriksen_condition_check(bare).corrected_ok
-    assert bare.unitary == u and bare.combined_exponent == rec.combined_exponent
+    for read in (eriksen_condition_check, apply_correction, lambda r: r.combined_exponent):
+        with pytest.raises(TransformError):
+            read(bare)
+    assert bare.unitary is None and bare.correction_exponent is None
+    assert bare.h_corrected is None
+
+
+def test_corrected_run_forms_r_only_where_it_is_read(monkeypatch):
+    # The corrected run takes one log, for C; R = -i log U is one more log,
+    # formed each time the record's combined_exponent is read.
+    import fwalg.fwtransform as fwt
+    calls = []
+    real = fwt.log_series
+
+    def counting(x, scheme, max_order):
+        calls.append(x)
+        return real(x, scheme, max_order)
+
+    monkeypatch.setattr(fwt, "log_series", counting)
+    rec = corrected_pipeline(dirac_h(), VELOCITY, 8)
+    assert len(calls) == 1
+    r = rec.combined_exponent
+    assert len(calls) == 2
+    assert exp_series(scale(I, r), VELOCITY, 8) == rec.unitary
 
 
 def test_eriksen_series_builds_no_intermediate_terms(monkeypatch):

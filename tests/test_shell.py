@@ -118,6 +118,17 @@ def test_run_plain_fw_mass_scheme():
     assert "H_corrected" not in result.outputs
 
 
+@pytest.mark.parametrize("text, names", [
+    ("H = beta*m + F + O; scheme vc; order 6; method fw-corrected;",
+     ["S1", "S2", "S3", "H1", "H2", "H3", "H_orig", "R_combined", "C_correction",
+      "H_corrected"]),
+    ("H = beta*m + F + O; scheme mass; order 4; method fw;",
+     ["S1", "S2", "S3", "S4", "H1", "H2", "H3", "H4", "H_orig"]),
+], ids=["fw-corrected-vc6", "fw-m4"])
+def test_run_output_names_in_order(text, names):
+    assert list(run(parse_spec(text)).outputs) == names
+
+
 def test_run_eriksen_method():
     spec = parse_spec("H = beta*m + E + O; order 8; method eriksen;")
     result = run(spec)
