@@ -68,7 +68,7 @@ class MissingMassTerm(TransformError):
 
 
 class NoConvergence(TransformError):
-    """Odd terms below the working order persist after max_steps."""
+    """The odd part's minimum order did not rise over a step."""
 
 
 class BareFAnomaly(TransformError):
@@ -180,17 +180,16 @@ def _effective_odd(k: OperatorExpr, scheme: WeightScheme, max_order: int) -> Ope
     return k.parity_split()[1].truncate(scheme, max_order - 1)
 
 
-def fw_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
-                max_steps: int | None = None) -> TransformRecord:
+def fw_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int) -> TransformRecord:
     """Run the iterative method until the retained odd part vanishes.
 
     H must be Hermitian (``NotHermitian`` otherwise): the step exponents of
     a non-Hermitian H are not Hermitian, so its steps are not unitary.
+    The odd part a step removes has order >= 0 (``NonIncreasingOrder``
+    otherwise) and below max_order, and its minimum order must rise with
+    every step (``NoConvergence`` otherwise), so a run takes at most
+    max_order steps.
     """
-    if max_steps is None:
-        max_steps = max_order + 1
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     _require_hermitian(h)
     k = h.subs_symbol(E, F).truncate(scheme, max_order)
     # Read after truncation: an order below F's own leaves no bare F to carry.
@@ -198,9 +197,7 @@ def fw_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
     split_hamiltonian(k)
     record = TransformRecord(scheme=scheme, max_order=max_order, bare_f_coeff=bare)
     odd = _effective_odd(k, scheme, max_order)
-    for _ in range(max_steps):
-        if odd.is_zero:
-            break
+    while not odd.is_zero:
         before = odd.min_order(scheme)
         s, k = fw_step(k, scheme, max_order)
         odd = _effective_odd(k, scheme, max_order)
@@ -210,11 +207,6 @@ def fw_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
             )
         record.steps.append(s)
         record.intermediates.append(k)
-    else:
-        if not odd.is_zero:
-            raise NoConvergence(
-                f"odd part persists after {max_steps} steps"
-            )
     record.k_final = k
     record.h_orig = finalize_bare_f(k.parity_split()[0], bare)
     return record
@@ -347,15 +339,14 @@ def apply_correction(record: TransformRecord) -> OperatorExpr:
     return record.h_corrected
 
 
-def corrected_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int,
-                       max_steps: int | None = None) -> TransformRecord:
+def corrected_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int) -> TransformRecord:
     """Iterative method plus the step product's correction by its polar factor.
 
     U = ... exp(iS') exp(iS) is the product of the steps' exponential
     series, truncated at max_order; with no steps (the Hamiltonian was
     block-diagonal already) it is 1 and C is 0.
     """
-    record = fw_pipeline(h, scheme, max_order, max_steps)
+    record = fw_pipeline(h, scheme, max_order)
     u = one()
     for s in record.steps:
         u = mul_trunc(exp_series(scale(I, s), scheme, max_order), u, scheme, max_order)

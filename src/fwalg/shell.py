@@ -8,7 +8,6 @@ A Hamiltonian spec is a small semicolon-separated text format:
     scheme vc;
     order 6;
     method fw-corrected;
-    steps 3;
 
 ``beta``, ``m``, ``E``, ``F`` and ``O`` are built in; ``m^-k`` writes the
 bookkeeping factor 1/(m^k c^(2k)) and ``m`` alone one power of mc^2.
@@ -32,11 +31,11 @@ from math import gcd
 
 from .gaussrat import GaussRat
 from .opalg import (
-    BUILTIN_SYMBOLS, E, F, MASS, O, VELOCITY, DuplicateSymbol, OperatorExpr,
-    SymbolRegistry, WeightScheme, _canonical_rows, _normalize_raw, word,
+    BUILTIN_SYMBOLS, E, F, MASS, O, VELOCITY, AlgebraError, DuplicateSymbol,
+    OperatorExpr, SymbolRegistry, WeightScheme, _canonical_rows, _normalize_raw, word,
 )
-from . import fwtransform, numlab, reference
-from .fwtransform import TransformRecord
+from . import diracred, fwtransform, numlab, reference
+from .fwtransform import TransformError, TransformRecord
 
 RECORD_SCHEMA = "fw.expr/1"
 
@@ -115,12 +114,14 @@ class HamiltonianSpec:
     scheme: WeightScheme = VELOCITY
     max_order: int = 6
     method: str = "fw-corrected"
-    max_steps: int | None = None
     registry: SymbolRegistry = field(default_factory=SymbolRegistry)
 
 
 _METHODS = ("fw", "fw-corrected", "eriksen")
-_DIRECTIVES = ("symbol", "H", "scheme", "order", "method", "steps")
+_DIRECTIVES = ("symbol", "H", "scheme", "order", "method")
+#: Deepest parenthesis nesting a spec may use; each level costs the parser
+#: four stack frames, so this stays well inside Python's recursion limit.
+_MAX_NESTING = 100
 #: Names a spec cannot declare: the imaginary unit and the builtin generators.
 _RESERVED_NAMES = ("i",) + tuple(s.name for s in BUILTIN_SYMBOLS)
 
@@ -129,6 +130,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -193,12 +195,6 @@ class _Parser:
             elif keyword == "order":
                 val = self.expect("int", "integer order")
                 given["max_order"] = int(val.text)
-            elif keyword == "steps":
-                val = self.expect("int", "integer step limit")
-                given["max_steps"] = int(val.text)
-                if given["max_steps"] < 1:
-                    raise SpecSyntaxError("step limit must be at least 1",
-                                          val.line, val.col, ("positive integer",))
             elif keyword == "method":
                 given["method"] = self._method_name()
             else:
@@ -291,9 +287,13 @@ class _Parser:
                 raise UnknownSymbol(f"unknown symbol {tok.text!r}", tok.line, tok.col)
             return word(1, [registry.lookup(tok.text)])
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise SpecSyntaxError("parentheses nested too deeply", tok.line, tok.col)
             self.next()
+            self.depth += 1
             inner = self._expr(registry)
             self.expect(")", ")")
+            self.depth -= 1
             return inner
         raise SpecSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
                               tok.line, tok.col, ("number", "symbol", "("))
@@ -542,7 +542,6 @@ def render(expr: OperatorExpr, fmt: str = "text"):
 
 @dataclass
 class RunResult:
-    spec: HamiltonianSpec
     record: TransformRecord | None
     outputs: dict
 
@@ -552,14 +551,13 @@ def run(spec: HamiltonianSpec) -> RunResult:
     if spec.method == "eriksen":
         h_e = fwtransform.eriksen_series(spec.hamiltonian, spec.max_order,
                                          spec.scheme)
-        return RunResult(spec=spec, record=None, outputs={"H_eriksen": h_e})
+        return RunResult(record=None, outputs={"H_eriksen": h_e})
     pipelines = {"fw": fwtransform.fw_pipeline,
                  "fw-corrected": fwtransform.corrected_pipeline}
     if spec.method not in pipelines:
         raise ValueError(f"unknown method {spec.method!r}")
-    rec = pipelines[spec.method](spec.hamiltonian, spec.scheme,
-                                 spec.max_order, spec.max_steps)
-    return RunResult(spec=spec, record=rec, outputs=_record_outputs(rec))
+    rec = pipelines[spec.method](spec.hamiltonian, spec.scheme, spec.max_order)
+    return RunResult(record=rec, outputs=_record_outputs(rec))
 
 
 def _record_outputs(rec: TransformRecord) -> dict:
@@ -652,7 +650,6 @@ def verify_eriksen8() -> list[CheckResult]:
 
 
 def verify_dirac() -> list[CheckResult]:
-    from . import diracred
     abstract = reference.h_corr_38().truncate(VELOCITY, 4)
     concrete = diracred.instantiate(abstract, max_field_order=3)
     target = diracred.reference_field_hamiltonian()
@@ -724,8 +721,7 @@ def verify(suite: str) -> list[CheckResult]:
 # -- CLI ----------------------------------------------------------------------------
 
 def _rendered_outputs(outputs: dict, fmt: str) -> str:
-    rendered = {name: render(expr, fmt) for name, expr in outputs.items()
-                if isinstance(expr, OperatorExpr)}
+    rendered = {name: render(expr, fmt) for name, expr in outputs.items()}
     if fmt == "record":
         return json.dumps(rendered, indent=2) + "\n"
     return "".join(f"{name} = {text}\n" for name, text in rendered.items())
@@ -773,8 +769,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "transform":
-        from .opalg import AlgebraError
-        from .fwtransform import TransformError
         try:
             with open(args.spec_file, "r", encoding="utf-8") as fh:
                 text = fh.read()

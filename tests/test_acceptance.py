@@ -50,8 +50,9 @@ def m4_record():
 
 def test_criterion_01_original_method_vc6():
     t0 = time.perf_counter()
-    rec = fw_pipeline(dirac_h(), VELOCITY, 6, max_steps=3)
+    rec = fw_pipeline(dirac_h(), VELOCITY, 6)
     elapsed = time.perf_counter() - t0
+    assert len(rec.steps) == 3
     report = ref.diff(rec.h_orig, ref.build(ref.H_ORIG_35))
     # word-level fingerprints of the printed 3/64 and 5/128 coefficients:
     # O^3 F O receives -2 * 3/64 from the anticommutator alone, and F O^4

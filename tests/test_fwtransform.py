@@ -127,16 +127,28 @@ def test_pipeline_free_particle_order8():
     assert len(rec.steps) == 4
 
 
-def test_pipeline_stable_under_extra_steps():
-    rec3 = fw_pipeline(dirac_h(), VELOCITY, 6, max_steps=3)
-    rec9 = fw_pipeline(dirac_h(), VELOCITY, 6, max_steps=9)
-    assert rec3.h_orig == rec9.h_orig
-    assert rec3.steps == rec9.steps
+def test_pipeline_takes_at_most_max_order_steps():
+    # the odd part a step removes has order >= 0 and below max_order, and
+    # its minimum order rises with every step, so a run ends by itself
+    reg = SymbolRegistry()
+    q = sym(reg.register("Q", "odd", 2))
+    p = sym(reg.register("P", "even", 1))
+    m = ref.mass_term()
+    for scheme in (VELOCITY, MASS):
+        for h in (dirac_h(), m + f + o, m + p + o, m + q, m + p + q):
+            for max_order in range(1, 9):
+                assert len(fw_pipeline(h, scheme, max_order).steps) <= max_order
+    # the bound is reached: F + O under mass counting removes one order per step
+    for max_order in range(1, 9):
+        assert len(fw_pipeline(m + f + o, MASS, max_order).steps) == max_order
 
 
 def test_pipeline_no_convergence():
-    with pytest.raises(NoConvergence):
-        fw_pipeline(ref.mass_term() + o, VELOCITY, 8, max_steps=1)
+    # E mc^2 has mass order -1, so the first step's commutator with it
+    # leaves odd terms at order 0 again: the odd part's order does not rise
+    h = ref.mass_term() + word(1, [E], mass_power=-1) + o
+    with pytest.raises(NoConvergence, match="odd part stalled at mass order 0"):
+        fw_pipeline(h, MASS, 4)
 
 
 def test_pipeline_steps_odd_hermitian():

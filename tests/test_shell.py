@@ -93,12 +93,20 @@ def test_parse_comments_and_whitespace():
     text = """
     # a comment
     H = beta*m + F + O;   # trailing comment
-    order 4; scheme mass; steps 7;
+    order 4; scheme mass;
     """
     spec = parse_spec(text)
     assert spec.max_order == 4
     assert spec.scheme == MASS
-    assert spec.max_steps == 7
+
+
+def test_parse_nesting_limit():
+    nested = "(" * 100 + "O" + ")" * 100
+    plain = parse_spec("H = beta*m + O;").hamiltonian
+    assert parse_spec(f"H = beta*m + {nested};").hamiltonian == plain
+    # the 101st parenthesis is the offending one
+    with pytest.raises(SpecSyntaxError, match="nested too deeply at line 1, column 114"):
+        parse_spec(f"H = beta*m + ({nested});")
 
 
 # -- running -----------------------------------------------------------------------
@@ -565,27 +573,31 @@ def assert_one_line_error(capsys, argv, fragment):
     assert out == ""
     assert fragment in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    return err
 
 
 @pytest.mark.parametrize("text, fragment", [
     ("H = beta*m + Q;", "unknown symbol"),
-    ("H = beta*m + F + O; steps 0;", "step limit must be at least 1 at line 1, column 27"),
+    ("H = beta*m + F + O; steps 3;", "unknown directive 'steps' at line 1, column 21"),
     ("H = beta*m + 1/0 * O;", "zero denominator at line 1, column 16"),
     ("H = beta*m + O; order 4; order 5;", "repeated directive 'order' at line 1, column 26"),
     ("H = beta*m + O; scheme vc; scheme mass;", "repeated directive 'scheme'"),
     ("H = beta*m + O; method fw; method eriksen;", "repeated directive 'method'"),
-    ("H = beta*m + O; steps 2; steps 3;", "repeated directive 'steps'"),
     ("H = beta*m + O; H = beta*m;", "repeated directive 'H'"),
     ("symbol i odd 1; H = beta*m + O + i*O; order 2; method fw;",
      "symbol name 'i' is reserved at line 1, column 8"),
     ("symbol beta even 0; H = beta*m + O;", "symbol name 'beta' is reserved at line 1, column 8"),
-], ids=["unknown-symbol", "steps-0", "zero-denominator", "repeated-order",
-        "repeated-scheme", "repeated-method", "repeated-steps", "repeated-H", "symbol-i",
-        "symbol-beta"])
+    # 250 levels would exhaust Python's recursion limit: four frames a level
+    ("H = beta*m + " + "(" * 250 + "O" + ")" * 250 + "; order 2; method fw;",
+     "parentheses nested too deeply at line 1, column 114"),
+], ids=["unknown-symbol", "steps", "zero-denominator", "repeated-order",
+        "repeated-scheme", "repeated-method", "repeated-H", "symbol-i",
+        "symbol-beta", "nested-too-deeply"])
 def test_cli_transform_parse_error_exit_2(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.fw"
     bad.write_text(text + "\n")
-    assert_one_line_error(capsys, ["transform", str(bad)], fragment)
+    err = assert_one_line_error(capsys, ["transform", str(bad)], fragment)
+    assert len(err.splitlines()) == 1, err
 
 
 def test_cli_transform_missing_file_exit_2(tmp_path, capsys):
@@ -604,7 +616,13 @@ def test_cli_transform_non_utf8_file_exit_2(tmp_path, capsys):
     ("H = beta*m + E + O; scheme mass; method eriksen;", "UnsupportedScheme"),
     # a constant mc^2 term leaves the sign operator's series argument at order 0
     ("H = beta*m + 2*m + O; method eriksen;", "NonIncreasingOrder"),
-], ids=["massless", "eriksen-mass-scheme", "eriksen-order-zero-argument"])
+    # the odd part's minimum order does not rise over a step
+    ("H = beta*m + E*m + O; scheme mass; order 4; method fw;",
+     "NoConvergence: odd part stalled at mass order 0"),
+    ("symbol Q even 0; H = beta*m + Q + O; order 2; method fw;",
+     "NoConvergence: odd part stalled at velocity order 1"),
+], ids=["massless", "eriksen-mass-scheme", "eriksen-order-zero-argument", "stall-mass",
+        "stall-velocity"])
 def test_cli_transform_engine_error_exit_2(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.fw"
     bad.write_text(text + "\n")
@@ -711,7 +729,7 @@ def test_shipped_spec_files():
 # Each choice is mostly well formed, with rarer bad alternatives: a zero
 # denominator, a negative power of an operator, an undeclared name (Q and P
 # may be declared by a symbol line, X never is), a bad parity, scheme or
-# method, and a repeated directive.
+# method, a repeated directive, and the removed directive ``steps``.
 
 _RATIONALS = st.builds(lambda n, d: str(n) if d is None else f"{n}/{d}",
                        st.integers(0, 5), st.sampled_from((None,) * 4 + (2, 3) * 2 + (0,)))
