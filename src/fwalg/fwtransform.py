@@ -8,8 +8,10 @@ Three routes are provided:
   product U = ... exp(iS') exp(iS), whose exponent is read as
   iR = log U; the even anti-Hermitian C that fixes it, so that the total
   transformation exp(C) U meets the Eriksen condition
-  beta U = U^dag beta, is the log of the polar factor,
-  C = log(U_corr U^dag) with U_corr = (beta U^dag beta U)^(1/2);
+  beta U = U^dag beta, is read from U's parity halves A = even(U) and
+  B = odd(U): exp(C) = (A^dag A)^(-1/2) A^dag = (1 - B^dag B)^(-1/2) A^dag,
+  resting on A^dag A + B^dag B = 1 and A^dag B = -B^dag A (U^dag U =
+  U U^dag = 1 split by parity);
 * the direct square-root route: the sign operator lambda = H (H^2)^(-1/2)
   is expanded as a binomial series, which defines Eriksen's one-step
   unitary U = (1 + beta lambda) g with g = (2 + beta lambda + lambda
@@ -103,7 +105,9 @@ class TransformRecord:
     the bare even symbol still F. ``unitary`` U = ... exp(iS') exp(iS) is
     the product of the step unitaries' exponential series, truncated at
     ``max_order``; ``correction_exponent`` C is even and anti-Hermitian,
-    read from U as the log of its polar factor, and U_corr = exp(C) U meets
+    read from U's halves A = even(U), B = odd(U) as
+    exp(C) = (A^dag A)^(-1/2) A^dag (A^dag A + B^dag B = 1 and
+    A^dag B = -B^dag A, as U is unitary), and U_corr = exp(C) U meets
     the Eriksen condition beta U_corr = U_corr^dag beta. ``corrected_pipeline``
     sets both; a record of the plain iteration has neither.
     ``combined_exponent`` R, with iR = log U, is not stored: it is formed
@@ -306,20 +310,24 @@ def correction_exponent(u: OperatorExpr, scheme: WeightScheme,
                         max_order: int) -> OperatorExpr:
     """Even anti-Hermitian C with beta exp(C) U = (exp(C) U)^dag beta to max_order.
 
-    U is the step product, unitary to the order: U^dag U = 1 through
-    max_order. C even makes exp(C) commute with beta, so the condition on
-    U_corr = exp(C) U gives U_corr^2 = beta U^dag beta U; the even
-    anti-Hermitian C is unique (E. Eriksen, Phys. Rev. 111, 1011 (1958)),
-    so U_corr = (beta U^dag beta U)^(1/2), a binomial series, and
-    C = log(U_corr U^dag). As beta U^dag beta = even(U^dag) - odd(U^dag)
-    and U^dag U = 1, beta U^dag beta U - 1 = -2 odd(U^dag) U, one product
-    with the odd half of U^dag. Truncating at max_order is exact in the
-    mass scheme too: U, beta and C have no term of negative order.
+    U is the step product, unitary to the order: U^dag U = U U^dag = 1
+    through max_order. With A = even(U) and B = odd(U), the two identities
+    split by parity give A^dag A + B^dag B = 1 and A^dag B = -B^dag A.
+    exp(C) = (A^dag A)^(-1/2) A^dag = (1 - B^dag B)^(-1/2) A^dag, the
+    inverse of A's unitary polar factor: it is even, so exp(C) U has the
+    Hermitian even half (A^dag A)^(1/2) and the odd half
+    (A^dag A)^(-1/2) A^dag B, anti-Hermitian as B^dag A commutes with
+    B^dag B (A B^dag = -B A^dag). So exp(C) U meets the condition, and the
+    even anti-Hermitian C that does is unique (E. Eriksen, Phys. Rev. 111,
+    1011 (1958)). The binomial series runs in -B^dag B, even and of
+    minimum order 2. Truncating at max_order is exact in the mass scheme
+    too: U, beta and C have no term of negative order.
     """
-    u_dag = u.adjoint()
-    x = scale(-2, mul_trunc(u_dag.parity_split()[1], u, scheme, max_order))
-    u_corr = _binomial_series(x, Fraction(1, 2), scheme, max_order)
-    return log_series(mul_trunc(u_corr, u_dag, scheme, max_order) - one(), scheme, max_order)
+    a, b = u.parity_split()
+    x = -mul_trunc(b.adjoint(), b, scheme, max_order)
+    inv_sqrt = _binomial_series(x, Fraction(-1, 2), scheme, max_order)
+    return log_series(mul_trunc(inv_sqrt, a.adjoint(), scheme, max_order) - one(), scheme,
+                      max_order)
 
 
 def apply_correction(record: TransformRecord) -> OperatorExpr:
@@ -340,7 +348,7 @@ def apply_correction(record: TransformRecord) -> OperatorExpr:
 
 
 def corrected_pipeline(h: OperatorExpr, scheme: WeightScheme, max_order: int) -> TransformRecord:
-    """Iterative method plus the step product's correction by its polar factor.
+    """Iterative method plus the step product's correction to the Eriksen condition.
 
     U = ... exp(iS') exp(iS) is the product of the steps' exponential
     series, truncated at max_order; with no steps (the Hamiltonian was

@@ -5,10 +5,11 @@ from math import gcd
 import pytest
 
 from fwalg import gaussrat, opalg
-from fwalg.fwtransform import bch_combine
+from fwalg.fwtransform import _binomial_series, bch_combine
 from fwalg.gaussrat import GaussRat, I, _reduced, binom_coeff
 from fwalg.opalg import (
-    BETA, BUILTIN_SYMBOLS, E, F, MC2, O, VELOCITY, OperatorExpr, SymbolRegistry, scale, zero,
+    BETA, BUILTIN_SYMBOLS, E, F, MC2, O, VELOCITY, OperatorExpr, SymbolRegistry, log_series,
+    mul_trunc, one, scale, zero,
 )
 from fwalg.shell import RECORD_SCHEMA, _int_field, _int_pair, _word_field
 
@@ -109,7 +110,7 @@ def elimination_correction_exponent(r, scheme, max_order) -> OperatorExpr:
     """Even anti-Hermitian C with even(log(exp(C) exp(iR))) = 0 to max_order.
 
     The order-by-order Dynkin elimination, kept as the oracle of the
-    polar-factor C that ``correction_exponent`` reads from U. Built on the
+    closed-form C that ``correction_exponent`` reads from U. Built on the
     running exponent Z = log(exp(C) exp(iR)), which starts at iR: each pass
     takes the lowest even slice of Z, negated, as delta and folds it in,
     Z <- log(exp(delta) exp(Z)). Delta's order is high, so its BCH word
@@ -132,6 +133,20 @@ def elimination_correction_exponent(r, scheme, max_order) -> OperatorExpr:
         z = bch_combine(delta, z, scheme, max_order)
         c = bch_combine(delta, c, scheme, max_order)
     raise AssertionError("even residual not exhausted within order budget")
+
+
+def polar_correction_exponent(u, scheme, max_order) -> OperatorExpr:
+    """C = log((1 - 2 odd(U^dag) U)^(1/2) U^dag), a second closed form.
+
+    exp(C) U = (beta U^dag beta U)^(1/2), and U^dag U = 1 turns the
+    argument into -2 odd(U^dag) U, which starts at order 1. Kept as the
+    oracle of ``correction_exponent``'s series in -B^dag B (B = odd(U)) at
+    orders beyond the Dynkin elimination's reach in tier-1.
+    """
+    u_dag = u.adjoint()
+    x = scale(-2, mul_trunc(u_dag.parity_split()[1], u, scheme, max_order))
+    u_corr = _binomial_series(x, Fraction(1, 2), scheme, max_order)
+    return log_series(mul_trunc(u_corr, u_dag, scheme, max_order) - one(), scheme, max_order)
 
 
 # -- closed forms of the free particle, H = beta mc^2 + O, at any order --------------

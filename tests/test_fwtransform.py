@@ -21,8 +21,8 @@ from fwalg.opalg import SymbolRegistry
 from fwalg.shell import main as fw_main
 
 from conftest import (
-    elimination_correction_exponent, free_fw_hamiltonian, free_fw_unitary, rand_expr,
-    rand_expr_min_weight,
+    elimination_correction_exponent, free_fw_hamiltonian, free_fw_unitary,
+    polar_correction_exponent, rand_expr, rand_expr_min_weight,
 )
 
 b, o, f, e = sym(BETA), sym(O), sym(F), sym(E)
@@ -628,6 +628,21 @@ def test_eriksen_series_equals_conjugation_by_u_on_random_hermitian_h(h, order):
                                                           h, order)
 
 
+@given(hermitian_hamiltonians(),
+       st.sampled_from([(VELOCITY, 6), (VELOCITY, 7), (MASS, 4), (MASS, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_correction_exponent_on_random_hermitian_h(h, scheme_order):
+    # E + O keeps C nonzero in most examples; on the bare random H it is zero
+    scheme, order = scheme_order
+    rec = _outcome(lambda h, order: corrected_pipeline(h, scheme, order), h + e + o, order)
+    if isinstance(rec, type):
+        return
+    c = rec.correction_exponent
+    assert c == polar_correction_exponent(rec.unitary, scheme, order)
+    assert c.parity_split()[1].is_zero and c.adjoint() == -c
+    assert eriksen_condition_check(rec).corrected.is_zero
+
+
 _NOT_HERMITIAN = {"i*O": scale(I, o), "beta*O": b * o, "i*E": scale(I, e)}
 
 
@@ -970,11 +985,22 @@ def test_eriksen_series_builds_no_intermediate_terms(monkeypatch):
     (MASS, 5), (MASS, 6), (MASS, 7), (MASS, 8),
 ], ids=["vc6", "vc7", "vc8", "vc9", "vc12", "m4", "m5", "m6", "m7", "m8"])
 def test_correction_exponent_equals_log_of_polar_factor(scheme, order):
-    # C, the polar factor's log, against the order-by-order Dynkin elimination
+    # C, read from U in closed form, against the order-by-order Dynkin elimination
     rec = corrected_pipeline(dirac_h(), scheme, order)
     c = elimination_correction_exponent(rec.combined_exponent, scheme, order)
     assert not c.is_zero
     assert c == rec.correction_exponent
+
+
+@pytest.mark.parametrize("scheme, order", [
+    (VELOCITY, 14), (VELOCITY, 16), (MASS, 9), (MASS, 10),
+], ids=["vc14", "vc16", "m9", "m10"])
+def test_correction_exponent_equals_polar_oracle_beyond_elimination(scheme, order):
+    # the series in -B^dag B against the square root of beta U^dag beta U,
+    # at orders where the Dynkin elimination is too slow for tier-1
+    rec = corrected_pipeline(dirac_h(), scheme, order)
+    assert not rec.correction_exponent.is_zero
+    assert rec.correction_exponent == polar_correction_exponent(rec.unitary, scheme, order)
 
 
 def test_combined_exponent_conjugation_matches_step_product():
